@@ -142,10 +142,16 @@ class ApproximateState:
             raise ValueError("need at least one snapshot of at least one qubit")
         if not np.all(np.abs(outcomes) == 1):
             raise ValueError("outcomes must be -1 or +1")
+        if not np.all((thetas >= 0.0) & (thetas <= math.pi)):
+            raise ValueError("thetas must lie in [0, pi]")
+        if not np.all(np.isfinite(phis)):
+            raise ValueError("phis must be finite")
         n = outcomes.shape[1]
         p = np.zeros(n) if p_err is None else np.asarray(p_err, dtype=np.float64)
         if p.shape != (n,):
             raise ValueError("p_err must have one entry per qubit")
+        if not np.all((p >= 0.0) & (p < 1.0)):
+            raise ValueError("p_err entries must lie in [0, 1)")
         for arr in (outcomes, thetas, phis, p):
             arr.setflags(write=False)
         self.n_qubits = n
@@ -274,22 +280,44 @@ def acquire_snapshot(
     return SnapshotRecord(tuple(int(m) for m in outcomes), tuple(directions))
 
 
-def _row_blocks(n_qubits: int) -> int:
-    # 4N uniforms per snapshot (phi, cos theta, per-qubit outcome picks,
-    # flips), an exact whole number of Philox blocks of 4 words.
-    return n_qubits
-
-
 def _snapshot_uniforms(seed: int, start: int, count: int, n_qubits: int) -> np.ndarray:
     """Uniform table for snapshots [start, start+count), shape (count, 4N).
 
     Row j is a pure function of (seed, start + j): each snapshot owns a fixed
-    range of Philox counter blocks keyed by the seed.
+    range of Philox counter blocks keyed by the seed.  Its 4N uniforms (phi,
+    cos theta, per-qubit outcome picks, flips) fill exactly N blocks of 4 words.
     """
-    blocks = _row_blocks(n_qubits)
-    bits = Philox(key=seed, counter=start * blocks).random_raw(count * blocks * 4)
-    words = bits.reshape(count, blocks * 4)
+    bits = Philox(key=seed, counter=start * n_qubits).random_raw(count * n_qubits * 4)
+    words = bits.reshape(count, n_qubits * 4)
     return (words >> np.uint64(11)) * (2.0**-53)
+
+
+# The half-size branch buffer of one batch, (rows, 2^(N-1)) complex doubles,
+# stays within this many bytes unless a single row is already larger.
+_BATCH_BYTES = 128 << 20
+_MAX_BATCH = 1024
+
+
+def _default_batch_size(n_qubits: int) -> int:
+    row_bytes = (1 << (n_qubits - 1)) * np.dtype(complex).itemsize
+    return max(1, min(_MAX_BATCH, _BATCH_BYTES // row_bytes))
+
+
+def _moments(halves: np.ndarray) -> tuple[np.ndarray, ...]:
+    """||a0||^2, ||a1||^2, Re<a0,a1> and Im<a0,a1> of halves (..., 2, h).
+
+    These four numbers are the qubit's 2x2 reduced density matrix given the
+    outcomes already drawn.  Float views keep every reduction a real einsum.
+    """
+    f0, f1 = halves[..., 0, :].view(np.float64), halves[..., 1, :].view(np.float64)
+    re0, im0, re1, im1 = f0[..., 0::2], f0[..., 1::2], f1[..., 0::2], f1[..., 1::2]
+    dot = "...h,...h->..."
+    return (
+        np.einsum(dot, f0, f0),
+        np.einsum(dot, f1, f1),
+        np.einsum(dot, f0, f1),
+        np.einsum(dot, re0, im1) - np.einsum(dot, im0, re1),
+    )
 
 
 def snapshots_from_state(
@@ -302,18 +330,19 @@ def snapshots_from_state(
 ) -> ApproximateState:
     """Acquire ``n_snapshots`` independent snapshots of a known pure state.
 
-    Rotation, sampling, and readout flips are vectorized over snapshot
-    batches; the result is independent of ``batch_size`` (None picks a size
-    that keeps the working buffer around 128 MiB).
+    Qubits are measured from the highest down.  Each step reads the qubit's
+    conditional 2x2 reduced density, draws its bit, and builds only the chosen
+    half of the amplitudes.  The result is independent of ``batch_size``; None
+    picks the most rows (up to 1024) whose half-size branch buffer fits in
+    128 MiB, and a single row where one row alone is larger.
     """
     if n_snapshots < 1:
         raise ValueError("n_snapshots must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     n = psi.n_qubits
-    dim = 1 << n
     if batch_size is None:
-        batch_size = min(1024, max(8, (1 << 23) // dim))
+        batch_size = _default_batch_size(n)
     p_err = (noise or NoiseModel.none(n)).array()
     if p_err.shape != (n,):
         raise ValueError("noise model does not match the qubit count")
@@ -321,6 +350,10 @@ def snapshots_from_state(
     outcomes = np.empty((n_snapshots, n), dtype=np.int8)
     thetas = np.empty((n_snapshots, n))
     phis = np.empty((n_snapshots, n))
+
+    # Every row starts from psi, so the top qubit's moments are shared.
+    top = psi.amps.reshape(2, -1)
+    top_moments = _moments(top)
 
     for start in range(0, n_snapshots, batch_size):
         rows = min(batch_size, n_snapshots - start)
@@ -335,25 +368,29 @@ def snapshots_from_state(
         phase = np.exp(1j * phi)
         bits = np.empty((rows, n), dtype=np.int8)
 
-        # Rotate the highest remaining qubit, sample its bit from the row
-        # marginal, project onto that branch, and recurse on half the
-        # amplitudes; equivalent to sampling the jointly rotated state.
-        work = np.broadcast_to(psi.amps, (rows, dim)).copy()
+        # Rotating qubit k by U = [[c, s e^-iphi], [-s e^iphi, c]] and
+        # projecting on outcome 0 leaves c*a0 + s e^-iphi*a1, whose squared
+        # norm follows from the moments; outcome 1 leaves -s e^iphi*a0 + c*a1.
+        # Only the chosen branch is built, straight from psi at the top level.
+        # It is an einsum, not a matmul: BLAS threads the large products and
+        # then runs twice as slow whenever another process holds a core.
+        halves, moments = np.broadcast_to(top, (rows, *top.shape)), top_moments
         for k in range(n - 1, -1, -1):
-            view = work.reshape(rows, 2, -1)
-            a0, a1 = view[:, 0, :], view[:, 1, :]
-            u00 = cos_h[:, k, None]
-            u01 = (sin_h[:, k] * phase[:, k].conj())[:, None]
-            u10 = (-sin_h[:, k] * phase[:, k])[:, None]
-            branch0 = u00 * a0 + u01 * a1
-            branch1 = u10 * a0 + u00 * a1
-            f0 = branch0.view(np.float64)
-            f1 = branch1.view(np.float64)
-            p0 = np.einsum("rh,rh->r", f0, f0)
-            p1 = np.einsum("rh,rh->r", f1, f1)
-            take1 = picks[:, k] * (p0 + p1) >= p0
+            n0, n1, re, im = moments
+            c, s = cos_h[:, k], sin_h[:, k]
+            cross = phase[:, k].real * re + phase[:, k].imag * im
+            p0 = c * c * n0 + s * s * n1 + 2.0 * c * s * cross
+            take1 = picks[:, k] * (n0 + n1) >= p0
             bits[:, k] = take1
-            work = np.where(take1[:, None], branch1, branch0)
+            if k == 0:
+                break
+            coef = np.where(
+                take1[:, None],
+                np.stack([-s * phase[:, k], c + 0j], axis=1),
+                np.stack([c + 0j, s * phase[:, k].conj()], axis=1),
+            )
+            halves = np.einsum("rk,rkh->rh", coef, halves).reshape(rows, 2, -1)
+            moments = _moments(halves)
 
         m = 1 - 2 * bits
         m = np.where(flip_u < p_err[None, :], -m, m)
@@ -422,13 +459,16 @@ def deserialize(data: bytes) -> ApproximateState:
     (seed,) = struct.unpack_from("<Q", data, offset)
     offset += 8
     records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=m * n, offset=offset)
-    return ApproximateState(
-        records["m"].reshape(m, n).copy(),
-        records["theta"].reshape(m, n).copy(),
-        records["phi"].reshape(m, n).copy(),
-        p_err,
-        seed,
-    )
+    try:
+        return ApproximateState(
+            records["m"].reshape(m, n).copy(),
+            records["theta"].reshape(m, n).copy(),
+            records["phi"].reshape(m, n).copy(),
+            p_err,
+            seed,
+        )
+    except ValueError as exc:
+        raise SnapshotFormatError(f"invalid snapshot payload: {exc}") from exc
 
 
 def save_snapshots(state: ApproximateState, path) -> None:
@@ -466,5 +506,5 @@ def state_from_json_dict(data: dict) -> ApproximateState:
             int(data["seed"]),
             data.get("circuit_hash"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotFormatError(f"malformed snapshot JSON: {exc}") from exc

@@ -158,13 +158,15 @@ def _apply_single_inplace(amps: np.ndarray, qubit: int, u: np.ndarray) -> None:
 
 def _apply_xy_inplace(amps: np.ndarray, q1: int, q2: int, alpha: float) -> None:
     # identity on the even-parity block; rotation by 2*alpha on {|01>,|10>}
-    idx = np.arange(amps.size)
-    sel = idx[((idx >> q1) & 1 == 1) & ((idx >> q2) & 1 == 0)]
-    swapped = sel ^ ((1 << q1) | (1 << q2))
+    lo, hi = min(q1, q2), max(q1, q2)
+    view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    hi_only, lo_only = view[:, 1, :, 0, :], view[:, 0, :, 1, :]
+    # sel: bit q1 set and bit q2 clear; swapped: the reverse
+    sel, swapped = (hi_only, lo_only) if q1 == hi else (lo_only, hi_only)
     c, s = math.cos(2.0 * alpha), math.sin(2.0 * alpha)
-    va, vb = amps[sel], amps[swapped]
-    amps[sel] = c * va - 1j * s * vb
-    amps[swapped] = -1j * s * va + c * vb
+    va, vb = sel.copy(), swapped.copy()
+    sel[...] = c * va - 1j * s * vb
+    swapped[...] = -1j * s * va + c * vb
 
 
 def _apply_gate_inplace(amps: np.ndarray, gate: Gate) -> None:

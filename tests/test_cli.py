@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ class TestPipeline:
         obs_path = tmp_path / "obs.json"
         save_observable(Observable.from_strings([(1.0, "Z")]), obs_path)
         assert run_cli("estimate", "--snapshots", bad, "--observable", obs_path) == 2
+
+    def test_nan_angle_in_snapshot_file_fails(self, tmp_path, circuit_path, capsys):
+        snaps = tmp_path / "state.aqst"
+        run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
+                "--seed", 9, "--out", snaps)
+        blob = bytearray(snaps.read_bytes())
+        # first record's theta: header 18 bytes, p_err 8N, seed 8, then m (1)
+        struct.pack_into("<d", blob, 18 + 8 * 2 + 8 + 1, math.nan)
+        snaps.write_bytes(bytes(blob))
+        obs_path = tmp_path / "obs.json"
+        save_observable(Observable.from_strings([(1.0, "ZI")]), obs_path)
+        assert run_cli("estimate", "--snapshots", snaps, "--observable", obs_path) == 2
+        assert "thetas" in capsys.readouterr().err
 
 
 class TestSeminormCommand:

@@ -1,10 +1,13 @@
 """Snapshot acquisition, noise, and binary format tests."""
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aqstate import snapshots
 from aqstate.snapshots import (
     ApproximateState,
     Direction,
@@ -24,10 +27,12 @@ from aqstate.snapshots import (
     state_to_json_dict,
 )
 from aqstate.statevector import (
+    MAX_QUBITS,
     Circuit,
     Gate,
     Statevector,
     haar_random_state,
+    random_prep_circuit,
     run_circuit,
 )
 from aqstate.estimator import reconstruct_density
@@ -173,9 +178,9 @@ class TestBuildApproximateState:
     def test_batch_size_invariance(self):
         psi = haar_random_state(3, np.random.default_rng(10))
         variants = [
-            snapshots_from_state(psi, 333, seed=4, batch_size=bs) for bs in (7, 64, 999)
+            snapshots_from_state(psi, 333, seed=4, batch_size=bs) for bs in (1, 7, 64, 999)
         ]
-        assert variants[0] == variants[1] == variants[2]
+        assert all(v == variants[0] for v in variants[1:])
 
     def test_snapshots_are_counter_addressed(self):
         # row j depends only on (seed, j): a longer run extends a shorter one
@@ -183,6 +188,32 @@ class TestBuildApproximateState:
         short = snapshots_from_state(psi, 40, seed=21)
         long = snapshots_from_state(psi, 100, seed=21)
         assert long.prefix(40) == short
+
+    def test_default_batch_fits_budget(self):
+        # the half-size branch buffer of a default batch: (rows, 2^(N-1))
+        budget = 128 << 20
+        for n in range(1, MAX_QUBITS + 1):
+            rows = snapshots._default_batch_size(n)
+            row_bytes = 16 << (n - 1)
+            assert 1 <= rows <= 1024
+            assert rows * row_bytes <= budget or rows == 1
+            assert rows == 1024 or (rows + 1) * row_bytes > budget
+        assert snapshots._default_batch_size(MAX_QUBITS) == 1
+
+    def test_acquisition_peak_follows_budget(self, monkeypatch):
+        psi = run_circuit(random_prep_circuit(12, np.random.default_rng(12)))
+        reference = snapshots_from_state(psi, 300, seed=5)
+        budget = 1 << 20
+        monkeypatch.setattr(snapshots, "_BATCH_BYTES", budget)
+        assert snapshots._default_batch_size(12) == 32
+        tracemalloc.start()
+        try:
+            small = snapshots_from_state(psi, 300, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert small == reference
+        assert peak <= 3 * budget
 
     def test_single_snapshot(self):
         state = build_approximate_state(Circuit(2, ()), 1, seed=0)
@@ -313,6 +344,46 @@ class TestApproximateState:
             ApproximateState(
                 np.zeros((2, 2), dtype=np.int8), np.zeros((2, 2)), np.zeros((2, 2))
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("theta", math.nan),
+            ("theta", -1e-9),
+            ("theta", 3.2),
+            ("phi", math.inf),
+            ("phi", math.nan),
+            ("p_err", 1.5),
+            ("p_err", -0.2),
+            ("p_err", 1.0),
+            ("p_err", math.nan),
+        ],
+    )
+    def test_rejects_corrupt_payload(self, field, value):
+        state = random_state_record(np.random.default_rng(25), n_snapshots=4, n_qubits=2)
+        arrays = {
+            "theta": state.thetas.copy(),
+            "phi": state.phis.copy(),
+            "p_err": state.p_err.copy(),
+        }
+        arrays[field].flat[1] = value
+        with pytest.raises(ValueError):
+            ApproximateState(state.outcomes, arrays["theta"], arrays["phi"], arrays["p_err"])
+
+        # binary: header (18 bytes), p_err (8N), seed (8), then 17-byte records
+        blob = bytearray(serialize(state))
+        n = state.n_qubits
+        records = 18 + 8 * n + 8
+        offset = {"p_err": 18 + 8, "theta": records + 17 + 1, "phi": records + 17 + 9}
+        struct.pack_into("<d", blob, offset[field], value)
+        with pytest.raises(SnapshotFormatError):
+            deserialize(bytes(blob))
+
+        data = state_to_json_dict(state)
+        key = {"theta": "thetas", "phi": "phis", "p_err": "p_err"}[field]
+        data[key] = arrays[field].tolist()
+        with pytest.raises(SnapshotFormatError):
+            state_from_json_dict(data)
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
