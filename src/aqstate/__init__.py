@@ -64,12 +64,12 @@ from .estimator import (
     EstimateResult,
     estimate_factored,
     estimate_observable,
-    estimate_pauli_string,
     p_odd,
     predict_attenuated,
     r1_operator,
     r1_pauli,
     reconstruct_density,
+    snapshot_values,
 )
 from .harness import (
     ExperimentConfig,

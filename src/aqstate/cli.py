@@ -80,6 +80,7 @@ def _cmd_estimate(args) -> int:
                 "value": result.value,
                 "std_bound": result.std_bound,
                 "std_approx": result.std_approx,
+                "std_empirical": result.std_empirical,
                 "M": result.n_snapshots,
                 "N": result.n_qubits,
             },
@@ -91,9 +92,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_seminorm(args) -> int:
     obs = pauli.load_observable(args.observable)
-    norm = pauli.seminorm(obs)
     out = {
-        "seminorm": norm,
+        "seminorm": pauli.seminorm(obs),
         "seminorm2": pauli.seminorm2(obs),
         "seminorm1": pauli.seminorm1(obs),
     }

@@ -1,10 +1,11 @@
-"""Estimator functions over an approximate state: Pauli monomials, Pauli
-sums, tensor-factored observables, tiny-N density reconstruction, and
+"""Estimator functions over an approximate state: Pauli sums,
+tensor-factored observables, tiny-N density reconstruction, and
 readout-attenuation predictions.
 
 Every estimate is a plain snapshot average of the per-snapshot estimator
 value; the returned error fields are the seminorm bound and the diagonal
-seminorm approximation, both divided by sqrt(M).
+seminorm approximation, both divided by sqrt(M), and the sample spread of
+the per-snapshot values over sqrt(M).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .pauli import (
     FactoredObservable,
     Observable,
     PauliAxis,
-    PauliString,
     SingleQubitOperator,
+    TermTable,
     factored_seminorms,
     seminorm,
     seminorm2,
@@ -30,7 +31,7 @@ __all__ = [
     "EstimateResult",
     "r1_pauli",
     "r1_operator",
-    "estimate_pauli_string",
+    "snapshot_values",
     "estimate_observable",
     "estimate_factored",
     "reconstruct_density",
@@ -44,17 +45,30 @@ DENSITY_QUBIT_CAP = 3
 @dataclass(frozen=True)
 class EstimateResult:
     """Estimate with its error scales: ``std_bound`` is the proven bound
-    seminorm/sqrt(M), ``std_approx`` the diagonal-seminorm approximation."""
+    seminorm/sqrt(M), ``std_approx`` the diagonal-seminorm approximation and
+    ``std_empirical`` what the data showed, the sample standard deviation of
+    the per-snapshot values over sqrt(M) (None for a single snapshot)."""
 
     value: float
     std_bound: float
     std_approx: float
     n_snapshots: int
     n_qubits: int
+    std_empirical: float | None = None
 
     def __post_init__(self):
         if self.std_approx > self.std_bound + 1e-12:
             raise ValueError("std_approx cannot exceed std_bound")
+
+    @classmethod
+    def from_values(cls, values: np.ndarray, norms: tuple, n_qubits: int) -> "EstimateResult":
+        """Snapshot average of per-snapshot values (a pairwise sum), with the
+        (seminorm, seminorm2) pair ``norms`` scaled to error fields."""
+        m = len(values)
+        root_m = math.sqrt(m)
+        spread = float(np.std(values, ddof=1)) / root_m if m > 1 else None
+        mean = float(np.sum(values)) / m
+        return cls(mean, norms[0] / root_m, norms[1] / root_m, m, n_qubits, spread)
 
 
 def r1_pauli(axis: PauliAxis, m: int, direction: Direction) -> float:
@@ -70,58 +84,61 @@ def r1_operator(op: SingleQubitOperator, m: int, direction: Direction) -> float:
     return op.a0 + 3.0 * m * (op.ax * nx + op.ay * ny + op.az * nz)
 
 
-def _weights(state: ApproximateState) -> np.ndarray:
-    """Per-snapshot, per-qubit estimator components 3*m*(nx, ny, nz).
+# terms whose per-snapshot products fill this many bytes are evaluated at once
+_BLOCK_BYTES = 1 << 20
 
-    Computed once per state and cached; every Pauli term reuses the table.
+
+def _weight_table(state: ApproximateState) -> np.ndarray:
+    """Single-qubit estimator values, shape (N, 4, M): entry (q, a, j) is 1
+    for a = I and 3*m*n_a for a = X, Y, Z on qubit q of snapshot j."""
+    scale = 3.0 * state.outcomes
+    sin_t = np.sin(state.thetas)
+    table = np.empty((state.n_qubits, 4, state.n_snapshots))
+    table[:, 0] = 1.0
+    table[:, 1] = (np.cos(state.phis) * sin_t * scale).T
+    table[:, 2] = (np.sin(state.phis) * sin_t * scale).T
+    table[:, 3] = (np.cos(state.thetas) * scale).T
+    return table
+
+
+def _pauli_values(weights: np.ndarray, terms: TermTable) -> np.ndarray:
+    m = weights.shape[2]
+    values = np.full(m, terms.offset)
+    rows = max(1, _BLOCK_BYTES // (8 * m))
+    for start in range(0, len(terms.coeffs), rows):
+        axes = terms.axes[start : start + rows]
+        # ascending qubit order; skipping a qubit skips an exact factor of 1
+        active = np.flatnonzero(axes.any(axis=0))
+        block = weights[active[0]][axes[:, active[0]]]
+        for q in active[1:]:
+            block *= weights[q][axes[:, q]]
+        block *= terms.coeffs[start : start + rows, None]
+        for row in block:  # term by term: the sum does not depend on the blocks
+            values += row
+    return values
+
+
+def _factored_values(weights: np.ndarray, fobs: FactoredObservable) -> np.ndarray:
+    values = np.zeros(weights.shape[2])
+    for coeff, factors in fobs.terms:
+        ops = np.array([op.coefficients() for op in factors])
+        values += coeff * np.prod(np.einsum("kaj,ka->kj", weights, ops), axis=0)
+    return values
+
+
+def snapshot_values(state: ApproximateState, observables: list) -> list[np.ndarray]:
+    """Per-snapshot estimator values, shape (M,), of each Pauli-sum or
+    factored observable; the weight table is built once for all of them.
+    The estimate from the first m snapshots is the mean of the first m values.
     """
-    if state._weights is None:
-        sin_t = np.sin(state.thetas)
-        w = np.empty(state.outcomes.shape + (3,))
-        w[..., 0] = np.cos(state.phis) * sin_t
-        w[..., 1] = np.sin(state.phis) * sin_t
-        w[..., 2] = np.cos(state.thetas)
-        w *= 3.0 * state.outcomes[..., None]
-        w.setflags(write=False)
-        state._weights = w
-    return state._weights
-
-
-def _string_values(state: ApproximateState, string: PauliString) -> np.ndarray:
-    """Per-snapshot estimator values of one Pauli monomial, shape (M,)."""
-    qubits = np.array([q for q, _ in string.support])
-    axes = np.array([int(a) - 1 for _, a in string.support])
-    w = _weights(state)
-    if qubits.size == 1:
-        return w[:, qubits[0], axes[0]]
-    return np.prod(w[:, qubits, axes], axis=1)
-
-
-def _mean(values: np.ndarray) -> float:
-    # exact (compensated) accumulation; products can reach 3^N in magnitude
-    return math.fsum(values.tolist()) / len(values)
-
-
-def _check_qubits(state: ApproximateState, n_qubits: int) -> None:
-    if n_qubits != state.n_qubits:
-        raise ValueError(
-            f"observable acts on {n_qubits} qubits, snapshots on {state.n_qubits}"
-        )
-
-
-def estimate_pauli_string(state: ApproximateState, string: PauliString) -> EstimateResult:
-    """Snapshot average of the product estimator for one Pauli monomial.
-
-    The error scale of a weight-r monomial is 3^(r/2)/sqrt(M); the identity
-    estimates to exactly 1 with zero spread.
-    """
-    _check_qubits(state, string.n_qubits)
-    m = state.n_snapshots
-    if string.weight == 0:
-        return EstimateResult(1.0, 0.0, 0.0, m, state.n_qubits)
-    value = _mean(_string_values(state, string))
-    scale = 3.0 ** (string.weight / 2.0) / math.sqrt(m)
-    return EstimateResult(value, scale, scale, m, state.n_qubits)
+    for n in {obs.n_qubits for obs in observables} - {state.n_qubits}:
+        raise ValueError(f"observable acts on {n} qubits, snapshots on {state.n_qubits}")
+    weights = _weight_table(state)
+    return [
+        _factored_values(weights, obs) if isinstance(obs, FactoredObservable)
+        else _pauli_values(weights, obs.table)
+        for obs in observables
+    ]
 
 
 def estimate_observable(
@@ -129,26 +146,16 @@ def estimate_observable(
     obs: Observable,
     norms: tuple[float, float] | None = None,
 ) -> EstimateResult:
-    """Estimate <O> for a Pauli-sum observable in one streaming pass.
+    """Estimate <O> for a Pauli-sum observable; a single Pauli string is a
+    one-term observable, whose error scale is 3^(r/2)/sqrt(M) at weight r.
 
     ``norms`` may carry a precomputed (seminorm, seminorm2) pair to avoid
-    re-deriving them, e.g. when the same observable is evaluated on many
-    snapshot prefixes.
+    re-deriving them.
     """
-    _check_qubits(state, obs.n_qubits)
-    m = state.n_snapshots
-    parts = []
-    for coeff, string in obs.terms:
-        if string.weight == 0:
-            parts.append(coeff)
-        else:
-            parts.append(coeff * _mean(_string_values(state, string)))
+    (values,) = snapshot_values(state, [obs])
     if norms is None:
         norms = (seminorm(obs), seminorm2(obs))
-    root_m = math.sqrt(m)
-    return EstimateResult(
-        math.fsum(parts), norms[0] / root_m, norms[1] / root_m, m, state.n_qubits
-    )
+    return EstimateResult.from_values(values, norms, state.n_qubits)
 
 
 def estimate_factored(
@@ -161,21 +168,10 @@ def estimate_factored(
     This is the path for computational-basis projectors: cost O(M*N) per
     term, with no Pauli expansion.
     """
-    _check_qubits(state, fobs.n_qubits)
-    m = state.n_snapshots
-    w = _weights(state)
-    parts = []
-    for coeff, factors in fobs.terms:
-        bias = np.array([op.a0 for op in factors])
-        pauli = np.array([[op.ax, op.ay, op.az] for op in factors])
-        per_qubit = bias[None, :] + np.einsum("jka,ka->jk", w, pauli)
-        parts.append(coeff * _mean(np.prod(per_qubit, axis=1)))
+    (values,) = snapshot_values(state, [fobs])
     if norms is None:
         norms = factored_seminorms(fobs)
-    root_m = math.sqrt(m)
-    return EstimateResult(
-        math.fsum(parts), norms[0] / root_m, norms[1] / root_m, m, state.n_qubits
-    )
+    return EstimateResult.from_values(values, norms, state.n_qubits)
 
 
 def reconstruct_density(

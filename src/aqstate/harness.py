@@ -40,11 +40,10 @@ from .statevector import (
 )
 from .snapshots import NoiseModel, build_approximate_state, snapshots_from_state
 from .estimator import (
-    _weights as _estimator_weights,
-    estimate_factored,
+    EstimateResult,
     estimate_observable,
-    estimate_pauli_string,
     reconstruct_density,
+    snapshot_values,
 )
 
 __all__ = [
@@ -67,7 +66,7 @@ __all__ = [
 OBSERVABLE_KINDS = ("random_pauli_sum", "basis_projector")
 NORMALIZATIONS = ("seminorm", "seminorm2", "none")
 
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 # sub-stream tags hashed together with the master seed
 _TAG_CIRCUIT, _TAG_OBSERVABLES, _TAG_SNAPSHOTS = 0, 1, 2
@@ -149,6 +148,7 @@ class ObservableRow:
     estimate: float
     std_bound: float
     std_approx: float
+    std_empirical: float | None
     curve: tuple[float, ...]
 
 
@@ -229,40 +229,32 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         circuit_hash=circuit.content_hash(),
     )
     checkpoints = log_checkpoints(cfg.n_snapshots)
-    _estimator_weights(state)  # populate once; prefixes share the table
-    prefixes = [state.prefix(m) for m in checkpoints]
 
     obs_rng = _sub_rng(cfg.seed, _TAG_OBSERVABLES)
-    rows = []
-    described = []
     if cfg.observable_kind == "random_pauli_sum":
-        for _ in range(cfg.n_observables):
-            obs = random_observable(
-                cfg.n_qubits, cfg.terms_per_observable, obs_rng, cfg.normalization
-            )
-            norms = (seminorm(obs), seminorm2(obs))
-            oracle = exact_expectation(psi, obs)
-            curve = [estimate_observable(p, obs, norms).value for p in prefixes]
-            final = estimate_observable(state, obs, norms)
-            rows.append(
-                ObservableRow(oracle, final.value, final.std_bound, final.std_approx, tuple(curve))
-            )
-            described.append({"kind": "pauli_sum", "n_terms": len(obs.terms)})
+        observables = [
+            random_observable(cfg.n_qubits, cfg.terms_per_observable, obs_rng, cfg.normalization)
+            for _ in range(cfg.n_observables)
+        ]
+        norms = [(seminorm(obs), seminorm2(obs)) for obs in observables]
+        oracles = [exact_expectation(psi, obs) for obs in observables]
+        described = [{"kind": "pauli_sum", "n_terms": len(obs.terms)} for obs in observables]
         band = "bound"
     else:
-        for _ in range(cfg.n_observables):
-            proj = random_projector(cfg.n_qubits, obs_rng)
-            norms = factored_seminorms(proj)
-            oracle = exact_expectation_factored(psi, proj)
-            curve = [estimate_factored(p, proj, norms).value for p in prefixes]
-            final = estimate_factored(state, proj, norms)
-            rows.append(
-                ObservableRow(oracle, final.value, final.std_bound, final.std_approx, tuple(curve))
-            )
-            described.append(
-                {"kind": "basis_projector", "bits": projector_bits(proj)}
-            )
+        observables = [random_projector(cfg.n_qubits, obs_rng) for _ in range(cfg.n_observables)]
+        norms = [factored_seminorms(proj) for proj in observables]
+        oracles = [exact_expectation_factored(psi, proj) for proj in observables]
+        described = [{"kind": "basis_projector", "bits": projector_bits(p)} for p in observables]
         band = "approx"
+
+    rows = []
+    for values, norm, oracle in zip(snapshot_values(state, observables), norms, oracles):
+        # curve point k averages the first m_k per-snapshot values; the last
+        # checkpoint is M, so the last point is the final estimate
+        points = [EstimateResult.from_values(values[:m], norm, cfg.n_qubits) for m in checkpoints]
+        final = points[-1]
+        rows.append(ObservableRow(oracle, final.value, final.std_bound, final.std_approx,
+                                  final.std_empirical, tuple(p.value for p in points)))
 
     fractions = {
         "bound": _coverage(rows, "std_bound"),
@@ -423,8 +415,9 @@ def noise_attenuation_study(
     rows = []
     for r in range(1, max_weight + 1):
         string = PauliString(n_qubits, tuple((q, PauliAxis.X) for q in range(r)))
-        oracle = exact_expectation(psi, Observable(n_qubits, ((1.0, string),)))
-        result = estimate_pauli_string(state, string)
+        obs = Observable(n_qubits, ((1.0, string),))
+        oracle = exact_expectation(psi, obs)
+        result = estimate_observable(state, obs)
         predicted = damp**r * oracle
         rows.append(
             NoiseAttenuationRow(
@@ -449,11 +442,10 @@ class VerificationResult:
 
 
 def _verify_second_moments(n_snapshots: int, tol: float, seed: int) -> VerificationResult:
-    from .estimator import _weights
-
     psi = haar_random_state(1, np.random.default_rng(seed))
     state = snapshots_from_state(psi, n_snapshots, seed)
-    w = _weights(state)[:, 0, :]
+    paulis = [Observable.from_strings([(1.0, axis)]) for axis in "XYZ"]
+    w = np.stack(snapshot_values(state, paulis), axis=1)
     second = (w.T @ w) / n_snapshots
     err = float(np.max(np.abs(second - 3.0 * np.eye(3))))
     return VerificationResult(

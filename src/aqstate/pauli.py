@@ -8,6 +8,7 @@ to any seminorm.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ __all__ = [
     "Observable",
     "SingleQubitOperator",
     "FactoredObservable",
+    "TermTable",
     "weight",
     "pair_compat",
     "seminorm",
@@ -108,13 +110,6 @@ class PauliString:
             chars[qubit] = _AXIS_CHARS[axis]
         return "".join(chars)
 
-    def axes(self) -> np.ndarray:
-        """Dense axis codes, shape (n_qubits,), dtype uint8."""
-        out = np.zeros(self.n_qubits, dtype=np.uint8)
-        for qubit, axis in self.support:
-            out[qubit] = int(axis)
-        return out
-
     @property
     def weight(self) -> int:
         return len(self.support)
@@ -200,6 +195,11 @@ class Observable:
     def __rmul__(self, factor: float) -> "Observable":
         return self.scaled(float(factor))
 
+    @functools.cached_property
+    def table(self) -> "TermTable":
+        """The terms as arrays; built on first use and kept with the object."""
+        return TermTable(self.n_qubits, self.terms)
+
     def __repr__(self):
         body = " + ".join(f"{c:g}*{p.to_label()}" for c, p in self.terms) or "0"
         return f"Observable({body})"
@@ -269,20 +269,65 @@ class FactoredObservable:
         return Observable(self.n_qubits, tuple(collected))
 
 
-def _term_arrays(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (axes, coeffs) for the non-identity terms of an observable."""
-    rows = [(string.axes(), coeff) for coeff, string in obs.terms if string.weight > 0]
-    if not rows:
-        return np.zeros((0, obs.n_qubits), dtype=np.uint8), np.zeros(0)
-    axes = np.stack([r[0] for r in rows])
-    coeffs = np.array([r[1] for r in rows])
-    return axes, coeffs
-
-
-def _diag_sum(axes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _diag_sum(table: "TermTable") -> np.ndarray:
     """Per-term diagonal contributions 3^r_i * a_i^2."""
-    r = (axes != 0).sum(axis=1)
-    return (3.0**r) * coeffs * coeffs
+    r = (table.axes != 0).sum(axis=1)
+    return (3.0**r) * table.coeffs * table.coeffs
+
+
+# pair compatibility is built for blocks of about this many term pairs
+_PAIR_BLOCK = 1 << 15
+
+
+class TermTable:
+    """Array form of an observable, built once per :class:`Observable`.
+
+    ``axes`` (T, N) uint8 and ``coeffs`` (T,) hold the non-identity terms in
+    canonical order, ``offset`` the coefficient of the identity string, and
+    ``x``/``z`` the symplectic bit-planes of the terms (Aaronson-Gottesman),
+    packed into (T, ceil(N/64)) uint64 words: X sets x, Z sets z, Y sets both.
+    All arrays are read only.
+    """
+
+    def __init__(self, n_qubits: int, terms: Sequence[tuple[float, PauliString]]):
+        strings = [(c, s) for c, s in terms if s.weight > 0]
+        axes = np.zeros((len(strings), n_qubits), dtype=np.uint8)
+        for row, (_, string) in enumerate(strings):
+            for qubit, axis in string.support:
+                axes[row, qubit] = axis
+        bits = np.zeros((2, len(strings), 64 * -(-n_qubits // 64)), dtype=bool)
+        bits[0, :, :n_qubits] = (axes == PauliAxis.X) | (axes == PauliAxis.Y)
+        bits[1, :, :n_qubits] = axes >= PauliAxis.Y
+        self.axes, self.coeffs = axes, np.array([c for c, _ in strings], dtype=np.float64)
+        self.x, self.z = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+        self.offset = next((c for c, s in terms if s.weight == 0), 0.0)
+        for arr in (self.axes, self.coeffs, self.x, self.z):
+            arr.setflags(write=False)
+
+    @functools.cached_property
+    def seminorm(self) -> float:
+        """See :func:`seminorm`; computed once per table."""
+        t, n = self.axes.shape
+        coeffs = np.abs(self.coeffs)
+        # word-major planes: the blocks below are (words, rows, later terms)
+        x, z = self.x.T, self.z.T
+        nonzero = x | z
+        pow3 = 3.0 ** np.arange(n + 1)
+        rows = max(1, _PAIR_BLOCK // max(t, 1))
+        off = 0.0
+        for start in range(0, t - 1, rows):
+            stop = min(start + rows, t - 1)
+            block, later = slice(start, stop), slice(start + 1, t)
+            both = nonzero[:, block, None] & nonzero[:, None, later]
+            clash = x[:, block, None] ^ x[:, None, later]
+            clash |= z[:, block, None] ^ z[:, None, later]
+            compat = ~(clash & both).any(axis=0)
+            r = np.bitwise_count(both).sum(axis=0, dtype=np.intp)
+            values = compat * pow3[r] * coeffs[later]
+            # row i's later terms j > i start at column i - start
+            for i in range(start, stop):
+                off += coeffs[i] * float(values[i - start, i - start :].sum())
+        return math.sqrt(float(np.sum(_diag_sum(self))) + 2.0 * off)
 
 
 def seminorm(obs: Observable) -> float:
@@ -290,32 +335,17 @@ def seminorm(obs: Observable) -> float:
     non-identity term pairs of 3^r_ij * delta_ij * |a_i||a_j|.
 
     This is the proven bound on the per-snapshot standard deviation of the
-    estimator; computed by exact pair enumeration, O(T^2 N) for T terms.
-    The diagonal part is accumulated exactly as in :func:`seminorm2` and the
-    off-diagonal part is a sum of non-negatives, so the hierarchy
-    seminorm2 <= seminorm holds even in floating point.
+    estimator; exact pair enumeration, O(T^2 N) for T terms, computed once
+    per observable.  The diagonal part is accumulated exactly as in
+    :func:`seminorm2` and the off-diagonal part is a sum of non-negatives,
+    so the hierarchy seminorm2 <= seminorm holds even in floating point.
     """
-    axes, coeffs = _term_arrays(obs)
-    if axes.shape[0] == 0:
-        return 0.0
-    coeffs = np.abs(coeffs)
-    nonzero = axes != 0
-    off = 0.0
-    for i in range(axes.shape[0] - 1):
-        later_axes = axes[i + 1 :]
-        both = nonzero[i] & nonzero[i + 1 :]
-        compat = ~((both & (axes[i] != later_axes)).any(axis=1))
-        r = both.sum(axis=1)
-        off += coeffs[i] * float(np.sum(compat * (3.0**r) * coeffs[i + 1 :]))
-    return math.sqrt(float(np.sum(_diag_sum(axes, coeffs))) + 2.0 * off)
+    return obs.table.seminorm
 
 
 def seminorm2(obs: Observable) -> float:
     """Diagonal seminorm sqrt(sum 3^r_i a_i^2); the practical error scale."""
-    axes, coeffs = _term_arrays(obs)
-    if axes.shape[0] == 0:
-        return 0.0
-    return math.sqrt(float(np.sum(_diag_sum(axes, coeffs))))
+    return math.sqrt(float(np.sum(_diag_sum(obs.table))))
 
 
 def seminorm1(obs: Observable) -> float:
@@ -324,10 +354,7 @@ def seminorm1(obs: Observable) -> float:
     Each term is evaluated as sqrt(3^r_i * a_i^2) so that a single-term
     observable reproduces :func:`seminorm` bit for bit.
     """
-    axes, coeffs = _term_arrays(obs)
-    if axes.shape[0] == 0:
-        return 0.0
-    return float(np.sum(np.sqrt(_diag_sum(axes, coeffs))))
+    return float(np.sum(np.sqrt(_diag_sum(obs.table))))
 
 
 def std_bound(obs: Observable, n_snapshots: int) -> float:

@@ -116,13 +116,13 @@ class NoiseModel:
 class ApproximateState:
     """M snapshots of an N-qubit state: three numbers per qubit per snapshot.
 
-    Arrays are read only; slicing helpers share the underlying buffers.
+    Arrays are read only.
     Equality covers the persisted payload (arrays, noise, seed); the circuit
     hash is advisory metadata carried only by the JSON export.
     """
 
     __slots__ = ("n_qubits", "outcomes", "thetas", "phis", "p_err", "seed",
-                 "circuit_hash", "_weights")
+                 "circuit_hash")
 
     def __init__(
         self,
@@ -161,7 +161,6 @@ class ApproximateState:
         self.p_err = p
         self.seed = int(seed)
         self.circuit_hash = circuit_hash
-        self._weights = None
 
     @property
     def n_snapshots(self) -> int:
@@ -178,22 +177,6 @@ class ApproximateState:
                 for t, p in zip(self.thetas[index], self.phis[index])
             ),
         )
-
-    def prefix(self, n_snapshots: int) -> "ApproximateState":
-        """First ``n_snapshots`` snapshots, sharing the underlying arrays."""
-        if not 1 <= n_snapshots <= self.n_snapshots:
-            raise ValueError("prefix length out of range")
-        sub = ApproximateState(
-            self.outcomes[:n_snapshots],
-            self.thetas[:n_snapshots],
-            self.phis[:n_snapshots],
-            self.p_err,
-            self.seed,
-            self.circuit_hash,
-        )
-        if self._weights is not None:
-            sub._weights = self._weights[:n_snapshots]
-        return sub
 
     def __eq__(self, other):
         if not isinstance(other, ApproximateState):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from aqstate.estimator import estimate_observable, reconstruct_density, _weights
+from aqstate.estimator import estimate_observable, reconstruct_density, snapshot_values
 from aqstate.harness import (
     ExperimentConfig,
     haar_mixed_term_check,
@@ -87,7 +87,8 @@ def test_criterion_02_variance_bound():
 def test_criterion_03_second_moment_identity():
     psi = haar_random_state(1, np.random.default_rng(303))
     state = snapshots_from_state(psi, 1_000_000, seed=33)
-    w = _weights(state)[:, 0, :]
+    paulis = [Observable.from_strings([(1.0, axis)]) for axis in "XYZ"]
+    w = np.stack(snapshot_values(state, paulis), axis=1)
     second = w.T @ w / state.n_snapshots
     deviation = float(np.max(np.abs(second - 3.0 * np.eye(3))))
     report(

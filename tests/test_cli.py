@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving main() directly."""
 
+import functools
 import json
 import math
 import struct
@@ -7,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from aqstate import pauli
 from aqstate.cli import main
 from aqstate.pauli import Observable, projector_factored, save_observable, seminorm
 from aqstate.snapshots import load_snapshots, state_from_json_dict
@@ -57,6 +59,19 @@ class TestPipeline:
         assert result["M"] == 3000 and result["N"] == 2
         assert result["std_bound"] == pytest.approx(math.sqrt(3.0 / 3000))
         assert abs(result["value"]) <= 5 * result["std_bound"] + 1.0
+        assert 0.0 < result["std_empirical"] <= result["std_bound"]
+
+    def test_single_snapshot_spread_is_null(self, tmp_path, circuit_path, capsys):
+        snaps = tmp_path / "state.aqst"
+        run_cli("snapshot", "--circuit", circuit_path, "--shots", 1, "--seed", 5,
+                "--out", snaps)
+        obs_path = tmp_path / "obs.json"
+        save_observable(Observable.from_strings([(1.0, "ZI")]), obs_path)
+        capsys.readouterr()
+        assert run_cli("estimate", "--snapshots", snaps, "--observable", obs_path) == 0
+        out = capsys.readouterr().out
+        assert '"std_empirical": null' in out
+        assert json.loads(out)["std_empirical"] is None
 
     def test_factored_estimate(self, tmp_path, circuit_path, capsys):
         snaps = tmp_path / "state.aqst"
@@ -146,6 +161,26 @@ class TestSeminormCommand:
         assert out["seminorm1"] == pytest.approx(0.5 * math.sqrt(3) + 1.5)
         assert out["shot_budget"] == math.ceil(4.5 / 0.05**2)
         assert seminorm(obs) / math.sqrt(out["shot_budget"]) <= 0.05
+
+    def test_pair_sum_runs_once(self, tmp_path, capsys, monkeypatch):
+        # the seminorm is cached with the term table, so the shot budget
+        # reuses the value printed beside it
+        calls = []
+        pair_sum = pauli.TermTable.__dict__["seminorm"]
+
+        def counted(table):
+            calls.append(table)
+            return pair_sum.func(table)
+
+        counting = functools.cached_property(counted)
+        counting.__set_name__(pauli.TermTable, "seminorm")
+        monkeypatch.setattr(pauli.TermTable, "seminorm", counting)
+        path = tmp_path / "obs.json"
+        save_observable(Observable.from_strings([(0.5, "XI"), (0.5, "XZ"), (0.2, "YY")]), path)
+        assert run_cli("seminorm", "--observable", path, "--epsilon", 0.05) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert out["shot_budget"] == math.ceil((out["seminorm"] / 0.05) ** 2)
 
 
 class TestExperimentCommand:

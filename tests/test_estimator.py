@@ -9,12 +9,12 @@ from aqstate.estimator import (
     EstimateResult,
     estimate_factored,
     estimate_observable,
-    estimate_pauli_string,
     p_odd,
     predict_attenuated,
     r1_operator,
     r1_pauli,
     reconstruct_density,
+    snapshot_values,
 )
 from aqstate.pauli import (
     Observable,
@@ -105,32 +105,70 @@ class TestR1:
             assert r1_operator(op, m, d) == pytest.approx(parts, abs=1e-12)
 
 
+def monomial(label):
+    """A Pauli string as a one-term observable with coefficient 1."""
+    return Observable.from_strings([(1.0, label)])
+
+
 class TestEstimatePauliString:
     def test_identity_is_exact(self):
         state = snapshots_from_state(Statevector.zero(2), 50, seed=1)
-        result = estimate_pauli_string(state, PauliString.from_label("II"))
+        result = estimate_observable(state, monomial("II"))
         assert result.value == 1.0
         assert result.std_bound == 0.0
         assert result.std_approx == 0.0
+        assert result.std_empirical == 0.0
 
     def test_single_snapshot_product(self):
         state = handmade_state([[1, -1]], [[X_DIR, Z_DIR]])
-        result = estimate_pauli_string(state, PauliString.from_label("XZ"))
+        result = estimate_observable(state, monomial("XZ"))
         assert result.value == pytest.approx(-9.0, abs=1e-12)
+        assert result.std_empirical is None
 
     def test_z_on_zero_state(self):
         n, m = 3, 20_000
         state = snapshots_from_state(Statevector.zero(n), m, seed=3)
         for k in range(n):
-            string = PauliString(n, ((k, PauliAxis.Z),))
-            result = estimate_pauli_string(state, string)
+            obs = Observable(n, ((1.0, PauliString(n, ((k, PauliAxis.Z),))),))
+            result = estimate_observable(state, obs)
             assert result.std_bound == pytest.approx(math.sqrt(3.0 / m))
             assert result.value == pytest.approx(1.0, abs=3 * result.std_bound)
 
     def test_qubit_count_mismatch(self):
         state = snapshots_from_state(Statevector.zero(2), 10, seed=0)
         with pytest.raises(ValueError):
-            estimate_pauli_string(state, PauliString.from_label("X"))
+            estimate_observable(state, monomial("X"))
+
+
+class TestStdEmpirical:
+    def test_z_on_zero_state_second_moment(self):
+        # per-snapshot value 3*m*n_z has mean 1 and second moment 9 <n_z^2> = 3,
+        # so the per-snapshot spread is sqrt(2)
+        m = 20_000
+        state = snapshots_from_state(Statevector.zero(1), m, seed=41)
+        result = estimate_observable(state, monomial("Z"))
+        expected = math.sqrt(2.0 / m)
+        assert result.std_empirical == pytest.approx(expected, rel=0.03)
+        assert result.std_empirical <= result.std_bound
+
+    def test_is_sample_std_of_snapshot_values(self):
+        psi = haar_random_state(3, np.random.default_rng(43))
+        state = snapshots_from_state(psi, 700, seed=43)
+        obs = random_signed_observable(3, 6, np.random.default_rng(44))
+        (values,) = snapshot_values(state, [obs])
+        result = estimate_observable(state, obs)
+        assert result.std_empirical == float(np.std(values, ddof=1)) / math.sqrt(700)
+        assert result.value == float(np.sum(values)) / 700
+
+    def test_factored_reports_spread(self):
+        state = snapshots_from_state(Statevector.basis(2, 0), 5_000, seed=45)
+        result = estimate_factored(state, projector_factored([0, 0]))
+        assert result.std_empirical is not None and math.isfinite(result.std_empirical)
+        assert result.std_empirical > 0.0
+
+    def test_none_for_one_snapshot(self):
+        state = handmade_state([[1]], [[Z_DIR]])
+        assert estimate_factored(state, projector_factored([0])).std_empirical is None
 
 
 class TestEstimateObservable:
@@ -144,7 +182,7 @@ class TestEstimateObservable:
         psi = haar_random_state(3, rng)
         state = snapshots_from_state(psi, 500, seed=7)
         string = PauliString.from_label("XIZ")
-        single = estimate_pauli_string(state, string)
+        single = estimate_observable(state, Observable(3, ((1.0, string),)))
         scaled = estimate_observable(state, Observable(3, ((2.5, string),)))
         assert scaled.value == pytest.approx(2.5 * single.value, rel=1e-12)
         assert scaled.std_bound == pytest.approx(2.5 * single.std_bound, rel=1e-12)
@@ -270,11 +308,9 @@ class TestReconstructDensity:
 
 class TestSecondMoments:
     def test_pauli_products_average_to_three_delta(self):
-        from aqstate.estimator import _weights
-
         psi = haar_random_state(1, np.random.default_rng(27))
         state = snapshots_from_state(psi, 200_000, seed=27)
-        w = _weights(state)[:, 0, :]
+        w = np.stack(snapshot_values(state, [monomial(a) for a in "XYZ"]), axis=1)
         second = w.T @ w / state.n_snapshots
         assert np.max(np.abs(second - 3.0 * np.eye(3))) <= 0.05
 

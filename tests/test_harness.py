@@ -1,12 +1,13 @@
 """Experiment harness tests: random observables, coverage reports, Haar
 ensemble checks, and the attenuation study."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from aqstate.estimator import estimate_observable, estimate_pauli_string
+from aqstate.estimator import estimate_observable
 from aqstate.harness import (
     ExperimentConfig,
     haar_mixed_term_check,
@@ -132,6 +133,13 @@ class TestRunExperiment:
         for row in report.rows:
             assert row.estimate == row.curve[-1]
 
+    def test_rows_report_empirical_spread(self, small_report):
+        _, report = small_report
+        data = json.loads(report.to_json())
+        assert data["format_version"] == 2
+        for row in data["rows"]:
+            assert 0.0 < row["std_empirical"] < 3.0 * row["std_bound"]
+
     def test_band_counting_consistency(self, small_report):
         _, report = small_report
         for which, field in (("bound", "std_bound"), ("approx", "std_approx")):
@@ -159,7 +167,8 @@ class TestRunExperiment:
             assert b.std_bound == pytest.approx(0.5 * a.std_bound, rel=1e-12)
 
     def test_prefix_curve_consistency(self, small_report):
-        # curve entries equal a fresh estimate on the snapshot prefix
+        # curve entries equal, bit for bit, a fresh estimate on a state made
+        # of the first m snapshots
         from aqstate.snapshots import snapshots_from_state, NoiseModel
         from aqstate.harness import _snapshot_seed, _sub_rng, _TAG_CIRCUIT, _TAG_OBSERVABLES
         from aqstate.statevector import random_prep_circuit
@@ -175,8 +184,10 @@ class TestRunExperiment:
         first = random_observable(cfg.n_qubits, cfg.terms_per_observable, obs_rng,
                                   cfg.normalization)
         for m, value in zip(report.checkpoints, report.rows[0].curve):
-            fresh = estimate_observable(state.prefix(m), first).value
-            assert fresh == pytest.approx(value, abs=1e-12)
+            head = ApproximateState(
+                state.outcomes[:m], state.thetas[:m], state.phis[:m], state.p_err, state.seed
+            )
+            assert estimate_observable(head, first).value == value
 
     def test_projector_experiment(self):
         cfg = ExperimentConfig(
@@ -289,8 +300,9 @@ class TestNoiseAttenuation:
             np.array([[d.theta for d in directions]]),
             np.array([[d.phi for d in directions]]),
         )
-        assert estimate_pauli_string(flipped, string).value == pytest.approx(
-            estimate_pauli_string(clean, string).value, rel=1e-12
+        obs = Observable(3, ((1.0, string),))
+        assert estimate_observable(flipped, obs).value == pytest.approx(
+            estimate_observable(clean, obs).value, rel=1e-12
         )
 
     def test_weight_cap(self):

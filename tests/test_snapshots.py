@@ -187,7 +187,8 @@ class TestBuildApproximateState:
         psi = haar_random_state(2, np.random.default_rng(11))
         short = snapshots_from_state(psi, 40, seed=21)
         long = snapshots_from_state(psi, 100, seed=21)
-        assert long.prefix(40) == short
+        for field in ("outcomes", "thetas", "phis"):
+            assert np.array_equal(getattr(long, field)[:40], getattr(short, field))
 
     def test_default_batch_fits_budget(self):
         # the half-size branch buffer of a default batch: (rows, 2^(N-1))
@@ -321,18 +322,6 @@ class TestSerialization:
 
 
 class TestApproximateState:
-    def test_prefix_shares_payload(self):
-        state = random_state_record(np.random.default_rng(22), n_snapshots=30)
-        head = state.prefix(10)
-        assert head.n_snapshots == 10
-        assert np.array_equal(head.outcomes, state.outcomes[:10])
-        assert head.outcomes.base is not None
-
-    def test_prefix_bounds(self):
-        state = random_state_record(np.random.default_rng(23), n_snapshots=5)
-        with pytest.raises(ValueError):
-            state.prefix(6)
-
     def test_record_round_trip(self):
         state = random_state_record(np.random.default_rng(24), n_snapshots=3, n_qubits=2)
         rec = state.record(1)
