@@ -26,7 +26,6 @@ from .pauli import (
     seminorm2,
     shot_budget,
     std_bound,
-    weight,
 )
 from .statevector import (
     Circuit,

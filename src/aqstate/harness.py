@@ -113,11 +113,7 @@ def random_observable(
     coefficient uniform on (0, 1], then rescaled per ``normalization``."""
     axes = rng.integers(0, 4, size=(n_terms, n_qubits))
     coeffs = 1.0 - rng.random(n_terms)
-    terms = tuple(
-        (float(c), PauliString(n_qubits, tuple((q, int(a)) for q, a in enumerate(row) if a)))
-        for c, row in zip(coeffs, axes)
-    )
-    obs = Observable(n_qubits, terms)
+    obs = Observable.from_rows(n_qubits, axes, coeffs)
     if normalization != "none":
         obs = normalize_to_unit_seminorm(obs, which=normalization)
     return obs
@@ -238,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ]
         norms = [(seminorm(obs), seminorm2(obs)) for obs in observables]
         oracles = [exact_expectation(psi, obs) for obs in observables]
-        described = [{"kind": "pauli_sum", "n_terms": len(obs.terms)} for obs in observables]
+        described = [{"kind": "pauli_sum", "n_terms": obs.n_terms} for obs in observables]
         band = "bound"
     else:
         observables = [random_projector(cfg.n_qubits, obs_rng) for _ in range(cfg.n_observables)]

@@ -24,7 +24,6 @@ __all__ = [
     "SingleQubitOperator",
     "FactoredObservable",
     "TermTable",
-    "weight",
     "pair_compat",
     "seminorm",
     "seminorm2",
@@ -66,6 +65,33 @@ def _coerce_axis(value) -> PauliAxis:
     return PauliAxis(value)
 
 
+# axis of each label byte: I, X, Y, Z in either case; 4 marks any other byte
+_LABEL_AXES = np.full(256, 4, dtype=np.uint8)
+_LABEL_AXES[list(b"IXYZ")] = _LABEL_AXES[list(b"ixyz")] = range(4)
+
+
+def _qubit_count(n_qubits: int) -> int:
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be positive")
+    return int(n_qubits)
+
+
+def _label_axes(labels: Sequence[str], n_qubits: int) -> np.ndarray:
+    """(T, N) uint8 axes of T labels of N characters, one lookup per byte."""
+    n_qubits = _qubit_count(n_qubits)
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError("pauli labels must be strings")
+    if any(len(label) != n_qubits for label in labels):
+        raise ValueError("pauli label length does not match n_qubits")
+    joined = "".join(labels)
+    # a non-ASCII character becomes one "?", so bytes and characters align
+    axes = _LABEL_AXES[np.frombuffer(joined.encode("ascii", "replace"), dtype=np.uint8)]
+    unknown = np.flatnonzero(axes == 4)
+    if unknown.size:
+        raise ValueError(f"unknown Pauli axis {joined[unknown[0]]!r}")
+    return axes.reshape(len(labels), n_qubits)
+
+
 @dataclass(frozen=True)
 class PauliString:
     """Pauli monomial on ``n_qubits``, stored as a sparse qubit -> axis map.
@@ -98,7 +124,8 @@ class PauliString:
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Parse a label like ``"XIZ"`` (qubit 0 is the leftmost character)."""
-        return cls(len(label), tuple((q, c) for q, c in enumerate(label) if c.upper() != "I"))
+        (row,) = _label_axes([label], len(label))
+        return cls(len(label), tuple((q, int(a)) for q, a in enumerate(row) if a))
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":
@@ -112,15 +139,11 @@ class PauliString:
 
     @property
     def weight(self) -> int:
+        """Number of qubits on which the monomial acts non-trivially."""
         return len(self.support)
 
     def __repr__(self):
         return f"PauliString({self.to_label()!r})"
-
-
-def weight(string: PauliString) -> int:
-    """Number of qubits on which the monomial acts non-trivially."""
-    return string.weight
 
 
 def pair_compat(a: PauliString, b: PauliString) -> tuple[int, int]:
@@ -144,61 +167,117 @@ def pair_compat(a: PauliString, b: PauliString) -> tuple[int, int]:
     return delta, r
 
 
-@dataclass(frozen=True)
 class Observable:
     """Real-weighted sum of Pauli strings on a fixed qubit count.
 
-    The term list is canonicalized on construction: duplicate strings are
-    merged by summing coefficients and exact-zero terms are dropped.
+    Its canonical form is the term table ``table``, built once on
+    construction: duplicate strings are merged by summing coefficients in
+    input order, exact-zero terms are dropped and terms are sorted by
+    support.  ``terms`` gives the same terms as ``(coeff, PauliString)``
+    pairs, built on first use.  Instances are immutable and hashable.
     """
 
-    n_qubits: int
-    terms: tuple[tuple[float, PauliString], ...] = ()
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        merged: dict[tuple, float] = {}
-        strings: dict[tuple, PauliString] = {}
-        for coeff, string in self.terms:
-            if string.n_qubits != self.n_qubits:
+    def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliString]] = ()):
+        terms = tuple(terms)
+        axes = np.zeros((len(terms), _qubit_count(n_qubits)), dtype=np.uint8)
+        for row, (_, string) in enumerate(terms):
+            if string.n_qubits != n_qubits:
                 raise ValueError("all strings must share the observable's qubit count")
-            key = string.support
-            merged[key] = merged.get(key, 0.0) + float(coeff)
-            strings[key] = string
-        canonical = tuple(
-            (merged[key], strings[key]) for key in sorted(merged) if merged[key] != 0.0
-        )
-        object.__setattr__(self, "terms", canonical)
+            for qubit, axis in string.support:
+                axes[row, qubit] = axis
+        self._init(n_qubits, axes, [float(c) for c, _ in terms])
+
+    def _init(self, n_qubits: int, axes, coeffs) -> None:
+        n_qubits = _qubit_count(n_qubits)
+        axes = np.asarray(axes)
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        if axes.ndim != 2 or axes.shape[1] != n_qubits or coeffs.shape != axes.shape[:1]:
+            raise ValueError("need a (terms, n_qubits) axes array and one coefficient per row")
+        if axes.size and not 0 <= axes.min() <= axes.max() <= 3:
+            raise ValueError("Pauli axes must lie in 0..3")
+        table = _canonical_table(axes.astype(np.uint8, copy=False), coeffs)
+        self.__dict__.update(n_qubits=n_qubits, table=table)
+
+    @classmethod
+    def from_rows(cls, n_qubits: int, axes, coeffs) -> "Observable":
+        """Observable from a (T, N) array of axis indices 0..3 (I, X, Y, Z),
+        one row per term, and the T coefficients."""
+        obs = cls.__new__(cls)
+        obs._init(n_qubits, axes, coeffs)
+        return obs
 
     @classmethod
     def from_strings(
         cls, pairs: Iterable[tuple[float, str]], n_qubits: int | None = None
     ) -> "Observable":
-        pairs = [(c, PauliString.from_label(label)) for c, label in pairs]
+        """Observable from ``(coeff, label)`` pairs such as ``(0.5, "XIZ")``;
+        ``n_qubits`` defaults to the length of the first label."""
+        pairs = list(pairs)
         if n_qubits is None:
             if not pairs:
                 raise ValueError("empty observable needs an explicit n_qubits")
-            n_qubits = pairs[0][1].n_qubits
-        return cls(n_qubits, tuple(pairs))
+            n_qubits = len(pairs[0][1])
+        axes = _label_axes([label for _, label in pairs], n_qubits)
+        return cls.from_rows(n_qubits, axes, [float(c) for c, _ in pairs])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Observable is immutable")
+
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[float, PauliString], ...]:
+        """``(coeff, PauliString)`` pairs in canonical order, the identity
+        first; built on first use."""
+        n, table = self.n_qubits, self.table
+        terms = [(table.offset, PauliString(n))] if table.offset else []
+        for coeff, row in zip(table.coeffs.tolist(), table.axes):
+            qubits = np.flatnonzero(row)
+            support = tuple(zip(qubits.tolist(), row[qubits].tolist()))
+            terms.append((coeff, PauliString(n, support)))
+        return tuple(terms)
+
+    @property
+    def n_terms(self) -> int:
+        """Number of terms, the identity included."""
+        return len(self.table.coeffs) + (self.table.offset != 0.0)
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        # every term as a row, the identity first with coefficient offset
+        # (0.0 when absent: merging adds it exactly)
+        table = self.table
+        axes = np.concatenate([np.zeros((1, self.n_qubits), dtype=np.uint8), table.axes])
+        return axes, np.concatenate([[table.offset], table.coeffs])
 
     def scaled(self, factor: float) -> "Observable":
-        return Observable(self.n_qubits, tuple((factor * c, p) for c, p in self.terms))
+        axes, coeffs = self._rows()
+        return Observable.from_rows(self.n_qubits, axes, factor * coeffs)
 
     def __add__(self, other: "Observable") -> "Observable":
         if not isinstance(other, Observable):
             return NotImplemented
         if other.n_qubits != self.n_qubits:
             raise ValueError("qubit count mismatch")
-        return Observable(self.n_qubits, self.terms + other.terms)
+        (axes, coeffs), (axes_b, coeffs_b) = self._rows(), other._rows()
+        return Observable.from_rows(
+            self.n_qubits, np.concatenate([axes, axes_b]), np.concatenate([coeffs, coeffs_b])
+        )
 
     def __rmul__(self, factor: float) -> "Observable":
         return self.scaled(float(factor))
 
-    @functools.cached_property
-    def table(self) -> "TermTable":
-        """The terms as arrays; built on first use and kept with the object."""
-        return TermTable(self.n_qubits, self.terms)
+    def __eq__(self, other):
+        if not isinstance(other, Observable):
+            return NotImplemented
+        a, b = self.table, other.table
+        return (
+            self.n_qubits == other.n_qubits
+            and a.offset == b.offset
+            and np.array_equal(a.axes, b.axes)
+            and np.array_equal(a.coeffs, b.coeffs)
+        )
+
+    def __hash__(self):
+        table = self.table
+        return hash((self.n_qubits, table.offset, table.axes.tobytes(), table.coeffs.tobytes()))
 
     def __repr__(self):
         body = " + ".join(f"{c:g}*{p.to_label()}" for c, p in self.terms) or "0"
@@ -240,9 +319,13 @@ class FactoredObservable:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        for _, factors in self.terms:
+        for coeff, factors in self.terms:
             if len(factors) != self.n_qubits:
                 raise ValueError("each term needs exactly one factor per qubit")
+            if not math.isfinite(coeff) or not all(
+                math.isfinite(a) for op in factors for a in (op.a0, op.ax, op.ay, op.az)
+            ):
+                raise ValueError("observable coefficients must be finite")
 
     def to_observable(self, max_qubits: int = DEFAULT_EXPANSION_CAP) -> Observable:
         """Distribute the tensor products into an explicit Pauli sum."""
@@ -279,6 +362,35 @@ def _diag_sum(table: "TermTable") -> np.ndarray:
 _PAIR_BLOCK = 1 << 15
 
 
+def _canonical_table(axes: np.ndarray, coeffs: np.ndarray) -> "TermTable":
+    """Term table of the rows ``axes`` (T, N) uint8 with ``coeffs`` (T,).
+
+    Equal rows merge into one term whose coefficient is 0.0 plus theirs in
+    input order; exact zeros are dropped; terms sort as their supports do as
+    tuples of (qubit, axis) pairs, so the identity, if present, comes first
+    and becomes the offset.
+    """
+    n_qubits = axes.shape[1]
+    if not len(axes):
+        return TermTable(np.zeros((0, n_qubits), dtype=np.uint8), np.zeros(0), 0.0)
+    # row codes 4*qubit + axis over the support in qubit order, padded with
+    # 0: comparing code rows compares supports.  Big-endian, rows compare as
+    # bytes the way they compare as numbers.
+    codes = np.where(axes != 0, 4 * np.arange(n_qubits, dtype=np.uint64) + axes, 0)
+    support_first = np.argsort(axes == 0, axis=1, kind="stable")
+    codes = np.take_along_axis(codes, support_first, axis=1).astype(">u8")
+    keys = codes.view(np.dtype((np.void, codes.itemsize * n_qubits))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    sums = np.bincount(inverse.reshape(-1), weights=coeffs)
+    if not np.isfinite(sums).all():
+        raise ValueError("observable coefficients must be finite")
+    keep = sums != 0.0
+    axes, sums, offset = axes[first[keep]], sums[keep], 0.0
+    if len(axes) and not axes[0].any():
+        axes, sums, offset = axes[1:], sums[1:], float(sums[0])
+    return TermTable(axes, sums, offset)
+
+
 class TermTable:
     """Array form of an observable, built once per :class:`Observable`.
 
@@ -289,18 +401,13 @@ class TermTable:
     All arrays are read only.
     """
 
-    def __init__(self, n_qubits: int, terms: Sequence[tuple[float, PauliString]]):
-        strings = [(c, s) for c, s in terms if s.weight > 0]
-        axes = np.zeros((len(strings), n_qubits), dtype=np.uint8)
-        for row, (_, string) in enumerate(strings):
-            for qubit, axis in string.support:
-                axes[row, qubit] = axis
-        bits = np.zeros((2, len(strings), 64 * -(-n_qubits // 64)), dtype=bool)
+    def __init__(self, axes: np.ndarray, coeffs: np.ndarray, offset: float):
+        n_qubits = axes.shape[1]
+        bits = np.zeros((2, len(axes), 64 * -(-n_qubits // 64)), dtype=bool)
         bits[0, :, :n_qubits] = (axes == PauliAxis.X) | (axes == PauliAxis.Y)
         bits[1, :, :n_qubits] = axes >= PauliAxis.Y
-        self.axes, self.coeffs = axes, np.array([c for c, _ in strings], dtype=np.float64)
+        self.axes, self.coeffs, self.offset = axes, coeffs, offset
         self.x, self.z = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
-        self.offset = next((c for c, s in terms if s.weight == 0), 0.0)
         for arr in (self.axes, self.coeffs, self.x, self.z):
             arr.setflags(write=False)
 
@@ -308,6 +415,8 @@ class TermTable:
     def seminorm(self) -> float:
         """See :func:`seminorm`; computed once per table."""
         t, n = self.axes.shape
+        if t < 2:  # no pairs
+            return math.sqrt(float(np.sum(_diag_sum(self))))
         coeffs = np.abs(self.coeffs)
         # word-major planes: the blocks below are (words, rows, later terms)
         x, z = self.x.T, self.z.T
@@ -473,16 +582,11 @@ def observable_to_dict(obs: Observable) -> dict:
 def observable_from_dict(data: dict) -> Observable:
     try:
         n = int(data["n_qubits"])
-        terms = tuple(
-            (float(t["coeff"]), PauliString.from_label(t["pauli"]))
-            for t in data["terms"]
-        )
-    except (KeyError, TypeError) as exc:
+        coeffs = [float(t["coeff"]) for t in data["terms"]]
+        labels = [t["pauli"] for t in data["terms"]]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed observable data: {exc}") from exc
-    for _, string in terms:
-        if string.n_qubits != n:
-            raise ValueError("pauli label length does not match n_qubits")
-    return Observable(n, terms)
+    return Observable.from_rows(n, _label_axes(labels, n), coeffs)
 
 
 def factored_to_dict(fobs: FactoredObservable) -> dict:
@@ -505,7 +609,7 @@ def factored_from_dict(data: dict) -> FactoredObservable:
             )
             for t in data["terms"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed factored observable data: {exc}") from exc
     return FactoredObservable(n, terms)
 

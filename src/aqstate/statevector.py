@@ -64,14 +64,15 @@ class Statevector:
     __slots__ = ("n_qubits", "amps")
 
     def __init__(self, amps: np.ndarray, *, copy: bool = True):
-        amps = np.array(amps, dtype=complex, copy=copy).reshape(-1)
-        n = int(amps.size).bit_length() - 1
-        if 1 << n != amps.size:
-            raise ValueError(f"amplitude count {amps.size} is not a power of two")
+        size = np.size(amps)
+        n = int(size).bit_length() - 1
+        if 1 << n != size:
+            raise ValueError(f"amplitude count {size} is not a power of two")
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
+        amps = np.array(amps, dtype=complex, copy=copy).reshape(-1)
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails too
             raise ValueError(f"state is not normalized (norm {norm!r})")
         amps.setflags(write=False)
         self.n_qubits = n
@@ -112,7 +113,10 @@ class Gate:
                 raise ValueError("XY needs two distinct targets")
             if self.alpha is None:
                 raise ValueError("XY needs an angle")
-            object.__setattr__(self, "alpha", float(self.alpha) % (2.0 * math.pi))
+            alpha = float(self.alpha)
+            if not math.isfinite(alpha):
+                raise ValueError(f"XY angle must be finite, got {alpha!r}")
+            object.__setattr__(self, "alpha", alpha % (2.0 * math.pi))
         else:
             if len(self.qubits) != 1:
                 raise ValueError(f"{self.kind} takes exactly one target")

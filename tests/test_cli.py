@@ -149,7 +149,58 @@ class TestPipeline:
         assert "thetas" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_non_finite_coefficient_fails(self, tmp_path, circuit_path, capsys, factored):
+        snaps = tmp_path / "state.aqst"
+        run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
+                "--seed", 9, "--out", snaps)
+        obs_path = tmp_path / "obs.json"
+        term = {"coeff": math.inf, "factors": [[0.5, 0, 0, 0.5]] * 2} if factored else {
+            "coeff": math.inf, "pauli": "ZI"}
+        obs_path.write_text(json.dumps({"n_qubits": 2, "terms": [term]}))
+        flags = ["--factored"] if factored else []
+        assert run_cli("estimate", "--snapshots", snaps, "--observable", obs_path, *flags) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_angle_in_circuit_fails(self, tmp_path, circuit_path, capsys):
+        data = json.loads(circuit_path.read_text())
+        data["gates"].append({"kind": "XY", "q1": 0, "q2": 1, "alpha": math.nan})
+        circuit_path.write_text(json.dumps(data))
+        snaps = tmp_path / "state.aqst"
+        assert run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
+                       "--seed", 9, "--out", snaps) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not snaps.exists()
+
+    def test_estimate_builds_no_pauli_strings(self, tmp_path, circuit_path, monkeypatch):
+        snaps = tmp_path / "state.aqst"
+        run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
+                "--seed", 9, "--out", snaps)
+        obs_path = tmp_path / "obs.json"
+        save_observable(Observable.from_strings([(1.0, "ZI"), (0.5, "XY"), (0.25, "II")]), obs_path)
+        monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
+        assert run_cli("estimate", "--snapshots", snaps, "--observable", obs_path) == 0
+
+
+def forbidden(*args):
+    raise AssertionError("a PauliString was built")
+
+
 class TestSeminormCommand:
+    @pytest.mark.parametrize("coeff", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coefficient_fails(self, tmp_path, capsys, coeff):
+        path = tmp_path / "obs.json"
+        path.write_text('{"n_qubits": 2, "terms": [{"coeff": %s, "pauli": "XI"}]}' % coeff)
+        assert run_cli("seminorm", "--observable", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
+    def test_builds_no_pauli_strings(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "obs.json"
+        save_observable(Observable.from_strings([(0.5, "XI"), (0.5, "xz"), (0.2, "II")]), path)
+        monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
+        assert run_cli("seminorm", "--observable", path, "--epsilon", 0.05) == 0
+
     def test_norms_and_budget(self, tmp_path, capsys):
         obs = Observable.from_strings([(0.5, "XI"), (0.5, "XZ")])
         path = tmp_path / "obs.json"

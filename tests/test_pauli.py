@@ -26,7 +26,6 @@ from aqstate.pauli import (
     seminorm2,
     shot_budget,
     std_bound,
-    weight,
 )
 
 
@@ -69,9 +68,9 @@ class TestPauliString:
         assert p.support == ((2, PauliAxis.X),)
 
     def test_weight_examples(self):
-        assert weight(PauliString.from_label("XIZ")) == 2
-        assert weight(PauliString.from_label("II")) == 0
-        assert weight(PauliString.from_label("XYZ")) == 3
+        assert PauliString.from_label("XIZ").weight == 2
+        assert PauliString.from_label("II").weight == 0
+        assert PauliString.from_label("XYZ").weight == 3
 
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError):
@@ -133,6 +132,68 @@ class TestObservable:
         total = a + b
         assert {p.to_label(): c for c, p in total.terms} == {"XI": 3.0, "IZ": 1.0}
         assert {p.to_label(): c for c, p in (0.5 * b).terms} == {"XI": 1.0, "IZ": 0.5}
+
+    def test_canonical_order_and_merge(self):
+        obs = Observable.from_strings(
+            [(0.1, "ZI"), (0.2, "IX"), (0.3, "XY"), (0.4, "II"), (0.5, "XI"), (0.7, "ZI")]
+        )
+        # sorted by support, ((qubit, axis), ...): () < ((0,X),) < ((0,X),(1,Y)) < ((0,Z),) < ((1,X),)
+        assert [p.to_label() for _, p in obs.terms] == ["II", "XI", "XY", "ZI", "IX"]
+        # duplicates are summed in input order, starting from 0.0
+        assert obs.terms[3][0] == 0.0 + 0.1 + 0.7
+        assert obs.n_terms == 5
+
+    def test_rows_and_strings_agree(self):
+        rows = np.array([[3, 0, 1], [0, 0, 0], [3, 0, 1], [0, 2, 0]])
+        coeffs = [0.5, -1.0, 0.25, 2.0]
+        obs = Observable.from_rows(3, rows, coeffs)
+        strings = Observable(3, tuple(
+            (c, PauliString(3, tuple((q, int(a)) for q, a in enumerate(row) if a)))
+            for c, row in zip(coeffs, rows)
+        ))
+        labels = Observable.from_strings([(0.5, "ZIX"), (-1.0, "III"), (0.25, "zix"), (2.0, "IYI")])
+        assert obs == strings == labels
+        assert hash(obs) == hash(strings) == hash(labels)
+        assert obs != Observable.from_rows(3, rows, [0.5, -1.0, 0.25, 2.5])
+        assert obs != Observable.from_rows(3, rows[:, [1, 0, 2]], coeffs)
+
+    def test_bad_rows_rejected(self):
+        with pytest.raises(ValueError):
+            Observable.from_rows(2, np.array([[0, 4]]), [1.0])
+        with pytest.raises(ValueError):
+            Observable.from_rows(2, np.array([[0, 1]]), [1.0, 2.0])
+        with pytest.raises(ValueError):
+            Observable.from_rows(3, np.array([[0, 1]]), [1.0])
+
+    def test_terms_built_on_demand(self):
+        obs = Observable.from_strings([(0.5, "XI"), (0.25, "IZ")])
+        seminorm(obs)
+        assert "terms" not in vars(obs)
+        assert obs.terms is obs.terms
+
+    def test_immutable(self):
+        obs = Observable.from_strings([(1.0, "X")])
+        with pytest.raises(AttributeError):
+            obs.n_qubits = 2
+
+    @pytest.mark.parametrize("label", ["XQ", "X?", "X\u00e9", "X\u0131", "X "])
+    def test_unknown_label_characters(self, label):
+        with pytest.raises(ValueError, match="unknown Pauli axis"):
+            Observable.from_strings([(1.0, label)])
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, coeff):
+        with pytest.raises(ValueError, match="finite"):
+            Observable.from_strings([(coeff, "XI")])
+        op = SingleQubitOperator(0.5, 0.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            FactoredObservable(1, ((coeff, (op,)),))
+        with pytest.raises(ValueError, match="finite"):
+            FactoredObservable(1, ((1.0, (SingleQubitOperator(0.5, coeff),)),))
+
+    def test_overflowing_merge_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Observable.from_strings([(1e308, "X"), (1e308, "X")])
 
 
 class TestSeminorms:

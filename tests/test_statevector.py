@@ -1,6 +1,7 @@
 """Statevector engine tests, including independent matrix oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,8 +72,21 @@ class TestStatevector:
             psi.amps[0] = 0.0
 
     def test_qubit_cap(self):
-        with pytest.raises(ValueError):
-            Statevector(np.zeros(1 << (MAX_QUBITS + 1), dtype=complex))
+        # a zero-stride view of 2^(cap+1) amplitudes: the length is checked
+        # before anything is copied
+        amps = np.broadcast_to(np.complex128(0), (1 << (MAX_QUBITS + 1),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                Statevector(amps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="normalized"):
+            Statevector(np.array([math.nan, 0.0]))
 
 
 class TestSingleQubitGates:
@@ -146,6 +160,11 @@ class TestXYGate:
             assert exact_expectation(rotated, z0) == pytest.approx(
                 exact_expectation(psi, z0), abs=1e-10
             )
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            Gate("XY", (0, 1), alpha)
 
     def test_equal_targets_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from aqstate.pauli import (
     Observable,
     PauliString,
     SingleQubitOperator,
-    TermTable,
     projector_factored,
     seminorm,
     seminorm1,
@@ -154,7 +153,7 @@ class TestTermTable:
         table = Observable.from_strings([(3.0, "II")]).table
         assert table.axes.shape == (0, 2) and table.x.shape == (0, 1)
         assert table.offset == 3.0
-        assert TermTable(2, ()).offset == 0.0
+        assert Observable(2).table.offset == 0.0
 
 
 class TestEstimatesMatchFsum:
