@@ -16,7 +16,6 @@ from .pauli import (
     factored_seminorms,
     load_observable,
     normalize_to_unit_seminorm,
-    pair_compat,
     projector_factored,
     projector_pauli_expansion,
     projector_seminorms,
@@ -25,17 +24,13 @@ from .pauli import (
     seminorm1,
     seminorm2,
     shot_budget,
-    std_bound,
 )
 from .statevector import (
     Circuit,
     Gate,
     Statevector,
-    apply_gate,
-    apply_xy,
     exact_expectation,
     exact_expectation_factored,
-    gate_matrix,
     haar_random_state,
     load_circuit,
     random_prep_circuit,
@@ -44,17 +39,11 @@ from .statevector import (
 )
 from .snapshots import (
     ApproximateState,
-    Direction,
     NoiseModel,
     SnapshotFormatError,
-    SnapshotRecord,
-    acquire_snapshot,
     build_approximate_state,
     deserialize,
-    kernel_matrix,
     load_snapshots,
-    measurement_unitary,
-    sample_direction,
     save_snapshots,
     serialize,
     snapshots_from_state,
@@ -63,10 +52,7 @@ from .estimator import (
     EstimateResult,
     estimate_factored,
     estimate_observable,
-    p_odd,
     predict_attenuated,
-    r1_operator,
-    r1_pauli,
     reconstruct_density,
     snapshot_values,
 )

@@ -2,7 +2,7 @@
 
 Subcommands: prepare (random circuit), snapshot (circuit -> .aqst binary),
 estimate (snapshots + observable -> JSON result), seminorm (observable ->
-norms + shot budget), experiment (config -> report + curves CSV), verify
+seminorms + shot budget), experiment (config -> report + curves CSV), verify
 (statistical property suites).
 """
 
@@ -34,25 +34,31 @@ def _cmd_prepare(args) -> int:
 
 def _read_p_err(value_or_path: str, n_qubits: int) -> snapshots.NoiseModel:
     try:
-        return snapshots.NoiseModel.uniform(float(value_or_path), n_qubits)
+        values = [float(value_or_path)] * n_qubits
     except ValueError:
-        pass
-    with open(value_or_path) as fh:
-        values = json.load(fh)
+        with open(value_or_path) as fh:
+            values = json.load(fh)
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise ValueError("a readout-error file must hold a JSON list of numbers")
     if len(values) != n_qubits:
         raise ValueError(f"need {n_qubits} per-qubit error rates, got {len(values)}")
-    return snapshots.NoiseModel(tuple(float(v) for v in values))
+    try:
+        return snapshots.NoiseModel(tuple(values))
+    except OverflowError:  # an integer too large for a float
+        raise ValueError("flip probabilities must lie in [0, 1)") from None
 
 
 def _cmd_snapshot(args) -> int:
     circuit = statevector.load_circuit(args.circuit)
+    psi = statevector.run_circuit(circuit)  # checks the qubit count first
     noise = _read_p_err(args.readout_error, circuit.n_qubits)
     if args.dump_state:
-        psi = statevector.run_circuit(circuit)
         with open(args.dump_state, "w") as fh:
             json.dump([[a.real, a.imag] for a in psi.amps], fh)
             fh.write("\n")
-    state = snapshots.build_approximate_state(circuit, args.shots, args.seed, noise)
+    state = snapshots.snapshots_from_state(
+        psi, args.shots, args.seed, noise, circuit_hash=circuit.content_hash()
+    )
     if args.json:
         with open(args.out, "w") as fh:
             json.dump(snapshots.state_to_json_dict(state), fh)
@@ -180,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run the statistical property suites")
-    p.add_argument("--long", action="store_true", help="full-size parameters")
+    p.add_argument("--long", action="store_true", help="acceptance-suite sizes")
     p.add_argument("--seed", type=int, default=20240901)
     p.set_defaults(func=_cmd_verify)
 

@@ -18,24 +18,19 @@ import numpy as np
 from .pauli import (
     FactoredObservable,
     Observable,
-    PauliAxis,
-    SingleQubitOperator,
     TermTable,
     factored_seminorms,
     seminorm,
     seminorm2,
 )
-from .snapshots import ApproximateState, Direction
+from .snapshots import ApproximateState
 
 __all__ = [
     "EstimateResult",
-    "r1_pauli",
-    "r1_operator",
     "snapshot_values",
     "estimate_observable",
     "estimate_factored",
     "reconstruct_density",
-    "p_odd",
     "predict_attenuated",
 ]
 
@@ -61,27 +56,14 @@ class EstimateResult:
             raise ValueError("std_approx cannot exceed std_bound")
 
     @classmethod
-    def from_values(cls, values: np.ndarray, norms: tuple, n_qubits: int) -> "EstimateResult":
+    def from_values(cls, values: np.ndarray, seminorms: tuple, n_qubits: int) -> "EstimateResult":
         """Snapshot average of per-snapshot values (a pairwise sum), with the
-        (seminorm, seminorm2) pair ``norms`` scaled to error fields."""
+        (seminorm, seminorm2) pair ``seminorms`` scaled to error fields."""
         m = len(values)
         root_m = math.sqrt(m)
         spread = float(np.std(values, ddof=1)) / root_m if m > 1 else None
         mean = float(np.sum(values)) / m
-        return cls(mean, norms[0] / root_m, norms[1] / root_m, m, n_qubits, spread)
-
-
-def r1_pauli(axis: PauliAxis, m: int, direction: Direction) -> float:
-    """Single-qubit estimator of a Pauli operator: 1 for I, else 3*m*n_axis."""
-    if axis is PauliAxis.I:
-        return 1.0
-    return 3.0 * m * direction.unit_vector()[int(axis) - 1]
-
-
-def r1_operator(op: SingleQubitOperator, m: int, direction: Direction) -> float:
-    """Single-qubit estimator of a0*I + ax*X + ay*Y + az*Z."""
-    nx, ny, nz = direction.unit_vector()
-    return op.a0 + 3.0 * m * (op.ax * nx + op.ay * ny + op.az * nz)
+        return cls(mean, seminorms[0] / root_m, seminorms[1] / root_m, m, n_qubits, spread)
 
 
 # terms whose per-snapshot products fill this many bytes are evaluated at once
@@ -141,42 +123,25 @@ def snapshot_values(state: ApproximateState, observables: list) -> list[np.ndarr
     ]
 
 
-def estimate_observable(
-    state: ApproximateState,
-    obs: Observable,
-    norms: tuple[float, float] | None = None,
-) -> EstimateResult:
+def estimate_observable(state: ApproximateState, obs: Observable) -> EstimateResult:
     """Estimate <O> for a Pauli-sum observable; a single Pauli string is a
     one-term observable, whose error scale is 3^(r/2)/sqrt(M) at weight r.
-
-    ``norms`` may carry a precomputed (seminorm, seminorm2) pair to avoid
-    re-deriving them.
-    """
+    The pair-sum seminorm is cached with the observable's term table."""
     (values,) = snapshot_values(state, [obs])
-    if norms is None:
-        norms = (seminorm(obs), seminorm2(obs))
-    return EstimateResult.from_values(values, norms, state.n_qubits)
+    return EstimateResult.from_values(values, (seminorm(obs), seminorm2(obs)), state.n_qubits)
 
 
-def estimate_factored(
-    state: ApproximateState,
-    fobs: FactoredObservable,
-    norms: tuple[float, float] | None = None,
-) -> EstimateResult:
+def estimate_factored(state: ApproximateState, fobs: FactoredObservable) -> EstimateResult:
     """Estimate a tensor-factored observable via per-qubit estimator products.
 
     This is the path for computational-basis projectors: cost O(M*N) per
     term, with no Pauli expansion.
     """
     (values,) = snapshot_values(state, [fobs])
-    if norms is None:
-        norms = factored_seminorms(fobs)
-    return EstimateResult.from_values(values, norms, state.n_qubits)
+    return EstimateResult.from_values(values, factored_seminorms(fobs), state.n_qubits)
 
 
-def reconstruct_density(
-    state: ApproximateState, max_qubits: int = DENSITY_QUBIT_CAP
-) -> np.ndarray:
+def reconstruct_density(state: ApproximateState) -> np.ndarray:
     """Average of the tensor-product kernels: the 2^N x 2^N matrix whose
     expectation is the true density operator.
 
@@ -184,8 +149,8 @@ def reconstruct_density(
     never needs it.
     """
     n = state.n_qubits
-    if n > max_qubits:
-        raise ValueError(f"density reconstruction capped at {max_qubits} qubits")
+    if n > DENSITY_QUBIT_CAP:
+        raise ValueError(f"density reconstruction capped at {DENSITY_QUBIT_CAP} qubits")
     m = state.n_snapshots
     sin_t = np.sin(state.thetas)
     nx = np.cos(state.phis) * sin_t
@@ -211,15 +176,6 @@ def reconstruct_density(
         parts = [op[start : start + chunk] for op in operands]
         total += np.einsum(subscripts, *parts).reshape(2**n, 2**n)
     return total / m
-
-
-def p_odd(r: int, p_err: float) -> float:
-    """Probability of an odd number of independent flips among r qubits."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    if not 0.0 <= p_err < 1.0:
-        raise ValueError("p_err must lie in [0, 1)")
-    return 0.5 * (1.0 - (1.0 - 2.0 * p_err) ** r)
 
 
 def predict_attenuated(

@@ -1,6 +1,7 @@
 """Experiment harness: random observables and projectors, coverage-fraction
-experiments with convergence curves, Haar-ensemble property checks, and the
-readout-attenuation study.
+experiments with convergence curves, Haar-ensemble property checks, the
+readout-attenuation study, and the statistical checks shared by `aqstate
+verify` and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .pauli import (
     PauliString,
     factored_seminorms,
     normalize_to_unit_seminorm,
-    pair_compat,
     projector_factored,
     projector_pauli_expansion,
     projector_seminorms,
@@ -60,6 +60,12 @@ __all__ = [
     "mixed_term_strings",
     "haar_mixed_term_check",
     "noise_attenuation_study",
+    "check_tomographic_identity",
+    "check_second_moments",
+    "check_projector_closed_forms",
+    "check_seminorm_hierarchy",
+    "check_readout_attenuation",
+    "check_haar_mixed_terms",
     "run_verification",
 ]
 
@@ -67,6 +73,9 @@ OBSERVABLE_KINDS = ("random_pauli_sum", "basis_projector")
 NORMALIZATIONS = ("seminorm", "seminorm2", "none")
 
 REPORT_FORMAT_VERSION = 2
+
+# Haar-ensemble checks sample dense states of at most this many qubits
+HAAR_QUBIT_CAP = 5
 
 # sub-stream tags hashed together with the master seed
 _TAG_CIRCUIT, _TAG_OBSERVABLES, _TAG_SNAPSHOTS = 0, 1, 2
@@ -232,22 +241,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             random_observable(cfg.n_qubits, cfg.terms_per_observable, obs_rng, cfg.normalization)
             for _ in range(cfg.n_observables)
         ]
-        norms = [(seminorm(obs), seminorm2(obs)) for obs in observables]
+        seminorms = [(seminorm(obs), seminorm2(obs)) for obs in observables]
         oracles = [exact_expectation(psi, obs) for obs in observables]
         described = [{"kind": "pauli_sum", "n_terms": obs.n_terms} for obs in observables]
         band = "bound"
     else:
         observables = [random_projector(cfg.n_qubits, obs_rng) for _ in range(cfg.n_observables)]
-        norms = [factored_seminorms(proj) for proj in observables]
+        seminorms = [factored_seminorms(proj) for proj in observables]
         oracles = [exact_expectation_factored(psi, proj) for proj in observables]
         described = [{"kind": "basis_projector", "bits": projector_bits(p)} for p in observables]
         band = "approx"
 
     rows = []
-    for values, norm, oracle in zip(snapshot_values(state, observables), norms, oracles):
+    for values, pair, oracle in zip(snapshot_values(state, observables), seminorms, oracles):
         # curve point k averages the first m_k per-snapshot values; the last
         # checkpoint is M, so the last point is the final estimate
-        points = [EstimateResult.from_values(values[:m], norm, cfg.n_qubits) for m in checkpoints]
+        points = [EstimateResult.from_values(values[:m], pair, cfg.n_qubits) for m in checkpoints]
         final = points[-1]
         rows.append(ObservableRow(oracle, final.value, final.std_bound, final.std_approx,
                                   final.std_empirical, tuple(p.value for p in points)))
@@ -279,36 +288,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def mixed_term_strings(obs: Observable) -> list[tuple[float, PauliString]]:
+def mixed_term_strings(obs: Observable) -> Observable:
     """Merged product strings of all compatible ordered pairs of distinct
     non-identity terms, weighted by 3^r_ij * a_i * a_j.
 
     For compatible pairs the product P_i P_j carries no phase: shared-support
-    axes agree (squaring to I) and the rest multiply identities.
+    axes agree (squaring to I) and the rest multiply identities, so the
+    product's axes are axes_i ^ axes_j.  Pairs are taken i-major.
     """
-    terms = [(c, s) for c, s in obs.terms if s.weight > 0]
-    merged: dict[tuple, float] = {}
-    for i, (ci, si) in enumerate(terms):
-        for j, (cj, sj) in enumerate(terms):
-            if i == j:
-                continue
-            delta, r = pair_compat(si, sj)
-            if delta == 0:
-                continue
-            support_i, support_j = dict(si.support), dict(sj.support)
-            product = tuple(
-                sorted(
-                    (q, a)
-                    for q, a in {**support_i, **support_j}.items()
-                    if (q in support_i) != (q in support_j)
-                )
-            )
-            merged[product] = merged.get(product, 0.0) + (3.0**r) * ci * cj
-    return [
-        (coeff, PauliString(obs.n_qubits, support))
-        for support, coeff in sorted(merged.items())
-        if coeff != 0.0
-    ]
+    table = obs.table
+    i, j = np.nonzero(~np.eye(len(table.coeffs), dtype=bool))
+    axes_i, axes_j = table.axes[i], table.axes[j]
+    both = (axes_i != 0) & (axes_j != 0)
+    compat = ~(both & (axes_i != axes_j)).any(axis=1)
+    i, j, r = i[compat], j[compat], both[compat].sum(axis=1)
+    return Observable.from_rows(
+        obs.n_qubits, table.axes[i] ^ table.axes[j], 3.0**r * table.coeffs[i] * table.coeffs[j]
+    )
 
 
 @dataclass(frozen=True)
@@ -325,7 +321,6 @@ def haar_mixed_term_check(
     n_samples: int,
     obs: Observable,
     rng: np.random.Generator,
-    max_qubits: int = 5,
 ) -> HaarMixedTermResult:
     """Sample the off-diagonal part of the squared seminorm over Haar states.
 
@@ -333,8 +328,8 @@ def haar_mixed_term_check(
     sum_{i != j} 3^r_ij * delta_ij * a_i * a_j * <P_i P_j>; its ensemble
     mean is zero and, for basis projectors, its variance stays below (3/4)^N.
     """
-    if n_qubits > max_qubits:
-        raise ValueError(f"haar check capped at {max_qubits} qubits")
+    if n_qubits > HAAR_QUBIT_CAP:
+        raise ValueError(f"haar check capped at {HAAR_QUBIT_CAP} qubits")
     if obs.n_qubits != n_qubits:
         raise ValueError("observable does not match n_qubits")
     if n_samples < 2:
@@ -344,7 +339,7 @@ def haar_mixed_term_check(
     amps = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     values = np.zeros(n_samples)
-    for coeff, string in products:
+    for coeff, string in products.terms:
         values += coeff * pauli_expectation_batch(amps, string)
     mean = float(values.mean())
     variance = float(values.var(ddof=1))
@@ -379,9 +374,6 @@ class NoiseAttenuationReport:
     p_err: float
     seed: int
     rows: tuple[NoiseAttenuationRow, ...]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def noise_attenuation_study(
@@ -437,123 +429,141 @@ class VerificationResult:
     detail: str
 
 
-def _verify_second_moments(n_snapshots: int, tol: float, seed: int) -> VerificationResult:
+def _count(n: int) -> str:
+    """A count as 1e5 when it is a power of ten times one digit, else in full."""
+    text = f"{n:.0e}".replace("e+0", "e").replace("e+", "e")
+    return text if float(text) == n else str(n)
+
+
+def check_tomographic_identity(
+    n_snapshots: int, n_states: int, seed: int, snapshot_seed: int
+) -> VerificationResult:
+    """The kernel average of M snapshots of a single-qubit Haar state is
+    |psi><psi| to within 5*sqrt(3)/sqrt(M) per entry.  States come from
+    ``default_rng(seed)``; state k is acquired with ``snapshot_seed + k``."""
+    limit = 5.0 * math.sqrt(3.0) / math.sqrt(n_snapshots)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for k in range(n_states):
+        psi = haar_random_state(1, rng)
+        rho = reconstruct_density(snapshots_from_state(psi, n_snapshots, snapshot_seed + k))
+        worst = max(worst, float(np.max(np.abs(rho - np.outer(psi.amps, psi.amps.conj())))))
+    return VerificationResult(
+        "tomographic-identity",
+        worst <= limit,
+        f"{n_states} states, M={_count(n_snapshots)}: worst entry error {worst:.5f} <= {limit:.5f}",
+    )
+
+
+def check_second_moments(
+    n_snapshots: int, tol: float, seed: int, snapshot_seed: int
+) -> VerificationResult:
+    """The single-qubit X, Y, Z estimator values have second moments
+    3*delta_ab, on a Haar state from ``default_rng(seed)``."""
     psi = haar_random_state(1, np.random.default_rng(seed))
-    state = snapshots_from_state(psi, n_snapshots, seed)
+    state = snapshots_from_state(psi, n_snapshots, snapshot_seed)
     paulis = [Observable.from_strings([(1.0, axis)]) for axis in "XYZ"]
     w = np.stack(snapshot_values(state, paulis), axis=1)
-    second = (w.T @ w) / n_snapshots
-    err = float(np.max(np.abs(second - 3.0 * np.eye(3))))
+    deviation = float(np.max(np.abs(w.T @ w / n_snapshots - 3.0 * np.eye(3))))
     return VerificationResult(
         "pauli-second-moments",
-        err <= tol,
-        f"max |<R1 R1> - 3*delta| = {err:.4f} (tol {tol})",
+        deviation <= tol,
+        f"max |<R1[a] R1[b]> - 3*delta| = {deviation:.4f} <= {tol} over "
+        f"{_count(n_snapshots)} snapshots",
     )
 
 
-def _verify_hierarchy(n_observables: int, seed: int) -> VerificationResult:
+def check_projector_closed_forms(seed: int) -> VerificationResult:
+    """Explicit expansions of random basis projectors at N = 1..6 meet the
+    closed forms seminorm2^2 = 1 - 4^-N and :func:`projector_seminorms`
+    within 1e-12, and seminorm^2 <= (3/2)^N."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    ok = True
-    for _ in range(n_observables):
-        n = int(rng.integers(1, 7))
-        terms = int(rng.integers(1, 9))
-        obs = random_observable(n, terms, rng, normalization="none")
-        s2, s, s1 = seminorm2(obs), seminorm(obs), seminorm1(obs)
-        ok &= s2 <= s <= s1
-        worst = max(worst, s2 - s, s - s1)
-    return VerificationResult(
-        "seminorm-hierarchy",
-        ok,
-        f"{n_observables} random observables, max violation {worst:.2e}",
-    )
-
-
-def _verify_projector_forms(seed: int) -> VerificationResult:
-    rng = np.random.default_rng(seed)
-    ok = True
-    worst = 0.0
+    gap2 = gap = 0.0
+    bound_ok = True
     for n in range(1, 7):
         bits = [int(b) for b in rng.integers(0, 2, size=n)]
         expansion = projector_pauli_expansion(bits)
-        closed = projector_seminorms(n)
-        gap2 = abs(seminorm2(expansion) ** 2 - (1.0 - 0.25**n))
-        gap = abs(seminorm(expansion) - closed[0])
-        ok &= gap2 < 1e-12 and gap < 1e-12 and seminorm(expansion) ** 2 <= 1.5**n
-        worst = max(worst, gap2, gap)
+        gap2 = max(gap2, abs(seminorm2(expansion) ** 2 - (1.0 - 0.25**n)))
+        gap = max(gap, abs(seminorm(expansion) - projector_seminorms(n)[0]))
+        bound_ok &= seminorm(expansion) ** 2 <= 1.5**n
     return VerificationResult(
-        "projector-closed-forms", ok, f"N=1..6, max deviation {worst:.2e}"
+        "projector-closed-forms",
+        gap2 <= 1e-12 and gap <= 1e-12 and bound_ok,
+        f"N=1..6: |seminorm2^2 - (1 - 4^-N)| <= {gap2:.2e} (tol 1e-12), "
+        f"|seminorm - closed form| <= {gap:.2e}, seminorm^2 <= (3/2)^N everywhere",
     )
 
 
-def _verify_haar_mean(n_samples: int, seed: int) -> VerificationResult:
+def check_seminorm_hierarchy(n_observables: int, seed: int) -> VerificationResult:
+    """seminorm2 <= seminorm <= seminorm1 holds exactly on random signed
+    Pauli sums of 1..8 terms on 1..6 qubits."""
+    rng = np.random.default_rng(seed)
+    holds = True
+    for _ in range(n_observables):
+        n = int(rng.integers(1, 7))
+        rows, coeffs = [], []
+        for _ in range(int(rng.integers(1, 9))):
+            rows.append(rng.integers(0, 4, n))
+            coeffs.append(float(rng.uniform(-1, 1)))
+        obs = Observable.from_rows(n, rows, coeffs)
+        holds &= seminorm2(obs) <= seminorm(obs) <= seminorm1(obs)
+    return VerificationResult(
+        "seminorm-hierarchy",
+        holds,
+        f"seminorm2 <= seminorm <= seminorm1 exactly on {n_observables} random observables, N <= 6",
+    )
+
+
+def check_readout_attenuation(
+    n_qubits: int, n_snapshots: int, p_err: float, seed: int, max_weight: int
+) -> VerificationResult:
+    """Every row of :func:`noise_attenuation_study` lies within 3 std_bound
+    of its (1 - 2*p_err)^r prediction."""
+    study = noise_attenuation_study(n_qubits, n_snapshots, p_err, seed, max_weight)
+    rows = ", ".join(
+        f"r={row.weight}: |err| {row.abs_error:.4f} <= {3 * row.std_bound:.4f}"
+        for row in study.rows
+    )
+    return VerificationResult(
+        "readout-attenuation",
+        all(row.abs_error <= 3 * row.std_bound for row in study.rows),
+        f"N={n_qubits}, p={p_err}, M={_count(n_snapshots)}: {rows}",
+    )
+
+
+def check_haar_mixed_terms(n_samples: int, seed: int) -> tuple[VerificationResult, ...]:
+    """Over Haar states the mixed-term statistic of a random 3-qubit
+    observable has zero mean (within 4 stderr), and that of the |0...0>
+    projector at N = 2, 3, 4 has variance below (3/4)^N (plus 4 stderr)."""
     rng = np.random.default_rng(seed)
     obs = random_observable(3, 8, rng, normalization="none")
-    result = haar_mixed_term_check(3, n_samples, obs, rng)
-    limit = 4.0 * result.stderr_mean
-    return VerificationResult(
-        "haar-mixed-zero-mean",
-        abs(result.mean) <= limit,
-        f"|mean| = {abs(result.mean):.2e} vs 4*stderr = {limit:.2e}",
-    )
-
-
-def _verify_projector_variance(n_samples: int, seed: int) -> VerificationResult:
-    rng = np.random.default_rng(seed)
-    ok = True
-    details = []
+    mean = haar_mixed_term_check(3, n_samples, obs, rng)
+    variance_ok, details = True, []
     for n in (2, 3, 4):
-        bits = [int(b) for b in rng.integers(0, 2, size=n)]
-        result = haar_mixed_term_check(
-            n, n_samples, projector_pauli_expansion(bits), rng
-        )
+        result = haar_mixed_term_check(n, n_samples, projector_pauli_expansion([0] * n), rng)
         limit = 0.75**n + 4.0 * result.stderr_variance
-        ok &= result.variance < limit
-        details.append(f"N={n}: {result.variance:.4f} < {limit:.4f}")
-    return VerificationResult("projector-mixed-variance", ok, "; ".join(details))
-
-
-def _verify_tomographic_identity(
-    n_snapshots: int, n_seeds: int, seed: int
-) -> VerificationResult:
-    rng = np.random.default_rng(seed)
-    ok = True
-    worst = 0.0
-    for n in (1, 2):
-        limit = 5.0 * 3.0**n / math.sqrt(n_snapshots)
-        for _ in range(n_seeds):
-            psi = haar_random_state(n, rng)
-            state = snapshots_from_state(
-                psi, n_snapshots, int(rng.integers(0, 2**63))
-            )
-            rho = reconstruct_density(state)
-            target = np.outer(psi.amps, psi.amps.conj())
-            err = float(np.max(np.abs(rho - target)))
-            ok &= err <= limit
-            worst = max(worst, err / limit)
-    return VerificationResult(
-        "tomographic-identity",
-        ok,
-        f"worst error = {worst:.2f} of the 5*3^N/sqrt(M) allowance",
+        variance_ok &= result.variance < limit
+        details.append(f"var(N={n}) {result.variance:.3f} < {limit:.3f}")
+    return (
+        VerificationResult(
+            "haar-mixed-zero-mean",
+            abs(mean.mean) <= 4.0 * mean.stderr_mean,
+            f"mean |{mean.mean:.4f}| <= {4 * mean.stderr_mean:.4f}",
+        ),
+        VerificationResult("projector-mixed-variance", variance_ok, "; ".join(details)),
     )
 
 
 def run_verification(fast: bool = True, seed: int = 20240901) -> list[VerificationResult]:
-    """Statistical property suites behind the `verify` CLI command."""
-    if fast:
-        return [
-            _verify_second_moments(200_000, 0.05, seed),
-            _verify_hierarchy(300, seed + 1),
-            _verify_projector_forms(seed + 2),
-            _verify_haar_mean(2_000, seed + 3),
-            _verify_projector_variance(2_000, seed + 4),
-            _verify_tomographic_identity(20_000, 2, seed + 5),
-        ]
+    """The statistical checks of acceptance criteria 1, 3 and 6-9, behind
+    the `verify` CLI command: at reduced size, or at the acceptance suite's
+    sizes and tolerances when ``fast`` is false.  Check k draws from seed + k."""
+    scale = 5 if fast else 1
     return [
-        _verify_second_moments(1_000_000, 0.02, seed),
-        _verify_hierarchy(1000, seed + 1),
-        _verify_projector_forms(seed + 2),
-        _verify_haar_mean(10_000, seed + 3),
-        _verify_projector_variance(10_000, seed + 4),
-        _verify_tomographic_identity(100_000, 10, seed + 5),
+        check_tomographic_identity(100_000 // scale, 10 // scale, seed, seed),
+        check_second_moments(1_000_000 // scale, 0.05 if fast else 0.02, seed + 1, seed + 1),
+        check_projector_closed_forms(seed + 2),
+        check_seminorm_hierarchy(1000 // scale, seed + 3),
+        check_readout_attenuation(6, 100_000 // scale, 0.05, seed + 4, max_weight=4),
+        *check_haar_mixed_terms(10_000 // scale, seed + 5),
     ]

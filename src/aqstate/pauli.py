@@ -24,11 +24,9 @@ __all__ = [
     "SingleQubitOperator",
     "FactoredObservable",
     "TermTable",
-    "pair_compat",
     "seminorm",
     "seminorm2",
     "seminorm1",
-    "std_bound",
     "shot_budget",
     "normalize_to_unit_seminorm",
     "projector_factored",
@@ -43,7 +41,8 @@ __all__ = [
     "load_observable",
 ]
 
-DEFAULT_EXPANSION_CAP = 12
+# explicit Pauli expansions of factored observables stop at this many qubits
+EXPANSION_QUBIT_CAP = 12
 
 
 class PauliAxis(IntEnum):
@@ -127,10 +126,6 @@ class PauliString:
         (row,) = _label_axes([label], len(label))
         return cls(len(label), tuple((q, int(a)) for q, a in enumerate(row) if a))
 
-    @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits)
-
     def to_label(self) -> str:
         chars = ["I"] * self.n_qubits
         for qubit, axis in self.support:
@@ -144,27 +139,6 @@ class PauliString:
 
     def __repr__(self):
         return f"PauliString({self.to_label()!r})"
-
-
-def pair_compat(a: PauliString, b: PauliString) -> tuple[int, int]:
-    """Overlap data for a pair of monomials.
-
-    Returns ``(delta, r)`` where ``r`` counts qubits in both supports and
-    ``delta`` is 0 iff the two strings carry different axes on some shared
-    qubit, else 1.
-    """
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit count mismatch: {a.n_qubits} vs {b.n_qubits}")
-    other = dict(b.support)
-    r = 0
-    delta = 1
-    for qubit, axis in a.support:
-        axis_b = other.get(qubit)
-        if axis_b is not None:
-            r += 1
-            if axis_b != axis:
-                delta = 0
-    return delta, r
 
 
 class Observable:
@@ -327,11 +301,11 @@ class FactoredObservable:
             ):
                 raise ValueError("observable coefficients must be finite")
 
-    def to_observable(self, max_qubits: int = DEFAULT_EXPANSION_CAP) -> Observable:
+    def to_observable(self) -> Observable:
         """Distribute the tensor products into an explicit Pauli sum."""
-        if self.n_qubits > max_qubits:
+        if self.n_qubits > EXPANSION_QUBIT_CAP:
             raise ValueError(
-                f"refusing to expand {self.n_qubits} qubits (cap {max_qubits})"
+                f"refusing to expand {self.n_qubits} qubits (cap {EXPANSION_QUBIT_CAP})"
             )
         collected: list[tuple[float, PauliString]] = []
         for coeff, factors in self.terms:
@@ -466,13 +440,6 @@ def seminorm1(obs: Observable) -> float:
     return float(np.sum(np.sqrt(_diag_sum(obs.table))))
 
 
-def std_bound(obs: Observable, n_snapshots: int) -> float:
-    """Standard-deviation bound seminorm(obs)/sqrt(M) for M snapshots."""
-    if n_snapshots < 1:
-        raise ValueError("n_snapshots must be at least 1")
-    return seminorm(obs) / math.sqrt(n_snapshots)
-
-
 def shot_budget(obs: Observable, epsilon: float) -> int:
     """Snapshots needed to push the std bound below ``epsilon``."""
     if epsilon <= 0:
@@ -499,17 +466,15 @@ def projector_factored(bits: Sequence[int]) -> FactoredObservable:
     return FactoredObservable(len(bits), ((1.0, factors),))
 
 
-def projector_pauli_expansion(
-    bits: Sequence[int], max_qubits: int = DEFAULT_EXPANSION_CAP
-) -> Observable:
+def projector_pauli_expansion(bits: Sequence[int]) -> Observable:
     """Explicit 2^N-term {I,Z} expansion of a basis projector.
 
     Exists for brute-force seminorm cross-checks only; use the factored form
     for estimation.
     """
     n = len(bits)
-    if n > max_qubits:
-        raise ValueError(f"refusing to expand {n} qubits (cap {max_qubits})")
+    if n > EXPANSION_QUBIT_CAP:
+        raise ValueError(f"refusing to expand {n} qubits (cap {EXPANSION_QUBIT_CAP})")
     ones = sum(int(b) << k for k, b in enumerate(bits))
     scale = 0.5**n
     terms = []
@@ -535,9 +500,7 @@ def projector_seminorms(n_qubits: int) -> tuple[float, float, float]:
     return bound, two, one
 
 
-def factored_seminorms(
-    fobs: FactoredObservable, max_qubits: int = DEFAULT_EXPANSION_CAP
-) -> tuple[float, float]:
+def factored_seminorms(fobs: FactoredObservable) -> tuple[float, float]:
     """(seminorm, seminorm2) of the Pauli expansion of a factored observable.
 
     A single-term product form factorizes exactly per qubit at any width;
@@ -560,7 +523,7 @@ def factored_seminorms(
             math.sqrt(c2 * (full - 2.0 * ident_row + ident_pair)),
             math.sqrt(c2 * (diag - ident_pair)),
         )
-    expanded = fobs.to_observable(max_qubits=max_qubits)
+    expanded = fobs.to_observable()
     return seminorm(expanded), seminorm2(expanded)
 
 

@@ -24,15 +24,9 @@ from numpy.random import Philox
 from .statevector import Statevector, Circuit, run_circuit
 
 __all__ = [
-    "Direction",
-    "SnapshotRecord",
     "NoiseModel",
     "ApproximateState",
     "SnapshotFormatError",
-    "sample_direction",
-    "measurement_unitary",
-    "kernel_matrix",
-    "acquire_snapshot",
     "snapshots_from_state",
     "build_approximate_state",
     "serialize",
@@ -51,42 +45,6 @@ _RECORD_DTYPE = np.dtype([("m", "<i1"), ("theta", "<f8"), ("phi", "<f8")])
 
 class SnapshotFormatError(ValueError):
     """Raised on bad magic, version mismatch, or truncated snapshot data."""
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Measurement direction on the unit sphere, stored as angles."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta {self.theta} outside [0, pi]")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
-
-    def unit_vector(self) -> np.ndarray:
-        sin_t = math.sin(self.theta)
-        return np.array(
-            [math.cos(self.phi) * sin_t, math.sin(self.phi) * sin_t, math.cos(self.theta)]
-        )
-
-
-@dataclass(frozen=True)
-class SnapshotRecord:
-    """Per-qubit (outcome, direction) pairs for one snapshot."""
-
-    outcomes: tuple[int, ...]
-    directions: tuple[Direction, ...]
-
-    def __post_init__(self):
-        if len(self.outcomes) != len(self.directions):
-            raise ValueError("outcomes and directions must have equal length")
-        if any(m not in (-1, 1) for m in self.outcomes):
-            raise ValueError("outcomes must be -1 or +1")
-
-    def __len__(self):
-        return len(self.outcomes)
 
 
 @dataclass(frozen=True)
@@ -169,15 +127,6 @@ class ApproximateState:
     def __len__(self):
         return self.n_snapshots
 
-    def record(self, index: int) -> SnapshotRecord:
-        return SnapshotRecord(
-            tuple(int(m) for m in self.outcomes[index]),
-            tuple(
-                Direction(float(t), float(p))
-                for t, p in zip(self.thetas[index], self.phis[index])
-            ),
-        )
-
     def __eq__(self, other):
         if not isinstance(other, ApproximateState):
             return NotImplemented
@@ -195,72 +144,6 @@ class ApproximateState:
             f"ApproximateState(n_qubits={self.n_qubits}, "
             f"n_snapshots={self.n_snapshots}, seed={self.seed})"
         )
-
-
-def sample_direction(rng: np.random.Generator) -> Direction:
-    """Uniform direction on the unit sphere: phi ~ U[0,2pi), cos(theta) ~ U[-1,1]."""
-    u_phi, u_cos = rng.random(2)
-    return Direction(math.acos(2.0 * u_cos - 1.0), 2.0 * math.pi * u_phi)
-
-
-def measurement_unitary(direction: Direction) -> np.ndarray:
-    """Unitary rotating the sigma.n eigenbasis onto the computational basis.
-
-    U = exp(i*theta/2 * sigma.n_perp) with n_perp = (-sin phi, cos phi, 0),
-    so that U (sigma.n) U^dag = sigma_z.
-    """
-    half = 0.5 * direction.theta
-    c, s = math.cos(half), math.sin(half)
-    phase = complex(math.cos(direction.phi), math.sin(direction.phi))
-    return np.array([[c, s * phase.conjugate()], [-s * phase, c]])
-
-
-def kernel_matrix(m: int, direction: Direction) -> np.ndarray:
-    """Single-qubit reconstruction kernel (I + 3*m*sigma.n)/2."""
-    if m not in (-1, 1):
-        raise ValueError("m must be -1 or +1")
-    nx, ny, nz = direction.unit_vector()
-    f = 1.5 * m
-    return np.array(
-        [
-            [0.5 + f * nz, f * (nx - 1j * ny)],
-            [f * (nx + 1j * ny), 0.5 - f * nz],
-        ]
-    )
-
-
-def acquire_snapshot(
-    psi: Statevector,
-    rng: np.random.Generator,
-    noise: NoiseModel | None = None,
-    directions: Sequence[Direction] | None = None,
-) -> SnapshotRecord:
-    """Measure every qubit of ``psi`` once along random (or given) directions.
-
-    The state itself is never mutated; rotation and sampling happen on a
-    working copy, which simulates a fresh preparation per snapshot.
-    """
-    n = psi.n_qubits
-    if directions is None:
-        directions = [sample_direction(rng) for _ in range(n)]
-    elif len(directions) != n:
-        raise ValueError("need one direction per qubit")
-    work = psi.amps.copy()
-    for qubit, direction in enumerate(directions):
-        view = work.reshape(-1, 2, 1 << qubit)
-        u = measurement_unitary(direction)
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :]
-        view[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
-        view[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
-    probs = np.abs(work) ** 2
-    probs /= probs.sum()
-    z = int(rng.choice(probs.size, p=probs))
-    outcomes = np.array([1 - 2 * ((z >> k) & 1) for k in range(n)], dtype=np.int8)
-    p_err = (noise or NoiseModel.none(n)).array()
-    flips = rng.random(n) < p_err
-    outcomes = np.where(flips, -outcomes, outcomes)
-    return SnapshotRecord(tuple(int(m) for m in outcomes), tuple(directions))
 
 
 def _snapshot_uniforms(seed: int, start: int, count: int, n_qubits: int) -> np.ndarray:

@@ -19,9 +19,6 @@ __all__ = [
     "Statevector",
     "Gate",
     "Circuit",
-    "gate_matrix",
-    "apply_gate",
-    "apply_xy",
     "run_circuit",
     "random_prep_circuit",
     "exact_expectation",
@@ -88,9 +85,6 @@ class Statevector:
         amps[index] = 1.0
         return cls(amps, copy=False)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def __repr__(self):
         return f"Statevector(n_qubits={self.n_qubits})"
 
@@ -122,18 +116,6 @@ class Gate:
                 raise ValueError(f"{self.kind} takes exactly one target")
             if self.alpha is not None:
                 raise ValueError(f"{self.kind} takes no angle")
-
-
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """Unitary matrix of a gate: 2x2, or 4x4 for XY (basis index is
-    bit(q2)*2 + bit(q1))."""
-    if gate.kind != "XY":
-        return _SINGLE_QUBIT_MATRICES[gate.kind].copy()
-    c, s = math.cos(2.0 * gate.alpha), math.sin(2.0 * gate.alpha)
-    u = np.eye(4, dtype=complex)
-    u[1, 1] = u[2, 2] = c
-    u[1, 2] = u[2, 1] = -1j * s
-    return u
 
 
 @dataclass(frozen=True)
@@ -180,22 +162,10 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate) -> None:
         _apply_single_inplace(amps, gate.qubits[0], _SINGLE_QUBIT_MATRICES[gate.kind])
 
 
-def apply_gate(psi: Statevector, gate: Gate) -> Statevector:
-    """Return U|psi> for one gate."""
-    if any(q >= psi.n_qubits for q in gate.qubits):
-        raise ValueError(f"gate targets exceed {psi.n_qubits} qubits")
-    amps = psi.amps.copy()
-    _apply_gate_inplace(amps, gate)
-    return Statevector(amps, copy=False)
-
-
-def apply_xy(psi: Statevector, q1: int, q2: int, alpha: float) -> Statevector:
-    """Apply exp(-i*alpha*(X@X + Y@Y)) on qubits q1, q2."""
-    return apply_gate(psi, Gate("XY", (q1, q2), alpha))
-
-
 def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
     """Apply all gates in order, starting from |0...0> by default."""
+    if not 1 <= circuit.n_qubits <= MAX_QUBITS:
+        raise ValueError(f"{circuit.n_qubits} qubits is outside 1..{MAX_QUBITS}")
     if initial is None:
         amps = np.zeros(1 << circuit.n_qubits, dtype=complex)
         amps[0] = 1.0
@@ -334,7 +304,7 @@ def circuit_from_dict(data: dict) -> Circuit:
                 )
             else:
                 gates.append(Gate(entry["kind"], (int(entry["q"]),)))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed circuit data: {exc}") from exc
     return Circuit(n, tuple(gates))
 

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ class TestPipeline:
     def circuit_path(self, tmp_path):
         path = tmp_path / "circ.json"
         run_cli("prepare", "--qubits", 2, "--seed", 11, "--out", path)
+        return path
+
+    @pytest.fixture()
+    def snaps(self, tmp_path, circuit_path):
+        # 10 snapshots of the 2-qubit circuit
+        path = tmp_path / "state.aqst"
+        run_cli("snapshot", "--circuit", circuit_path, "--shots", 10, "--seed", 9, "--out", path)
         return path
 
     def test_snapshot_then_estimate(self, tmp_path, circuit_path, capsys):
@@ -119,10 +127,7 @@ class TestPipeline:
         ) == 0
         assert np.allclose(load_snapshots(snaps).p_err, [0.01, 0.05])
 
-    def test_qubit_mismatch_fails(self, tmp_path, circuit_path, capsys):
-        snaps = tmp_path / "state.aqst"
-        run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
-                "--seed", 9, "--out", snaps)
+    def test_qubit_mismatch_fails(self, tmp_path, snaps, capsys):
         obs_path = tmp_path / "obs3.json"
         save_observable(Observable.from_strings([(1.0, "ZII")]), obs_path)
         assert run_cli("estimate", "--snapshots", snaps, "--observable", obs_path) == 2
@@ -135,10 +140,7 @@ class TestPipeline:
         save_observable(Observable.from_strings([(1.0, "Z")]), obs_path)
         assert run_cli("estimate", "--snapshots", bad, "--observable", obs_path) == 2
 
-    def test_nan_angle_in_snapshot_file_fails(self, tmp_path, circuit_path, capsys):
-        snaps = tmp_path / "state.aqst"
-        run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
-                "--seed", 9, "--out", snaps)
+    def test_nan_angle_in_snapshot_file_fails(self, tmp_path, snaps, capsys):
         blob = bytearray(snaps.read_bytes())
         # first record's theta: header 18 bytes, p_err 8N, seed 8, then m (1)
         struct.pack_into("<d", blob, 18 + 8 * 2 + 8 + 1, math.nan)
@@ -150,10 +152,7 @@ class TestPipeline:
 
 
     @pytest.mark.parametrize("factored", [False, True])
-    def test_non_finite_coefficient_fails(self, tmp_path, circuit_path, capsys, factored):
-        snaps = tmp_path / "state.aqst"
-        run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
-                "--seed", 9, "--out", snaps)
+    def test_non_finite_coefficient_fails(self, tmp_path, snaps, capsys, factored):
         obs_path = tmp_path / "obs.json"
         term = {"coeff": math.inf, "factors": [[0.5, 0, 0, 0.5]] * 2} if factored else {
             "coeff": math.inf, "pauli": "ZI"}
@@ -172,10 +171,7 @@ class TestPipeline:
         assert "finite" in capsys.readouterr().err
         assert not snaps.exists()
 
-    def test_estimate_builds_no_pauli_strings(self, tmp_path, circuit_path, monkeypatch):
-        snaps = tmp_path / "state.aqst"
-        run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
-                "--seed", 9, "--out", snaps)
+    def test_estimate_builds_no_pauli_strings(self, tmp_path, snaps, monkeypatch):
         obs_path = tmp_path / "obs.json"
         save_observable(Observable.from_strings([(1.0, "ZI"), (0.5, "XY"), (0.25, "II")]), obs_path)
         monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
@@ -265,8 +261,41 @@ class TestVerifyCommand:
     def test_fast_suite(self, capsys):
         assert run_cli("verify") == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
         assert "FAIL" not in out
+
+
+class TestInputErrors:
+    # each input exits 2 with an error line and writes nothing
+    def snapshot(self, tmp_path, circuit, readout_error="0"):
+        circuit_path, out = tmp_path / "circ.json", tmp_path / "state.aqst"
+        circuit_path.write_text(circuit)
+        rc = run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
+                     "--readout-error", readout_error, "--out", out)
+        assert not out.exists()
+        return rc
+
+    def test_too_many_qubits(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            rc = self.snapshot(tmp_path, '{"n_qubits": 40, "gates": []}')
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2 and "error:" in capsys.readouterr().err
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("gates, errors", [
+        ('{"kind": "H", "q": 1e400}', None),
+        ('{"kind": "XY", "q1": 0, "q2": 1, "alpha": 1%s}' % ("0" * 400), None),
+        ("", "5"),
+        ("", "[null, 0.1, 0.1]"),
+    ], ids=["huge-qubit-index", "huge-xy-angle", "errors-file-number", "errors-file-null"])
+    def test_bad_input(self, tmp_path, capsys, gates, errors):
+        path = tmp_path / "p.json"
+        path.write_text(errors or "[0, 0, 0]")
+        assert self.snapshot(tmp_path, '{"n_qubits": 3, "gates": [%s]}' % gates, path) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestArgumentErrors:

@@ -9,14 +9,13 @@ from aqstate.estimator import (
     EstimateResult,
     estimate_factored,
     estimate_observable,
-    p_odd,
     predict_attenuated,
-    r1_operator,
-    r1_pauli,
     reconstruct_density,
     snapshot_values,
 )
+from aqstate.harness import check_second_moments
 from aqstate.pauli import (
+    FactoredObservable,
     Observable,
     PauliAxis,
     PauliString,
@@ -25,84 +24,53 @@ from aqstate.pauli import (
     seminorm,
     seminorm2,
 )
-from aqstate.snapshots import (
-    ApproximateState,
-    Direction,
-    NoiseModel,
-    snapshots_from_state,
-)
+from aqstate.snapshots import ApproximateState, NoiseModel, snapshots_from_state
 from aqstate.statevector import (
     Statevector,
     exact_expectation,
     haar_random_state,
 )
+from test_pauli import random_signed_observable
+from test_statevector import dense_observable
 
-X_DIR = Direction(math.pi / 2, 0.0)
-Y_DIR = Direction(math.pi / 2, math.pi / 2)
-Z_DIR = Direction(0.0, 0.0)
-
-PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]]),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
-
-
-def dense_observable(obs):
-    dim = 1 << obs.n_qubits
-    total = np.zeros((dim, dim), dtype=complex)
-    for coeff, string in obs.terms:
-        mat = np.eye(1, dtype=complex)
-        for ch in reversed(string.to_label()):
-            mat = np.kron(mat, PAULI_MATS[ch])
-        total += coeff * mat
-    return total
+# (theta, phi) of the X, Y and Z measurement directions
+X_DIR = (math.pi / 2, 0.0)
+Y_DIR = (math.pi / 2, math.pi / 2)
+Z_DIR = (0.0, 0.0)
 
 
 def handmade_state(outcomes, directions):
-    """ApproximateState from explicit (m, direction) rows."""
-    outcomes = np.asarray(outcomes, dtype=np.int8)
-    thetas = np.array([[d.theta for d in row] for row in directions])
-    phis = np.array([[d.phi for d in row] for row in directions])
-    return ApproximateState(outcomes, thetas, phis)
+    """ApproximateState from explicit rows of outcomes and (theta, phi) pairs."""
+    angles = np.array(directions, dtype=float)
+    return ApproximateState(np.asarray(outcomes), angles[..., 0], angles[..., 1])
 
 
-def random_signed_observable(n_qubits, n_terms, rng):
-    terms = []
-    for _ in range(n_terms):
-        axes = rng.integers(0, 4, n_qubits)
-        terms.append(
-            (
-                float(rng.uniform(-1, 1)),
-                PauliString(n_qubits, tuple((q, int(a)) for q, a in enumerate(axes) if a)),
-            )
-        )
-    return Observable(n_qubits, tuple(terms))
+def values_of(state, obs):
+    return snapshot_values(state, [obs])[0]
 
 
 class TestR1:
+    # the single-qubit estimator: 1 for I, 3*m*n_a for axis a
     def test_pauli_examples(self):
-        assert r1_pauli(PauliAxis.X, 1, X_DIR) == pytest.approx(3.0, abs=1e-12)
-        assert r1_pauli(PauliAxis.Z, -1, Z_DIR) == pytest.approx(-3.0, abs=1e-12)
-        assert r1_pauli(PauliAxis.I, -1, Y_DIR) == 1.0
+        state = handmade_state([[1], [-1], [-1]], [[X_DIR], [Z_DIR], [Y_DIR]])
+        assert values_of(state, monomial("X"))[0] == pytest.approx(3.0, abs=1e-12)
+        assert values_of(state, monomial("Z"))[1] == pytest.approx(-3.0, abs=1e-12)
+        assert values_of(state, monomial("I"))[2] == 1.0
 
     def test_operator_examples(self):
-        op = SingleQubitOperator(a0=0.5, az=0.5)  # |0><0|
-        assert r1_operator(op, 1, Z_DIR) == pytest.approx(2.0, abs=1e-12)
-        assert r1_operator(op, -1, Z_DIR) == pytest.approx(-1.0, abs=1e-12)
+        projector = projector_factored([0])  # |0><0| = (I + Z)/2
+        state = handmade_state([[1], [-1]], [[Z_DIR], [Z_DIR]])
+        assert values_of(state, projector) == pytest.approx([2.0, -1.0], abs=1e-12)
 
     def test_operator_is_linear_in_paulis(self):
         rng = np.random.default_rng(2)
+        state = snapshots_from_state(haar_random_state(1, rng), 50, seed=2)
+        paulis = [values_of(state, monomial(axis)) for axis in "XYZ"]
         for _ in range(50):
             op = SingleQubitOperator(*rng.uniform(-1, 1, 4))
-            m = int(rng.choice([-1, 1]))
-            d = Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-            parts = op.a0 + sum(
-                a * r1_pauli(axis, m, d)
-                for a, axis in zip((op.ax, op.ay, op.az), (PauliAxis.X, PauliAxis.Y, PauliAxis.Z))
-            )
-            assert r1_operator(op, m, d) == pytest.approx(parts, abs=1e-12)
+            parts = op.a0 + op.ax * paulis[0] + op.ay * paulis[1] + op.az * paulis[2]
+            values = values_of(state, FactoredObservable(1, ((1.0, (op,)),)))
+            assert values == pytest.approx(parts, abs=1e-12)
 
 
 def monomial(label):
@@ -228,14 +196,10 @@ class TestEstimateObservable:
         obs = random_signed_observable(3, 10, rng)
         oracle = exact_expectation(psi, obs)
         runs, m = 200, 1000
-        norms = (seminorm(obs), seminorm2(obs))
         mean = np.mean(
-            [
-                estimate_observable(snapshots_from_state(psi, m, seed=s), obs, norms).value
-                for s in range(runs)
-            ]
+            [estimate_observable(snapshots_from_state(psi, m, seed=s), obs).value for s in range(runs)]
         )
-        assert mean == pytest.approx(oracle, abs=4.0 * norms[0] / math.sqrt(runs * m))
+        assert mean == pytest.approx(oracle, abs=4.0 * seminorm(obs) / math.sqrt(runs * m))
 
 
 class TestEstimateFactored:
@@ -258,10 +222,7 @@ class TestEstimateFactored:
             psi = haar_random_state(n, rng)
             state = snapshots_from_state(psi, 200, seed=19 + n)
             factors = tuple(SingleQubitOperator(*rng.uniform(-1, 1, 4)) for _ in range(n))
-            fobs_terms = ((float(rng.uniform(0.5, 2.0)), factors),)
-            from aqstate.pauli import FactoredObservable
-
-            fobs = FactoredObservable(n, fobs_terms)
+            fobs = FactoredObservable(n, ((float(rng.uniform(0.5, 2.0)), factors),))
             direct = estimate_factored(state, fobs)
             expanded = estimate_observable(state, fobs.to_observable())
             assert direct.value == pytest.approx(expanded.value, abs=1e-10)
@@ -308,29 +269,31 @@ class TestReconstructDensity:
 
 class TestSecondMoments:
     def test_pauli_products_average_to_three_delta(self):
-        psi = haar_random_state(1, np.random.default_rng(27))
-        state = snapshots_from_state(psi, 200_000, seed=27)
-        w = np.stack(snapshot_values(state, [monomial(a) for a in "XYZ"]), axis=1)
-        second = w.T @ w / state.n_snapshots
-        assert np.max(np.abs(second - 3.0 * np.eye(3))) <= 0.05
+        assert check_second_moments(200_000, 0.05, seed=27, snapshot_seed=27).passed
 
 
 class TestNoisePredictions:
+    # a weight-r term is attenuated by 1 - 2*p_odd, where p_odd is the
+    # probability of an odd number of flips among its r qubits
+    @staticmethod
+    def attenuation(r, p):
+        return predict_attenuated(monomial("X" * r), [1.0], p)
+
     def test_p_odd_examples(self):
-        assert p_odd(1, 0.05) == pytest.approx(0.05, abs=1e-15)
-        assert p_odd(7, 0.0) == 0.0
-        assert p_odd(2, 0.05) == pytest.approx(0.095, abs=1e-15)
+        assert self.attenuation(1, 0.05) == pytest.approx(1 - 2 * 0.05, abs=1e-15)
+        assert self.attenuation(7, 0.0) == 1.0
+        assert self.attenuation(2, 0.05) == pytest.approx(1 - 2 * 0.095, abs=1e-15)
 
     def test_p_odd_binomial_enumeration(self):
         rng = np.random.default_rng(29)
         for _ in range(25):
-            r = int(rng.integers(0, 9))
+            r = int(rng.integers(1, 9))
             p = float(rng.uniform(0, 0.5))
             brute = sum(
                 math.comb(r, k) * p**k * (1 - p) ** (r - k)
                 for k in range(1, r + 1, 2)
             )
-            assert p_odd(r, p) == pytest.approx(brute, abs=1e-12)
+            assert self.attenuation(r, p) == pytest.approx(1 - 2 * brute, abs=1e-12)
 
     def test_predict_attenuated_noiseless(self):
         obs = Observable.from_strings([(0.5, "XI"), (0.25, "ZZ")])

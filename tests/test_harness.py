@@ -10,6 +10,8 @@ import pytest
 from aqstate.estimator import estimate_observable
 from aqstate.harness import (
     ExperimentConfig,
+    check_haar_mixed_terms,
+    check_readout_attenuation,
     haar_mixed_term_check,
     log_checkpoints,
     mixed_term_strings,
@@ -22,13 +24,12 @@ from aqstate.harness import (
 )
 from aqstate.pauli import (
     Observable,
-    PauliString,
     factored_seminorms,
     projector_pauli_expansion,
     seminorm,
     seminorm2,
 )
-from aqstate.snapshots import ApproximateState, Direction
+from aqstate.snapshots import ApproximateState
 from aqstate.statevector import run_circuit, circuit_from_dict
 
 
@@ -221,7 +222,7 @@ class TestRunExperiment:
 class TestMixedTerms:
     def test_two_term_product(self):
         obs = Observable.from_strings([(0.5, "XI"), (0.25, "XZ")])
-        products = mixed_term_strings(obs)
+        products = mixed_term_strings(obs).terms
         assert len(products) == 1
         coeff, string = products[0]
         assert string.to_label() == "IZ"
@@ -229,11 +230,11 @@ class TestMixedTerms:
 
     def test_conflicting_pair_dropped(self):
         obs = Observable.from_strings([(1.0, "XI"), (1.0, "ZI")])
-        assert mixed_term_strings(obs) == []
+        assert mixed_term_strings(obs).terms == ()
 
     def test_single_term_has_no_pairs(self):
         obs = Observable.from_strings([(1.0, "XZ")])
-        assert mixed_term_strings(obs) == []
+        assert mixed_term_strings(obs).terms == ()
 
 
 class TestHaarMixedTermCheck:
@@ -245,10 +246,8 @@ class TestHaarMixedTermCheck:
         assert result.variance == 0.0
 
     def test_zero_mean_for_random_observable(self):
-        rng = np.random.default_rng(19)
-        obs = random_observable(3, 8, rng, normalization="none")
-        result = haar_mixed_term_check(3, 4000, obs, rng)
-        assert abs(result.mean) <= 4.0 * result.stderr_mean
+        mean, _ = check_haar_mixed_terms(4000, seed=19)
+        assert mean.passed
 
     def test_projector_variance_bound(self):
         rng = np.random.default_rng(23)
@@ -278,29 +277,14 @@ class TestNoiseAttenuation:
         assert row.observed_ratio == pytest.approx(0.9, abs=3 * row.std_bound)
 
     def test_attenuation_errors_within_band(self):
-        report = noise_attenuation_study(5, 50_000, 0.1, seed=7)
-        for row in report.rows:
-            assert row.abs_error <= 3 * row.std_bound
+        assert check_readout_attenuation(5, 50_000, 0.1, seed=7, max_weight=5).passed
 
     def test_even_flip_cancellation(self):
         # flipping two outcomes inside the support leaves the product unchanged
-        directions = [
-            Direction(1.0, 0.3),
-            Direction(2.0, 4.0),
-            Direction(0.5, 5.5),
-        ]
-        string = PauliString.from_label("XYZ")
-        clean = ApproximateState(
-            np.array([[1, -1, 1]], dtype=np.int8),
-            np.array([[d.theta for d in directions]]),
-            np.array([[d.phi for d in directions]]),
-        )
-        flipped = ApproximateState(
-            np.array([[-1, 1, 1]], dtype=np.int8),
-            np.array([[d.theta for d in directions]]),
-            np.array([[d.phi for d in directions]]),
-        )
-        obs = Observable(3, ((1.0, string),))
+        thetas, phis = np.array([[1.0, 2.0, 0.5]]), np.array([[0.3, 4.0, 5.5]])
+        clean = ApproximateState(np.array([[1, -1, 1]]), thetas, phis)
+        flipped = ApproximateState(np.array([[-1, 1, 1]]), thetas, phis)
+        obs = Observable.from_strings([(1.0, "XYZ")])
         assert estimate_observable(flipped, obs).value == pytest.approx(
             estimate_observable(clean, obs).value, rel=1e-12
         )
@@ -316,4 +300,4 @@ class TestVerificationSuite:
         assert all(r.passed for r in results), [
             f"{r.name}: {r.detail}" for r in results if not r.passed
         ]
-        assert len(results) == 6
+        assert len(results) == 7

@@ -1,12 +1,15 @@
-"""Property tests of the observable file parser.
+"""Property tests of the input parsers.
 
-Any JSON value fed to the dict loaders gives an observable or a clean
-``ValueError``.  Random labels in either case, with duplicate, zero and
-identity terms, give the terms of the earlier dictionary canonicalization
-(copied below as ``reference_terms``), and the seminorms, shot budget and
-estimates of the earlier formulas copied into test_term_table.py.
+Any JSON value fed to the observable, circuit and readout-error loaders
+gives an object or a clean ``ValueError``; any bytes fed to ``deserialize``
+give a state or a ``SnapshotFormatError`` (huge sizes only as claims, never
+allocated).  Random labels in either case, with duplicate, zero and identity
+terms, give the terms of the earlier dictionary canonicalization (copied
+below as ``reference_terms``), and the seminorms, shot budget and estimates
+of the earlier formulas copied into test_term_table.py.
 """
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -16,6 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from aqstate.cli import _read_p_err
 from aqstate.estimator import estimate_observable
 from aqstate.pauli import (
     FactoredObservable,
@@ -28,8 +32,16 @@ from aqstate.pauli import (
     seminorm2,
     shot_budget,
 )
-from aqstate.snapshots import NoiseModel, snapshots_from_state
-from aqstate.statevector import haar_random_state
+from aqstate.snapshots import (
+    _HEADER,
+    ApproximateState,
+    NoiseModel,
+    SnapshotFormatError,
+    deserialize,
+    serialize,
+    snapshots_from_state,
+)
+from aqstate.statevector import GATE_KINDS, Circuit, circuit_from_dict, haar_random_state
 from test_term_table import (
     reference_estimate,
     reference_seminorms,
@@ -64,7 +76,7 @@ json_values = st.recursive(
     max_leaves=12,
 )
 # near misses: the right keys with values of every kind
-numbers = st.integers() | st.floats() | st.integers(-2, MAX_QUBITS)
+numbers = st.integers() | st.floats() | st.integers(-2, MAX_QUBITS) | st.just(10**400)
 labels = st.text(alphabet="IXYZixyzQ? éı", max_size=MAX_QUBITS) | json_values
 factors = st.lists(st.lists(numbers, min_size=3, max_size=5), max_size=MAX_QUBITS) | json_values
 near_observables = st.fixed_dictionaries({
@@ -81,6 +93,15 @@ near_factored = st.fixed_dictionaries({
 })
 
 
+gate_numbers = st.integers(-1, 3) | st.floats() | st.sampled_from([math.inf, 10**400])
+gates = st.fixed_dictionaries(
+    {"kind": st.sampled_from(GATE_KINDS)} | {key: gate_numbers for key in ("q", "q1", "q2", "alpha")}
+)
+near_circuits = st.fixed_dictionaries(
+    {"n_qubits": gate_numbers, "gates": st.lists(gates, max_size=3) | json_values}
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(json_values | near_observables | near_factored)
 def test_any_json_value_gives_an_object_or_value_error(data):
@@ -92,6 +113,54 @@ def test_any_json_value_gives_an_object_or_value_error(data):
         assert isinstance(obs, kind)
         if kind is Observable:
             assert np.isfinite(obs.table.coeffs).all() and math.isfinite(obs.table.offset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values | near_circuits)
+def test_any_json_value_gives_a_circuit_or_value_error(data):
+    try:
+        circuit = circuit_from_dict(data)
+    except ValueError:
+        return
+    assert isinstance(circuit, Circuit)
+
+
+@pytest.fixture(scope="module")
+def p_err_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("p_err") / "p.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values | st.lists(numbers, max_size=4), st.integers(1, 4))
+def test_any_readout_error_file_gives_a_noise_model_or_value_error(p_err_path, data, n_qubits):
+    p_err_path.write_text(json.dumps(data))
+    try:
+        noise = _read_p_err(str(p_err_path), n_qubits)
+    except ValueError:
+        return
+    assert isinstance(noise, NoiseModel) and len(noise.p_err) == n_qubits
+
+
+VALID_BLOB = serialize(snapshots_from_state(haar_random_state(2, np.random.default_rng(0)), 3, 1))
+# headers that claim any size, followed by a short body
+claimed_sizes = st.builds(
+    lambda n, m, tail: _HEADER.pack(b"AQST", 1, n, m) + tail,
+    st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), st.binary(max_size=64),
+)
+mutations = st.builds(
+    lambda at, byte: VALID_BLOB[:at] + bytes([byte]) + VALID_BLOB[at + 1 :],
+    st.integers(0, len(VALID_BLOB) - 1), st.integers(0, 255),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=200) | claimed_sizes | mutations)
+def test_any_bytes_give_a_state_or_format_error(data):
+    try:
+        state = deserialize(data)
+    except SnapshotFormatError:
+        return
+    assert isinstance(state, ApproximateState)
 
 
 @st.composite

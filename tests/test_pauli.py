@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from aqstate.harness import check_seminorm_hierarchy
 from aqstate.pauli import (
     FactoredObservable,
     Observable,
@@ -16,7 +17,6 @@ from aqstate.pauli import (
     normalize_to_unit_seminorm,
     observable_from_dict,
     observable_to_dict,
-    pair_compat,
     projector_factored,
     projector_pauli_expansion,
     projector_seminorms,
@@ -25,8 +25,8 @@ from aqstate.pauli import (
     seminorm1,
     seminorm2,
     shot_budget,
-    std_bound,
 )
+from aqstate.snapshots import ApproximateState
 
 
 def seminorm_bruteforce(obs):
@@ -46,14 +46,11 @@ def seminorm_bruteforce(obs):
 
 
 def random_signed_observable(n_qubits, n_terms, rng):
-    terms = []
+    rows, coeffs = [], []
     for _ in range(n_terms):
-        axes = rng.integers(0, 4, n_qubits)
-        coeff = rng.uniform(-1.0, 1.0)
-        terms.append(
-            (coeff, PauliString(n_qubits, tuple((q, int(a)) for q, a in enumerate(axes) if a)))
-        )
-    return Observable(n_qubits, tuple(terms))
+        rows.append(rng.integers(0, 4, n_qubits))
+        coeffs.append(rng.uniform(-1.0, 1.0))
+    return Observable.from_rows(n_qubits, rows, coeffs)
 
 
 class TestPauliString:
@@ -86,6 +83,8 @@ class TestPauliString:
 
 
 class TestPairCompat:
+    # a two-term observable's squared seminorm is 3^r_a + 3^r_b plus
+    # 2*delta*3^r for the pair's compatibility delta and overlap r
     @pytest.mark.parametrize(
         "a,b,expect",
         [
@@ -96,19 +95,25 @@ class TestPairCompat:
         ],
     )
     def test_examples(self, a, b, expect):
-        assert pair_compat(PauliString.from_label(a), PauliString.from_label(b)) == expect
+        delta, r = expect
+        weights = [len(label) - label.count("I") for label in (a, b)]
+        pair = 2 * delta * 3**r if all(weights) else 0  # the identity has no pairs
+        expected = sum(3**w for w in weights if w) + pair
+        assert seminorm(Observable.from_strings([(1.0, a), (1.0, b)])) ** 2 == pytest.approx(expected)
 
     def test_symmetry(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             n = int(rng.integers(1, 7))
-            pa = PauliString(n, tuple((q, int(x)) for q, x in enumerate(rng.integers(0, 4, n)) if x))
-            pb = PauliString(n, tuple((q, int(x)) for q, x in enumerate(rng.integers(0, 4, n)) if x))
-            assert pair_compat(pa, pb) == pair_compat(pb, pa)
+            a, b = ("".join(rng.choice(list("IXYZ"), n)) for _ in range(2))
+            ca, cb = rng.uniform(-1, 1, 2)
+            forward = Observable.from_strings([(ca, a), (cb, b)])
+            assert seminorm(forward) == seminorm(Observable.from_strings([(cb, b), (ca, a)]))
+            assert seminorm(forward) == pytest.approx(seminorm_bruteforce(forward), rel=1e-12)
 
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError):
-            pair_compat(PauliString.from_label("X"), PauliString.from_label("XI"))
+            Observable.from_strings([(1.0, "X"), (1.0, "XI")])
 
 
 class TestObservable:
@@ -227,11 +232,7 @@ class TestSeminorms:
             assert seminorm(obs) == pytest.approx(seminorm_bruteforce(obs), rel=1e-12)
 
     def test_hierarchy(self):
-        rng = np.random.default_rng(17)
-        for _ in range(500):
-            obs = random_signed_observable(int(rng.integers(1, 7)), int(rng.integers(1, 9)), rng)
-            s2, s, s1 = seminorm2(obs), seminorm(obs), seminorm1(obs)
-            assert s2 <= s <= s1
+        assert check_seminorm_hierarchy(500, seed=17).passed
 
     def test_extension_invariance(self):
         rng = np.random.default_rng(23)
@@ -254,26 +255,28 @@ class TestSeminorms:
 
 
 class TestStdBound:
+    # the standard-deviation bound of M snapshots is seminorm/sqrt(M)
     def test_unit_seminorm_budget(self):
         obs = normalize_to_unit_seminorm(
             Observable.from_strings([(0.3, "XZ"), (0.9, "YI")])
         )
-        assert std_bound(obs, 10_000) == pytest.approx(0.01, rel=1e-10)
+        assert seminorm(obs) / math.sqrt(10_000) == pytest.approx(0.01, rel=1e-10)
 
     def test_sigma_x_three_snapshots(self):
-        assert std_bound(Observable.from_strings([(1.0, "X")]), 3) == pytest.approx(1.0)
+        assert seminorm(Observable.from_strings([(1.0, "X")])) / math.sqrt(3) == pytest.approx(1.0)
 
     def test_identity_zero(self):
-        assert std_bound(Observable.from_strings([(1.0, "II")]), 7) == 0.0
+        assert seminorm(Observable.from_strings([(1.0, "II")])) / math.sqrt(7) == 0.0
 
     def test_zero_snapshots_rejected(self):
+        # a bound over M = 0 snapshots never arises: a state needs one snapshot
         with pytest.raises(ValueError):
-            std_bound(Observable.from_strings([(1.0, "X")]), 0)
+            ApproximateState(np.ones((0, 1)), np.zeros((0, 1)), np.zeros((0, 1)))
 
     def test_shot_budget(self):
         obs = Observable.from_strings([(1.0, "X")])
         m = shot_budget(obs, 0.01)
-        assert std_bound(obs, m) <= 0.01 < std_bound(obs, m - 1)
+        assert seminorm(obs) / math.sqrt(m) <= 0.01 < seminorm(obs) / math.sqrt(m - 1)
 
 
 class TestNormalization:

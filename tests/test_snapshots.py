@@ -10,16 +10,11 @@ import pytest
 from aqstate import snapshots
 from aqstate.snapshots import (
     ApproximateState,
-    Direction,
     NoiseModel,
     SnapshotFormatError,
-    acquire_snapshot,
     build_approximate_state,
     deserialize,
-    kernel_matrix,
     load_snapshots,
-    measurement_unitary,
-    sample_direction,
     save_snapshots,
     serialize,
     snapshots_from_state,
@@ -35,11 +30,9 @@ from aqstate.statevector import (
     random_prep_circuit,
     run_circuit,
 )
-from aqstate.estimator import reconstruct_density
-
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]])
-Z = np.diag([1.0, -1.0]).astype(complex)
+from aqstate.estimator import reconstruct_density, snapshot_values
+from aqstate.pauli import Observable
+from test_estimator import Z_DIR, handmade_state
 
 
 def random_state_record(rng, n_snapshots=None, n_qubits=None):
@@ -54,17 +47,29 @@ def random_state_record(rng, n_snapshots=None, n_qubits=None):
     )
 
 
+def directions(state):
+    """(M, N, 3) unit vectors of the measurement directions."""
+    sin_t = np.sin(state.thetas)
+    return np.stack(
+        [np.cos(state.phis) * sin_t, np.sin(state.phis) * sin_t, np.cos(state.thetas)], axis=-1
+    )
+
+
+def qubit_state(a0, a1):
+    return Statevector(np.array([a0, a1], dtype=complex))
+
+
 class TestDirections:
     def test_unit_vector(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            d = sample_direction(rng)
-            assert np.linalg.norm(d.unit_vector()) == pytest.approx(1.0, abs=1e-12)
+        # the X, Y, Z estimator values of one qubit are 3*m times a unit vector
+        state = snapshots_from_state(haar_random_state(2, np.random.default_rng(1)), 100, seed=1)
+        xyz = [Observable.from_strings([(1.0, axis + "I")]) for axis in "XYZ"]
+        w = np.stack(snapshot_values(state, xyz), axis=1)
+        assert np.allclose(np.sum(w * w, axis=1), 9.0, atol=1e-12)
 
     def test_sphere_moments(self):
-        rng = np.random.default_rng(2)
         samples = 100_000
-        vectors = np.array([sample_direction(rng).unit_vector() for _ in range(samples)])
+        vectors = directions(snapshots_from_state(Statevector.zero(1), samples, seed=2))[:, 0]
         stderr_mean = 3.0 / math.sqrt(samples)  # component std < 1
         assert np.all(np.abs(vectors.mean(axis=0)) <= stderr_mean)
         second = vectors.T @ vectors / samples
@@ -72,91 +77,86 @@ class TestDirections:
         assert np.allclose(second, np.eye(3) / 3.0, atol=3.0 / math.sqrt(samples))
 
     def test_reproducible(self):
-        a = [sample_direction(np.random.default_rng(7)) for _ in range(5)]
-        b = [sample_direction(np.random.default_rng(7)) for _ in range(5)]
-        assert a == b
-
-    def test_theta_range_checked(self):
-        with pytest.raises(ValueError):
-            Direction(theta=4.0, phi=0.0)
+        psi = Statevector.zero(3)
+        a, b, c = (snapshots_from_state(psi, 5, seed) for seed in (7, 7, 8))
+        assert np.array_equal(a.thetas, b.thetas) and np.array_equal(a.phis, b.phis)
+        assert not np.any(a.thetas == c.thetas) and not np.any(a.phis == c.phis)
 
 
 class TestMeasurementUnitary:
+    # a direction n measures sigma.n: where n lies along the Bloch vector of
+    # a pure state, the outcome is certain
     def test_z_axis_is_identity(self):
-        u = measurement_unitary(Direction(0.0, 0.0))
-        assert np.allclose(u, np.eye(2), atol=1e-12)
+        # along z the outcome +1 has the computational probability |a0|^2
+        state = snapshots_from_state(qubit_state(0.6, 0.8), 400_000, seed=3)
+        near_z = np.cos(state.thetas[:, 0]) > 0.999
+        # tilt of at most 0.045 rad moves the probability by at most 0.022
+        tol = 4 * 0.5 / math.sqrt(near_z.sum()) + 0.022
+        assert np.mean(state.outcomes[near_z, 0] == 1) == pytest.approx(0.36, abs=tol)
 
     def test_x_axis(self):
-        u = measurement_unitary(Direction(math.pi / 2, 0.0))
-        assert np.allclose(u @ X @ u.conj().T, Z, atol=1e-12)
+        state = snapshots_from_state(qubit_state(math.sqrt(0.5), math.sqrt(0.5)), 200_000, seed=4)
+        along_x = directions(state)[:, 0, 0]
+        assert np.all(state.outcomes[along_x > 0.9999, 0] == 1)
+        assert np.all(state.outcomes[along_x < -0.9999, 0] == -1)
 
     def test_diagonalizes_any_direction(self):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            d = sample_direction(rng)
-            u = measurement_unitary(d)
-            n = d.unit_vector()
-            sigma_n = n[0] * X + n[1] * Y + n[2] * Z
-            assert np.allclose(u @ sigma_n @ u.conj().T, Z, atol=1e-12)
-            assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+        for seed in range(3):
+            psi = haar_random_state(1, rng)
+            rho = np.outer(psi.amps, psi.amps.conj())
+            bloch = np.array([2 * rho[1, 0].real, 2 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
+            state = snapshots_from_state(psi, 100_000, seed=seed)
+            along = directions(state)[:, 0] @ bloch
+            assert (along > 0.9995).sum() >= 10 and (along < -0.9995).sum() >= 10
+            assert np.all(state.outcomes[along > 0.9995, 0] == 1)
+            assert np.all(state.outcomes[along < -0.9995, 0] == -1)
 
 
 class TestKernelMatrix:
     def test_plus_z(self):
-        k = kernel_matrix(1, Direction(0.0, 0.0))
-        assert np.allclose(k, np.diag([2.0, -1.0]), atol=1e-12)
+        assert np.allclose(reconstruct_density(handmade_state([[1]], [[Z_DIR]])), np.diag([2.0, -1.0]))
 
     def test_minus_z(self):
-        k = kernel_matrix(-1, Direction(0.0, 0.0))
-        assert np.allclose(k, np.diag([-1.0, 2.0]), atol=1e-12)
+        assert np.allclose(reconstruct_density(handmade_state([[-1]], [[Z_DIR]])), np.diag([-1.0, 2.0]))
 
     def test_unit_trace(self):
+        # every single-snapshot kernel is Hermitian with unit trace
         rng = np.random.default_rng(4)
         for _ in range(50):
-            m = int(rng.choice([-1, 1]))
-            k = kernel_matrix(m, sample_direction(rng))
+            n = int(rng.integers(1, 4))
+            state = snapshots_from_state(haar_random_state(n, rng), 1, seed=int(rng.integers(2**32)))
+            k = reconstruct_density(state)
             assert np.trace(k).real == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(k, k.conj().T, atol=1e-12)
-
-    def test_bad_outcome(self):
-        with pytest.raises(ValueError):
-            kernel_matrix(0, Direction(0.0, 0.0))
 
 
 class TestAcquireSnapshot:
     def test_eigenstate_deterministic(self):
-        rng = np.random.default_rng(5)
-        record = acquire_snapshot(
-            Statevector.zero(1), rng, directions=[Direction(0.0, 0.0)]
-        )
-        assert record.outcomes == (1,)
+        # basis state |101> (qubit 0 = 1): near z every qubit reads its bit
+        state = snapshots_from_state(Statevector.basis(3, 0b101), 50_000, seed=5)
+        for qubit, m in enumerate((-1, 1, -1)):
+            near_z = np.cos(state.thetas[:, qubit]) > 0.9999
+            assert near_z.any() and np.all(state.outcomes[near_z, qubit] == m)
 
     def test_forced_flip(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            record = acquire_snapshot(
-                Statevector.zero(1),
-                rng,
-                noise=NoiseModel((0.999999999,)),
-                directions=[Direction(0.0, 0.0)],
-            )
-            assert record.outcomes == (-1,)
+        # the same uniforms: a flip probability of almost 1 negates every outcome
+        psi = haar_random_state(2, np.random.default_rng(6))
+        clean = snapshots_from_state(psi, 500, seed=6)
+        flipped = snapshots_from_state(psi, 500, seed=6, noise=NoiseModel((0.999999999,) * 2))
+        assert np.array_equal(flipped.outcomes, -clean.outcomes)
 
     def test_born_rule_on_plus(self):
-        rng = np.random.default_rng(7)
-        plus = run_circuit(Circuit(1, (Gate("H", (0,)),)))
-        draws = 10_000
-        ups = sum(
-            acquire_snapshot(plus, rng, directions=[Direction(0.0, 0.0)]).outcomes[0] == 1
-            for _ in range(draws)
-        )
-        assert ups / draws == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(draws))
+        # E[m n] is the Bloch vector over 3, (1/3, 0, 0) on |+>
+        draws = 30_000
+        state = snapshots_from_state(qubit_state(math.sqrt(0.5), math.sqrt(0.5)), draws, seed=7)
+        mean = np.mean(state.outcomes[:, 0, None] * directions(state)[:, 0], axis=0)
+        assert np.allclose(mean, [1 / 3, 0, 0], atol=4 / math.sqrt(3 * draws))
 
     def test_source_state_untouched(self):
-        rng = np.random.default_rng(8)
-        psi = haar_random_state(3, rng)
+        psi = haar_random_state(3, np.random.default_rng(8))
         before = psi.amps.copy()
-        acquire_snapshot(psi, rng)
+        snapshots_from_state(psi, 50, seed=8)
         assert np.array_equal(psi.amps, before)
 
 
@@ -167,7 +167,7 @@ class TestBuildApproximateState:
         assert state.n_snapshots == 50
         assert state.n_qubits == 3
         assert state.circuit_hash == circuit.content_hash()
-        assert len(state.record(0)) == 3
+        assert state.outcomes.shape == state.thetas.shape == state.phis.shape == (50, 3)
 
     def test_bit_identical_replay(self):
         circuit = Circuit(2, (Gate("H", (0,)),))
@@ -322,12 +322,6 @@ class TestSerialization:
 
 
 class TestApproximateState:
-    def test_record_round_trip(self):
-        state = random_state_record(np.random.default_rng(24), n_snapshots=3, n_qubits=2)
-        rec = state.record(1)
-        assert rec.outcomes == tuple(int(v) for v in state.outcomes[1])
-        assert rec.directions[0].theta == state.thetas[1, 0]
-
     def test_rejects_bad_outcomes(self):
         with pytest.raises(ValueError):
             ApproximateState(

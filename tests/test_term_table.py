@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from aqstate import estimator
-from aqstate.estimator import estimate_factored, estimate_observable, snapshot_values
+from aqstate.estimator import EstimateResult, estimate_observable, snapshot_values
 from aqstate.harness import random_observable
 from aqstate.pauli import (
     FactoredObservable,
@@ -107,13 +107,8 @@ def signed_observable(n, n_terms, rng, identity=0.0):
     """Random signed Pauli sum; one term acts on every qubit."""
     rows = rng.integers(0, 4, size=(n_terms, n))
     rows[0] = rng.integers(1, 4, size=n)
-    terms = [
-        (float(rng.uniform(-1, 1)), PauliString(n, tuple((q, int(a)) for q, a in enumerate(row) if a)))
-        for row in rows
-    ]
-    if identity:
-        terms.append((identity, PauliString.identity(n)))
-    return Observable(n, tuple(terms))
+    coeffs = [float(rng.uniform(-1, 1)) for _ in rows] + [identity]  # a zero identity drops out
+    return Observable.from_rows(n, np.vstack([rows, np.zeros((1, n), dtype=int)]), coeffs)
 
 
 def noisy_state(n, m, rng, seed):
@@ -202,8 +197,10 @@ class TestEstimatesMatchFsum:
                     pauli = np.array([[op.ax, op.ay, op.az] for op in factors])
                     per_qubit = bias[None, :] + np.einsum("jka,ka->jk", w, pauli)
                     scale += abs(coeff) * float(np.mean(np.abs(np.prod(per_qubit, axis=1))))
-                # explicit norms: a multi-term form would expand to 4^N strings
-                got = estimate_factored(state, fobs, norms=(1.0, 1.0)).value
+                # values, not estimate_factored: the seminorms of a multi-term
+                # form would expand it to 4^N strings
+                (values,) = snapshot_values(state, [fobs])
+                got = EstimateResult.from_values(values, (0.0, 0.0), n).value
                 assert abs(got - reference_factored(state, fobs)) <= 1e-12 * scale
 
 
