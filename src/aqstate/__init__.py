@@ -10,8 +10,6 @@ with statistical error bounded by its seminorm divided by sqrt(M).
 from .pauli import (
     FactoredObservable,
     Observable,
-    PauliAxis,
-    PauliString,
     SingleQubitOperator,
     factored_seminorms,
     load_observable,
@@ -39,7 +37,6 @@ from .statevector import (
 )
 from .snapshots import (
     ApproximateState,
-    NoiseModel,
     SnapshotFormatError,
     build_approximate_state,
     deserialize,

@@ -32,7 +32,9 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
-def _read_p_err(value_or_path: str, n_qubits: int) -> snapshots.NoiseModel:
+def _read_p_err(value_or_path: str, n_qubits: int) -> list[float]:
+    """Per-qubit readout error rates: one number for every qubit, or a path
+    to a JSON list of numbers.  ``snapshots_from_state`` checks their range."""
     try:
         values = [float(value_or_path)] * n_qubits
     except ValueError:
@@ -43,22 +45,23 @@ def _read_p_err(value_or_path: str, n_qubits: int) -> snapshots.NoiseModel:
     if len(values) != n_qubits:
         raise ValueError(f"need {n_qubits} per-qubit error rates, got {len(values)}")
     try:
-        return snapshots.NoiseModel(tuple(values))
+        return [float(v) for v in values]
     except OverflowError:  # an integer too large for a float
-        raise ValueError("flip probabilities must lie in [0, 1)") from None
+        raise ValueError("p_err entries must lie in [0, 1)") from None
 
 
 def _cmd_snapshot(args) -> int:
     circuit = statevector.load_circuit(args.circuit)
     psi = statevector.run_circuit(circuit)  # checks the qubit count first
-    noise = _read_p_err(args.readout_error, circuit.n_qubits)
+    p_err = _read_p_err(args.readout_error, circuit.n_qubits)
+    # acquisition checks the rates and the count before any file is written
+    state = snapshots.snapshots_from_state(
+        psi, args.shots, args.seed, p_err, circuit_hash=circuit.content_hash()
+    )
     if args.dump_state:
         with open(args.dump_state, "w") as fh:
             json.dump([[a.real, a.imag] for a in psi.amps], fh)
             fh.write("\n")
-    state = snapshots.snapshots_from_state(
-        psi, args.shots, args.seed, noise, circuit_hash=circuit.content_hash()
-    )
     if args.json:
         with open(args.out, "w") as fh:
             json.dump(snapshots.state_to_json_dict(state), fh)

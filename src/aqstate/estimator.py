@@ -18,7 +18,6 @@ import numpy as np
 from .pauli import (
     FactoredObservable,
     Observable,
-    TermTable,
     factored_seminorms,
     seminorm,
     seminorm2,
@@ -83,18 +82,18 @@ def _weight_table(state: ApproximateState) -> np.ndarray:
     return table
 
 
-def _pauli_values(weights: np.ndarray, terms: TermTable) -> np.ndarray:
+def _pauli_values(weights: np.ndarray, obs: Observable) -> np.ndarray:
     m = weights.shape[2]
-    values = np.full(m, terms.offset)
+    values = np.full(m, obs.offset)
     rows = max(1, _BLOCK_BYTES // (8 * m))
-    for start in range(0, len(terms.coeffs), rows):
-        axes = terms.axes[start : start + rows]
+    for start in range(0, len(obs.coeffs), rows):
+        axes = obs.axes[start : start + rows]
         # ascending qubit order; skipping a qubit skips an exact factor of 1
         active = np.flatnonzero(axes.any(axis=0))
         block = weights[active[0]][axes[:, active[0]]]
         for q in active[1:]:
             block *= weights[q][axes[:, q]]
-        block *= terms.coeffs[start : start + rows, None]
+        block *= obs.coeffs[start : start + rows, None]
         for row in block:  # term by term: the sum does not depend on the blocks
             values += row
     return values
@@ -118,7 +117,7 @@ def snapshot_values(state: ApproximateState, observables: list) -> list[np.ndarr
     weights = _weight_table(state)
     return [
         _factored_values(weights, obs) if isinstance(obs, FactoredObservable)
-        else _pauli_values(weights, obs.table)
+        else _pauli_values(weights, obs)
         for obs in observables
     ]
 
@@ -126,7 +125,7 @@ def snapshot_values(state: ApproximateState, observables: list) -> list[np.ndarr
 def estimate_observable(state: ApproximateState, obs: Observable) -> EstimateResult:
     """Estimate <O> for a Pauli-sum observable; a single Pauli string is a
     one-term observable, whose error scale is 3^(r/2)/sqrt(M) at weight r.
-    The pair-sum seminorm is cached with the observable's term table."""
+    The pair-sum seminorm is cached with the observable."""
     (values,) = snapshot_values(state, [obs])
     return EstimateResult.from_values(values, (seminorm(obs), seminorm2(obs)), state.n_qubits)
 
@@ -181,12 +180,14 @@ def reconstruct_density(state: ApproximateState) -> np.ndarray:
 def predict_attenuated(
     obs: Observable, exact_terms: list[float] | np.ndarray, p_err: float
 ) -> float:
-    """Predicted noisy estimate: each term's expectation is attenuated by
-    (1 - 2*p_err)^weight."""
-    if len(exact_terms) != len(obs.terms):
+    """Predicted noisy estimate: each term's expectation, given in canonical
+    order with the identity first, is attenuated by (1 - 2*p_err)^weight."""
+    if len(exact_terms) != obs.n_terms:
         raise ValueError("need one exact expectation per observable term")
     damp = 1.0 - 2.0 * p_err
+    axes, coeffs = obs.rows()
+    weights = np.count_nonzero(axes, axis=1).tolist()
     return math.fsum(
-        coeff * damp**string.weight * value
-        for (coeff, string), value in zip(obs.terms, exact_terms)
+        coeff * damp**weight * value
+        for coeff, weight, value in zip(coeffs.tolist(), weights, exact_terms)
     )

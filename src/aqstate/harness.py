@@ -16,8 +16,6 @@ import numpy as np
 from .pauli import (
     FactoredObservable,
     Observable,
-    PauliAxis,
-    PauliString,
     factored_seminorms,
     normalize_to_unit_seminorm,
     projector_factored,
@@ -38,7 +36,7 @@ from .statevector import (
     random_prep_circuit,
     run_circuit,
 )
-from .snapshots import NoiseModel, build_approximate_state, snapshots_from_state
+from .snapshots import build_approximate_state, snapshots_from_state
 from .estimator import (
     EstimateResult,
     estimate_observable,
@@ -227,11 +225,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     psi = run_circuit(circuit)
     snap_seed = _snapshot_seed(cfg.seed)
     state = snapshots_from_state(
-        psi,
-        cfg.n_snapshots,
-        snap_seed,
-        NoiseModel.uniform(cfg.p_err, cfg.n_qubits),
-        circuit_hash=circuit.content_hash(),
+        psi, cfg.n_snapshots, snap_seed, cfg.p_err, circuit_hash=circuit.content_hash()
     )
     checkpoints = log_checkpoints(cfg.n_snapshots)
 
@@ -296,14 +290,13 @@ def mixed_term_strings(obs: Observable) -> Observable:
     axes agree (squaring to I) and the rest multiply identities, so the
     product's axes are axes_i ^ axes_j.  Pairs are taken i-major.
     """
-    table = obs.table
-    i, j = np.nonzero(~np.eye(len(table.coeffs), dtype=bool))
-    axes_i, axes_j = table.axes[i], table.axes[j]
+    i, j = np.nonzero(~np.eye(len(obs.coeffs), dtype=bool))
+    axes_i, axes_j = obs.axes[i], obs.axes[j]
     both = (axes_i != 0) & (axes_j != 0)
     compat = ~(both & (axes_i != axes_j)).any(axis=1)
     i, j, r = i[compat], j[compat], both[compat].sum(axis=1)
     return Observable.from_rows(
-        obs.n_qubits, table.axes[i] ^ table.axes[j], 3.0**r * table.coeffs[i] * table.coeffs[j]
+        obs.n_qubits, axes_i[compat] ^ axes_j[compat], 3.0**r * obs.coeffs[i] * obs.coeffs[j]
     )
 
 
@@ -334,13 +327,10 @@ def haar_mixed_term_check(
         raise ValueError("observable does not match n_qubits")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    products = mixed_term_strings(obs)
     dim = 1 << n_qubits
     amps = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    values = np.zeros(n_samples)
-    for coeff, string in products.terms:
-        values += coeff * pauli_expectation_batch(amps, string)
+    values = pauli_expectation_batch(amps, mixed_term_strings(obs))
     mean = float(values.mean())
     variance = float(values.var(ddof=1))
     centered = values - mean
@@ -396,14 +386,11 @@ def noise_attenuation_study(
         raise ValueError("max_weight out of range")
     circuit = Circuit(n_qubits, tuple(Gate("H", (q,)) for q in range(n_qubits)))
     psi = run_circuit(circuit)
-    state = build_approximate_state(
-        circuit, n_snapshots, seed, NoiseModel.uniform(p_err, n_qubits)
-    )
+    state = build_approximate_state(circuit, n_snapshots, seed, p_err)
     damp = 1.0 - 2.0 * p_err
     rows = []
     for r in range(1, max_weight + 1):
-        string = PauliString(n_qubits, tuple((q, PauliAxis.X) for q in range(r)))
-        obs = Observable(n_qubits, ((1.0, string),))
+        obs = Observable.from_strings([(1.0, "X" * r + "I" * (n_qubits - r))])
         oracle = exact_expectation(psi, obs)
         result = estimate_observable(state, obs)
         predicted = damp**r * oracle

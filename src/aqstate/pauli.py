@@ -23,7 +23,6 @@ __all__ = [
     "Observable",
     "SingleQubitOperator",
     "FactoredObservable",
-    "TermTable",
     "seminorm",
     "seminorm2",
     "seminorm1",
@@ -67,6 +66,8 @@ def _coerce_axis(value) -> PauliAxis:
 # axis of each label byte: I, X, Y, Z in either case; 4 marks any other byte
 _LABEL_AXES = np.full(256, 4, dtype=np.uint8)
 _LABEL_AXES[list(b"IXYZ")] = _LABEL_AXES[list(b"ixyz")] = range(4)
+# label byte of each axis
+_AXIS_BYTES = np.frombuffer(b"IXYZ", dtype=np.uint8)
 
 
 def _qubit_count(n_qubits: int) -> int:
@@ -89,6 +90,12 @@ def _label_axes(labels: Sequence[str], n_qubits: int) -> np.ndarray:
     if unknown.size:
         raise ValueError(f"unknown Pauli axis {joined[unknown[0]]!r}")
     return axes.reshape(len(labels), n_qubits)
+
+
+def _labels(axes: np.ndarray) -> list[str]:
+    """Labels of the rows of a (T, N) axes array, such as ``"XIZ"``."""
+    text, n = _AXIS_BYTES[axes].tobytes().decode(), axes.shape[1]
+    return [text[i : i + n] for i in range(0, len(text), n)]
 
 
 @dataclass(frozen=True)
@@ -142,13 +149,19 @@ class PauliString:
 
 
 class Observable:
-    """Real-weighted sum of Pauli strings on a fixed qubit count.
+    """Real-weighted sum of Pauli strings on a fixed qubit count, stored as
+    its term table.
 
-    Its canonical form is the term table ``table``, built once on
-    construction: duplicate strings are merged by summing coefficients in
-    input order, exact-zero terms are dropped and terms are sorted by
-    support.  ``terms`` gives the same terms as ``(coeff, PauliString)``
-    pairs, built on first use.  Instances are immutable and hashable.
+    Construction puts the terms in canonical form: duplicate strings are
+    merged by summing coefficients in input order, exact-zero terms are
+    dropped and terms are sorted by support.  ``offset`` is the coefficient
+    of the identity string; the other terms are the rows of ``axes``
+    (T, N) uint8, axis indices 1..3 for X, Y, Z and 0 for I, with
+    coefficients ``coeffs`` (T,).  ``x``/``z`` are the symplectic bit-planes
+    of those rows (Aaronson-Gottesman), packed into (T, ceil(N/64)) uint64
+    words: X sets x, Z sets z, Y sets both.  ``terms`` gives the same terms
+    as ``(coeff, PauliString)`` pairs, built on first use.  Instances and
+    their arrays are immutable; instances are hashable.
     """
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliString]] = ()):
@@ -169,8 +182,14 @@ class Observable:
             raise ValueError("need a (terms, n_qubits) axes array and one coefficient per row")
         if axes.size and not 0 <= axes.min() <= axes.max() <= 3:
             raise ValueError("Pauli axes must lie in 0..3")
-        table = _canonical_table(axes.astype(np.uint8, copy=False), coeffs)
-        self.__dict__.update(n_qubits=n_qubits, table=table)
+        axes, coeffs, offset = _canonical_rows(axes.astype(np.uint8, copy=False), coeffs)
+        bits = np.zeros((2, len(axes), 64 * -(-n_qubits // 64)), dtype=bool)
+        bits[0, :, :n_qubits] = (axes == PauliAxis.X) | (axes == PauliAxis.Y)
+        bits[1, :, :n_qubits] = axes >= PauliAxis.Y
+        x, z = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+        for arr in (axes, coeffs, x, z):
+            arr.setflags(write=False)
+        self.__dict__.update(n_qubits=n_qubits, axes=axes, coeffs=coeffs, offset=offset, x=x, z=z)
 
     @classmethod
     def from_rows(cls, n_qubits: int, axes, coeffs) -> "Observable":
@@ -201,28 +220,54 @@ class Observable:
     def terms(self) -> tuple[tuple[float, PauliString], ...]:
         """``(coeff, PauliString)`` pairs in canonical order, the identity
         first; built on first use."""
-        n, table = self.n_qubits, self.table
-        terms = [(table.offset, PauliString(n))] if table.offset else []
-        for coeff, row in zip(table.coeffs.tolist(), table.axes):
-            qubits = np.flatnonzero(row)
-            support = tuple(zip(qubits.tolist(), row[qubits].tolist()))
-            terms.append((coeff, PauliString(n, support)))
-        return tuple(terms)
+        axes, coeffs = self.rows()
+        return tuple(
+            (coeff, PauliString(self.n_qubits, tuple((q, a) for q, a in enumerate(row) if a)))
+            for coeff, row in zip(coeffs.tolist(), axes.tolist())
+        )
 
     @property
     def n_terms(self) -> int:
         """Number of terms, the identity included."""
-        return len(self.table.coeffs) + (self.table.offset != 0.0)
+        return len(self.coeffs) + (self.offset != 0.0)
 
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        # every term as a row, the identity first with coefficient offset
-        # (0.0 when absent: merging adds it exactly)
-        table = self.table
-        axes = np.concatenate([np.zeros((1, self.n_qubits), dtype=np.uint8), table.axes])
-        return axes, np.concatenate([[table.offset], table.coeffs])
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every term as a row of axes with its coefficient, in the order of
+        ``terms``: the identity first (an all-zero row), if present."""
+        if not self.offset:
+            return self.axes, self.coeffs
+        identity = np.zeros((1, self.n_qubits), dtype=np.uint8)
+        return np.concatenate([identity, self.axes]), np.concatenate([[self.offset], self.coeffs])
+
+    @functools.cached_property
+    def _seminorm(self) -> float:
+        """See :func:`seminorm`; computed once per observable."""
+        t, n = self.axes.shape
+        if t < 2:  # no pairs
+            return math.sqrt(float(np.sum(_diag_sum(self))))
+        coeffs = np.abs(self.coeffs)
+        # word-major planes: the blocks below are (words, rows, later terms)
+        x, z = self.x.T, self.z.T
+        nonzero = x | z
+        pow3 = 3.0 ** np.arange(n + 1)
+        rows = max(1, _PAIR_BLOCK // max(t, 1))
+        off = 0.0
+        for start in range(0, t - 1, rows):
+            stop = min(start + rows, t - 1)
+            block, later = slice(start, stop), slice(start + 1, t)
+            both = nonzero[:, block, None] & nonzero[:, None, later]
+            clash = x[:, block, None] ^ x[:, None, later]
+            clash |= z[:, block, None] ^ z[:, None, later]
+            compat = ~(clash & both).any(axis=0)
+            r = np.bitwise_count(both).sum(axis=0, dtype=np.intp)
+            values = compat * pow3[r] * coeffs[later]
+            # row i's later terms j > i start at column i - start
+            for i in range(start, stop):
+                off += coeffs[i] * float(values[i - start, i - start :].sum())
+        return math.sqrt(float(np.sum(_diag_sum(self))) + 2.0 * off)
 
     def scaled(self, factor: float) -> "Observable":
-        axes, coeffs = self._rows()
+        axes, coeffs = self.rows()
         return Observable.from_rows(self.n_qubits, axes, factor * coeffs)
 
     def __add__(self, other: "Observable") -> "Observable":
@@ -230,7 +275,7 @@ class Observable:
             return NotImplemented
         if other.n_qubits != self.n_qubits:
             raise ValueError("qubit count mismatch")
-        (axes, coeffs), (axes_b, coeffs_b) = self._rows(), other._rows()
+        (axes, coeffs), (axes_b, coeffs_b) = self.rows(), other.rows()
         return Observable.from_rows(
             self.n_qubits, np.concatenate([axes, axes_b]), np.concatenate([coeffs, coeffs_b])
         )
@@ -241,20 +286,19 @@ class Observable:
     def __eq__(self, other):
         if not isinstance(other, Observable):
             return NotImplemented
-        a, b = self.table, other.table
         return (
             self.n_qubits == other.n_qubits
-            and a.offset == b.offset
-            and np.array_equal(a.axes, b.axes)
-            and np.array_equal(a.coeffs, b.coeffs)
+            and self.offset == other.offset
+            and np.array_equal(self.axes, other.axes)
+            and np.array_equal(self.coeffs, other.coeffs)
         )
 
     def __hash__(self):
-        table = self.table
-        return hash((self.n_qubits, table.offset, table.axes.tobytes(), table.coeffs.tobytes()))
+        return hash((self.n_qubits, self.offset, self.axes.tobytes(), self.coeffs.tobytes()))
 
     def __repr__(self):
-        body = " + ".join(f"{c:g}*{p.to_label()}" for c, p in self.terms) or "0"
+        axes, coeffs = self.rows()
+        body = " + ".join(f"{c:g}*{p}" for c, p in zip(coeffs.tolist(), _labels(axes))) or "0"
         return f"Observable({body})"
 
 
@@ -302,42 +346,48 @@ class FactoredObservable:
                 raise ValueError("observable coefficients must be finite")
 
     def to_observable(self) -> Observable:
-        """Distribute the tensor products into an explicit Pauli sum."""
+        """Distribute the tensor products into an explicit Pauli sum.
+
+        Each term expands qubit by qubit into the products of its factors'
+        non-zero components, qubit 0 varying slowest; the expansions of all
+        terms are then merged in term order.
+        """
         if self.n_qubits > EXPANSION_QUBIT_CAP:
             raise ValueError(
                 f"refusing to expand {self.n_qubits} qubits (cap {EXPANSION_QUBIT_CAP})"
             )
-        collected: list[tuple[float, PauliString]] = []
+        all_axes, all_coeffs = [np.zeros((0, self.n_qubits), dtype=np.uint8)], [np.zeros(0)]
         for coeff, factors in self.terms:
-            partial: list[tuple[float, tuple[tuple[int, int], ...]]] = [(coeff, ())]
-            for qubit, op in enumerate(factors):
-                components = [
-                    (float(a), axis) for axis, a in enumerate(op.coefficients()) if a != 0.0
-                ]
-                grown = []
-                for c, axes in partial:
-                    for a, axis in components:
-                        extended = axes if axis == 0 else axes + ((qubit, axis),)
-                        grown.append((c * a, extended))
-                partial = grown
-            collected.extend(
-                (c, PauliString(self.n_qubits, axes)) for c, axes in partial
-            )
-        return Observable(self.n_qubits, tuple(collected))
+            axes, coeffs = np.zeros((1, 0), dtype=np.uint8), np.array([coeff])
+            for op in factors:
+                parts = op.coefficients()
+                (nonzero,) = np.nonzero(parts)
+                coeffs = (coeffs[:, None] * parts[nonzero]).reshape(-1)
+                axes = np.column_stack(
+                    [np.repeat(axes, len(nonzero), axis=0), np.tile(nonzero, len(axes))]
+                )
+            all_axes.append(axes)
+            all_coeffs.append(coeffs)
+        return Observable.from_rows(
+            self.n_qubits, np.concatenate(all_axes), np.concatenate(all_coeffs)
+        )
 
 
-def _diag_sum(table: "TermTable") -> np.ndarray:
+def _diag_sum(obs: Observable) -> np.ndarray:
     """Per-term diagonal contributions 3^r_i * a_i^2."""
-    r = (table.axes != 0).sum(axis=1)
-    return (3.0**r) * table.coeffs * table.coeffs
+    r = (obs.axes != 0).sum(axis=1)
+    return (3.0**r) * obs.coeffs * obs.coeffs
 
 
 # pair compatibility is built for blocks of about this many term pairs
 _PAIR_BLOCK = 1 << 15
 
 
-def _canonical_table(axes: np.ndarray, coeffs: np.ndarray) -> "TermTable":
-    """Term table of the rows ``axes`` (T, N) uint8 with ``coeffs`` (T,).
+def _canonical_rows(
+    axes: np.ndarray, coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Canonical (axes, coeffs, offset) of the rows ``axes`` (T, N) uint8
+    with ``coeffs`` (T,).
 
     Equal rows merge into one term whose coefficient is 0.0 plus theirs in
     input order; exact zeros are dropped; terms sort as their supports do as
@@ -346,7 +396,7 @@ def _canonical_table(axes: np.ndarray, coeffs: np.ndarray) -> "TermTable":
     """
     n_qubits = axes.shape[1]
     if not len(axes):
-        return TermTable(np.zeros((0, n_qubits), dtype=np.uint8), np.zeros(0), 0.0)
+        return np.zeros((0, n_qubits), dtype=np.uint8), np.zeros(0), 0.0
     # row codes 4*qubit + axis over the support in qubit order, padded with
     # 0: comparing code rows compares supports.  Big-endian, rows compare as
     # bytes the way they compare as numbers.
@@ -362,55 +412,7 @@ def _canonical_table(axes: np.ndarray, coeffs: np.ndarray) -> "TermTable":
     axes, sums, offset = axes[first[keep]], sums[keep], 0.0
     if len(axes) and not axes[0].any():
         axes, sums, offset = axes[1:], sums[1:], float(sums[0])
-    return TermTable(axes, sums, offset)
-
-
-class TermTable:
-    """Array form of an observable, built once per :class:`Observable`.
-
-    ``axes`` (T, N) uint8 and ``coeffs`` (T,) hold the non-identity terms in
-    canonical order, ``offset`` the coefficient of the identity string, and
-    ``x``/``z`` the symplectic bit-planes of the terms (Aaronson-Gottesman),
-    packed into (T, ceil(N/64)) uint64 words: X sets x, Z sets z, Y sets both.
-    All arrays are read only.
-    """
-
-    def __init__(self, axes: np.ndarray, coeffs: np.ndarray, offset: float):
-        n_qubits = axes.shape[1]
-        bits = np.zeros((2, len(axes), 64 * -(-n_qubits // 64)), dtype=bool)
-        bits[0, :, :n_qubits] = (axes == PauliAxis.X) | (axes == PauliAxis.Y)
-        bits[1, :, :n_qubits] = axes >= PauliAxis.Y
-        self.axes, self.coeffs, self.offset = axes, coeffs, offset
-        self.x, self.z = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
-        for arr in (self.axes, self.coeffs, self.x, self.z):
-            arr.setflags(write=False)
-
-    @functools.cached_property
-    def seminorm(self) -> float:
-        """See :func:`seminorm`; computed once per table."""
-        t, n = self.axes.shape
-        if t < 2:  # no pairs
-            return math.sqrt(float(np.sum(_diag_sum(self))))
-        coeffs = np.abs(self.coeffs)
-        # word-major planes: the blocks below are (words, rows, later terms)
-        x, z = self.x.T, self.z.T
-        nonzero = x | z
-        pow3 = 3.0 ** np.arange(n + 1)
-        rows = max(1, _PAIR_BLOCK // max(t, 1))
-        off = 0.0
-        for start in range(0, t - 1, rows):
-            stop = min(start + rows, t - 1)
-            block, later = slice(start, stop), slice(start + 1, t)
-            both = nonzero[:, block, None] & nonzero[:, None, later]
-            clash = x[:, block, None] ^ x[:, None, later]
-            clash |= z[:, block, None] ^ z[:, None, later]
-            compat = ~(clash & both).any(axis=0)
-            r = np.bitwise_count(both).sum(axis=0, dtype=np.intp)
-            values = compat * pow3[r] * coeffs[later]
-            # row i's later terms j > i start at column i - start
-            for i in range(start, stop):
-                off += coeffs[i] * float(values[i - start, i - start :].sum())
-        return math.sqrt(float(np.sum(_diag_sum(self))) + 2.0 * off)
+    return axes, sums, offset
 
 
 def seminorm(obs: Observable) -> float:
@@ -423,12 +425,12 @@ def seminorm(obs: Observable) -> float:
     :func:`seminorm2` and the off-diagonal part is a sum of non-negatives,
     so the hierarchy seminorm2 <= seminorm holds even in floating point.
     """
-    return obs.table.seminorm
+    return obs._seminorm
 
 
 def seminorm2(obs: Observable) -> float:
     """Diagonal seminorm sqrt(sum 3^r_i a_i^2); the practical error scale."""
-    return math.sqrt(float(np.sum(_diag_sum(obs.table))))
+    return math.sqrt(float(np.sum(_diag_sum(obs))))
 
 
 def seminorm1(obs: Observable) -> float:
@@ -437,7 +439,7 @@ def seminorm1(obs: Observable) -> float:
     Each term is evaluated as sqrt(3^r_i * a_i^2) so that a single-term
     observable reproduces :func:`seminorm` bit for bit.
     """
-    return float(np.sum(np.sqrt(_diag_sum(obs.table))))
+    return float(np.sum(np.sqrt(_diag_sum(obs))))
 
 
 def shot_budget(obs: Observable, epsilon: float) -> int:
@@ -467,22 +469,13 @@ def projector_factored(bits: Sequence[int]) -> FactoredObservable:
 
 
 def projector_pauli_expansion(bits: Sequence[int]) -> Observable:
-    """Explicit 2^N-term {I,Z} expansion of a basis projector.
+    """Explicit 2^N-term {I,Z} expansion of a basis projector, the expansion
+    of :func:`projector_factored`.
 
     Exists for brute-force seminorm cross-checks only; use the factored form
     for estimation.
     """
-    n = len(bits)
-    if n > EXPANSION_QUBIT_CAP:
-        raise ValueError(f"refusing to expand {n} qubits (cap {EXPANSION_QUBIT_CAP})")
-    ones = sum(int(b) << k for k, b in enumerate(bits))
-    scale = 0.5**n
-    terms = []
-    for sub in range(1 << n):
-        sign = -1.0 if (sub & ones).bit_count() & 1 else 1.0
-        support = tuple((k, PauliAxis.Z) for k in range(n) if (sub >> k) & 1)
-        terms.append((sign * scale, PauliString(n, support)))
-    return Observable(n, tuple(terms))
+    return projector_factored(bits).to_observable()
 
 
 def projector_seminorms(n_qubits: int) -> tuple[float, float, float]:
@@ -536,9 +529,10 @@ def factored_seminorms(fobs: FactoredObservable) -> tuple[float, float]:
 
 
 def observable_to_dict(obs: Observable) -> dict:
+    axes, coeffs = obs.rows()
     return {
         "n_qubits": obs.n_qubits,
-        "terms": [{"coeff": c, "pauli": p.to_label()} for c, p in obs.terms],
+        "terms": [{"coeff": c, "pauli": p} for c, p in zip(coeffs.tolist(), _labels(axes))],
     }
 
 

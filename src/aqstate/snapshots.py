@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ from numpy.random import Philox
 from .statevector import Statevector, Circuit, run_circuit
 
 __all__ = [
-    "NoiseModel",
     "ApproximateState",
     "SnapshotFormatError",
     "snapshots_from_state",
@@ -47,35 +45,24 @@ class SnapshotFormatError(ValueError):
     """Raised on bad magic, version mismatch, or truncated snapshot data."""
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Independent per-qubit readout flip probabilities."""
-
-    p_err: tuple[float, ...]
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.p_err)
-        if any(not 0.0 <= p < 1.0 for p in probs):
-            raise ValueError("flip probabilities must lie in [0, 1)")
-        object.__setattr__(self, "p_err", probs)
-
-    @classmethod
-    def uniform(cls, p: float, n_qubits: int) -> "NoiseModel":
-        return cls((p,) * n_qubits)
-
-    @classmethod
-    def none(cls, n_qubits: int) -> "NoiseModel":
-        return cls((0.0,) * n_qubits)
-
-    def array(self) -> np.ndarray:
-        return np.array(self.p_err)
+def _flip_probabilities(p_err, n_qubits: int) -> np.ndarray:
+    """Per-qubit readout flip probabilities from one float or one value per
+    qubit, each in [0, 1)."""
+    p = np.asarray(p_err, dtype=np.float64)
+    if p.ndim == 0:
+        p = np.full(n_qubits, p)
+    if p.shape != (n_qubits,):
+        raise ValueError("p_err must have one entry per qubit")
+    if not np.all((p >= 0.0) & (p < 1.0)):
+        raise ValueError("p_err entries must lie in [0, 1)")
+    return p
 
 
 class ApproximateState:
     """M snapshots of an N-qubit state: three numbers per qubit per snapshot.
 
-    Arrays are read only.
-    Equality covers the persisted payload (arrays, noise, seed); the circuit
+    Arrays are read only.  ``p_err`` holds the per-qubit readout flip
+    probabilities, given as one float or one value per qubit.  Equality covers the persisted payload (arrays, noise, seed); the circuit
     hash is advisory metadata carried only by the JSON export.
     """
 
@@ -87,7 +74,7 @@ class ApproximateState:
         outcomes: np.ndarray,
         thetas: np.ndarray,
         phis: np.ndarray,
-        p_err: np.ndarray | Sequence[float] | None = None,
+        p_err: float | Sequence[float] = 0.0,
         seed: int = 0,
         circuit_hash: str | None = None,
     ):
@@ -105,11 +92,7 @@ class ApproximateState:
         if not np.all(np.isfinite(phis)):
             raise ValueError("phis must be finite")
         n = outcomes.shape[1]
-        p = np.zeros(n) if p_err is None else np.asarray(p_err, dtype=np.float64)
-        if p.shape != (n,):
-            raise ValueError("p_err must have one entry per qubit")
-        if not np.all((p >= 0.0) & (p < 1.0)):
-            raise ValueError("p_err entries must lie in [0, 1)")
+        p = _flip_probabilities(p_err, n)
         for arr in (outcomes, thetas, phis, p):
             arr.setflags(write=False)
         self.n_qubits = n
@@ -190,32 +173,35 @@ def snapshots_from_state(
     psi: Statevector,
     n_snapshots: int,
     seed: int,
-    noise: NoiseModel | None = None,
-    batch_size: int | None = None,
+    p_err: float | Sequence[float] = 0.0,
     circuit_hash: str | None = None,
 ) -> ApproximateState:
-    """Acquire ``n_snapshots`` independent snapshots of a known pure state.
+    """Acquire ``n_snapshots`` independent snapshots of a known pure state,
+    each outcome flipped with the readout error ``p_err`` of its qubit (one
+    float for all qubits, or one value per qubit).
 
     Qubits are measured from the highest down.  Each step reads the qubit's
     conditional 2x2 reduced density, draws its bit, and builds only the chosen
-    half of the amplitudes.  The result is independent of ``batch_size``; None
-    picks the most rows (up to 1024) whose half-size branch buffer fits in
-    128 MiB, and a single row where one row alone is larger.
+    half of the amplitudes.  A batch holds the most rows (up to 1024) whose
+    half-size branch buffer fits in 128 MiB, or a single row where one row
+    alone is larger; the result does not depend on the batch size.
     """
     if n_snapshots < 1:
         raise ValueError("n_snapshots must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     n = psi.n_qubits
-    if batch_size is None:
-        batch_size = _default_batch_size(n)
-    p_err = (noise or NoiseModel.none(n)).array()
-    if p_err.shape != (n,):
-        raise ValueError("noise model does not match the qubit count")
-
-    outcomes = np.empty((n_snapshots, n), dtype=np.int8)
-    thetas = np.empty((n_snapshots, n))
-    phis = np.empty((n_snapshots, n))
+    p_err = _flip_probabilities(p_err, n)
+    batch_size = _default_batch_size(n)
+    try:
+        outcomes = np.empty((n_snapshots, n), dtype=np.int8)
+        thetas = np.empty((n_snapshots, n))
+        phis = np.empty((n_snapshots, n))
+    except MemoryError:
+        raise ValueError(
+            f"{n_snapshots} snapshots of {n} qubits need {17 * n_snapshots * n} bytes, "
+            "more than can be allocated"
+        ) from None
 
     # Every row starts from psi, so the top qubit's moments are shared.
     top = psi.amps.reshape(2, -1)
@@ -272,18 +258,16 @@ def build_approximate_state(
     circuit: Circuit,
     n_snapshots: int,
     seed: int,
-    noise: NoiseModel | None = None,
-    batch_size: int | None = None,
+    p_err: float | Sequence[float] = 0.0,
 ) -> ApproximateState:
     """Prepare the circuit's state once and collect M independent snapshots.
 
     Pure-state simulation permits reusing the prepared amplitudes; each
     snapshot is semantically a fresh preparation.
     """
+    p_err = _flip_probabilities(p_err, circuit.n_qubits)
     psi = run_circuit(circuit)
-    return snapshots_from_state(
-        psi, n_snapshots, seed, noise, batch_size, circuit_hash=circuit.content_hash()
-    )
+    return snapshots_from_state(psi, n_snapshots, seed, p_err, circuit.content_hash())
 
 
 # --- binary format ----------------------------------------------------------

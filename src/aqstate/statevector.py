@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .pauli import FactoredObservable, Observable, PauliAxis, PauliString
+from .pauli import FactoredObservable, Observable
 
 __all__ = [
     "MAX_QUBITS",
@@ -212,47 +212,29 @@ def random_prep_circuit(
     return Circuit(n_qubits, tuple(gates))
 
 
-def _string_masks(string: PauliString) -> tuple[int, int, int]:
-    xmask = ymask = zmask = 0
-    for qubit, axis in string.support:
-        bit = 1 << qubit
-        if axis is PauliAxis.X:
-            xmask |= bit
-        elif axis is PauliAxis.Y:
-            xmask |= bit
-            ymask |= bit
-        else:
-            zmask |= bit
-    return xmask, ymask, zmask
+def pauli_expectation_batch(amps: np.ndarray, obs: Observable) -> np.ndarray:
+    """<psi|O|psi> for a batch of states, shape (batch, 2^N) -> (batch,).
 
-
-def pauli_expectation_batch(amps: np.ndarray, string: PauliString) -> np.ndarray:
-    """<psi|P|psi> for a batch of states, shape (batch, 2^N) -> (batch,).
-
-    P acts on basis states as P|b> = c(b)|b ^ xmask> with
-    c(b) = i^{#Y} * (-1)^{popcount(b & (ymask|zmask))}.
+    Terms are added one by one in canonical order: the identity coefficient
+    first, then each row's.  The string with bit masks x and z (read from
+    the bit-planes, one word at N <= MAX_QUBITS; Y sets both) acts on basis
+    states as P|b> = c(b)|b ^ x> with c(b) = i^{#Y} * (-1)^{popcount(b & z)}.
     """
-    xmask, ymask, zmask = _string_masks(string)
-    dim = amps.shape[-1]
-    idx = np.arange(dim, dtype=np.uint64)
-    parity = np.bitwise_count(idx & np.uint64(ymask | zmask)) & 1
-    coeff = (1j ** ymask.bit_count()) * (1.0 - 2.0 * parity.astype(float))
-    permuted = amps[:, idx ^ np.uint64(xmask)]
-    return np.einsum("sb,b,sb->s", permuted.conj(), coeff, amps).real
+    if obs.n_qubits != int(amps.shape[-1]).bit_length() - 1:
+        raise ValueError("observable and state qubit counts differ")
+    idx = np.arange(amps.shape[-1], dtype=np.uint64)
+    values = np.full(len(amps), obs.offset)
+    for coeff, x, z in zip(obs.coeffs.tolist(), obs.x[:, 0].tolist(), obs.z[:, 0].tolist()):
+        parity = np.bitwise_count(idx & np.uint64(z)) & 1
+        phase = (1j ** (x & z).bit_count()) * (1.0 - 2.0 * parity.astype(float))
+        permuted = amps[:, idx ^ np.uint64(x)]
+        values += coeff * np.einsum("sb,b,sb->s", permuted.conj(), phase, amps).real
+    return values
 
 
 def exact_expectation(psi: Statevector, obs: Observable) -> float:
     """<psi|O|psi> summed term by term via sparse Pauli action."""
-    if obs.n_qubits != psi.n_qubits:
-        raise ValueError("observable and state qubit counts differ")
-    amps = psi.amps[None, :]
-    total = 0.0
-    for coeff, string in obs.terms:
-        if string.weight == 0:
-            total += coeff
-        else:
-            total += coeff * float(pauli_expectation_batch(amps, string)[0])
-    return total
+    return float(pauli_expectation_batch(psi.amps[None, :], obs)[0])
 
 
 def exact_expectation_factored(psi: Statevector, fobs: FactoredObservable) -> float:

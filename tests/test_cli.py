@@ -182,6 +182,18 @@ def forbidden(*args):
     raise AssertionError("a PauliString was built")
 
 
+def test_writers_build_no_pauli_strings(tmp_path, monkeypatch):
+    obs = Observable.from_strings([(1.0, "ZI"), (0.5, "XY"), (0.25, "II")])
+    monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
+    path = tmp_path / "obs.json"
+    save_observable(obs, path)
+    # the identity first, then canonical order
+    assert json.loads(path.read_text())["terms"] == [
+        {"coeff": 0.25, "pauli": "II"}, {"coeff": 0.5, "pauli": "XY"}, {"coeff": 1.0, "pauli": "ZI"}
+    ]
+    assert repr(obs) == "Observable(0.25*II + 0.5*XY + 1*ZI)"
+
+
 class TestSeminormCommand:
     @pytest.mark.parametrize("coeff", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_coefficient_fails(self, tmp_path, capsys, coeff):
@@ -210,18 +222,18 @@ class TestSeminormCommand:
         assert seminorm(obs) / math.sqrt(out["shot_budget"]) <= 0.05
 
     def test_pair_sum_runs_once(self, tmp_path, capsys, monkeypatch):
-        # the seminorm is cached with the term table, so the shot budget
+        # the seminorm is cached with the observable, so the shot budget
         # reuses the value printed beside it
         calls = []
-        pair_sum = pauli.TermTable.__dict__["seminorm"]
+        pair_sum = pauli.Observable.__dict__["_seminorm"]
 
-        def counted(table):
-            calls.append(table)
-            return pair_sum.func(table)
+        def counted(obs):
+            calls.append(obs)
+            return pair_sum.func(obs)
 
         counting = functools.cached_property(counted)
-        counting.__set_name__(pauli.TermTable, "seminorm")
-        monkeypatch.setattr(pauli.TermTable, "seminorm", counting)
+        counting.__set_name__(pauli.Observable, "_seminorm")
+        monkeypatch.setattr(pauli.Observable, "_seminorm", counting)
         path = tmp_path / "obs.json"
         save_observable(Observable.from_strings([(0.5, "XI"), (0.5, "XZ"), (0.2, "YY")]), path)
         assert run_cli("seminorm", "--observable", path, "--epsilon", 0.05) == 0
@@ -256,9 +268,20 @@ class TestExperimentCommand:
         cfg_path.write_text(json.dumps({"n_qubits": 3}))
         assert run_cli("experiment", "--config", cfg_path, "--out-prefix", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize("kind", ["random_pauli_sum", "basis_projector"])
+    def test_builds_no_pauli_strings(self, tmp_path, monkeypatch, kind):
+        cfg = {"n_qubits": 3, "n_snapshots": 200, "seed": 22, "n_observables": 3,
+               "terms_per_observable": 4, "p_err": 0.05, "observable_kind": kind}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
+        assert run_cli("experiment", "--config", cfg_path, "--out-prefix", tmp_path / "run") == 0
+
 
 class TestVerifyCommand:
-    def test_fast_suite(self, capsys):
+    def test_fast_suite(self, capsys, monkeypatch):
+        # every check reads term tables: none builds a PauliString
+        monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
         assert run_cli("verify") == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
@@ -267,10 +290,10 @@ class TestVerifyCommand:
 
 class TestInputErrors:
     # each input exits 2 with an error line and writes nothing
-    def snapshot(self, tmp_path, circuit, readout_error="0"):
+    def snapshot(self, tmp_path, circuit, readout_error="0", shots=10):
         circuit_path, out = tmp_path / "circ.json", tmp_path / "state.aqst"
         circuit_path.write_text(circuit)
-        rc = run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
+        rc = run_cli("snapshot", "--circuit", circuit_path, "--shots", shots,
                      "--readout-error", readout_error, "--out", out)
         assert not out.exists()
         return rc
@@ -284,6 +307,21 @@ class TestInputErrors:
             tracemalloc.stop()
         assert rc == 2 and "error:" in capsys.readouterr().err
         assert peak < 1 << 20
+
+    # 10^13 snapshots of 3 qubits need 218 TiB per angle array, more than
+    # the 128 TiB a 64-bit process can map on common hardware: allocation
+    # fails at once and no memory is touched
+    def test_oversized_shot_count(self, tmp_path, capsys):
+        circuit = '{"n_qubits": 3, "gates": []}'
+        assert self.snapshot(tmp_path, circuit, shots=10**13) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_oversized_experiment(self, tmp_path, capsys):
+        cfg_path, prefix = tmp_path / "cfg.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps({"n_qubits": 3, "n_snapshots": 10**13, "seed": 1}))
+        assert run_cli("experiment", "--config", cfg_path, "--out-prefix", prefix) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize("gates, errors", [
         ('{"kind": "H", "q": 1e400}', None),

@@ -24,7 +24,7 @@ from aqstate.pauli import (
     seminorm,
     seminorm2,
 )
-from aqstate.snapshots import ApproximateState, NoiseModel, snapshots_from_state
+from aqstate.snapshots import ApproximateState, snapshots_from_state
 from aqstate.statevector import (
     Statevector,
     exact_expectation,
@@ -320,9 +320,7 @@ class TestNoisePredictions:
         n, m, p = 3, 50_000, 0.08
         rng = np.random.default_rng(31)
         psi = haar_random_state(n, rng)
-        state = snapshots_from_state(
-            psi, m, seed=31, noise=NoiseModel.uniform(p, n)
-        )
+        state = snapshots_from_state(psi, m, seed=31, p_err=p)
         obs = random_signed_observable(n, 6, rng)
         exact_terms = [
             exact_expectation(psi, Observable(n, ((1.0, s),))) for _, s in obs.terms

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from aqstate.snapshots import NoiseModel, serialize, snapshots_from_state
+from aqstate.snapshots import serialize, snapshots_from_state
 from aqstate.statevector import (
     Circuit,
     Gate,
@@ -52,9 +52,7 @@ def compute_digests() -> dict[str, str]:
         for label, psi in _states(n):
             for seed in _SEEDS:
                 for p in _P_ERRS:
-                    state = snapshots_from_state(
-                        psi, _M, seed, noise=NoiseModel.uniform(p, n)
-                    )
+                    state = snapshots_from_state(psi, _M, seed, p_err=p)
                     key = f"snapshots {label} n={n} seed={seed} p={p}"
                     out[key] = _digest(serialize(state))
     return out

@@ -170,17 +170,14 @@ class TestRunExperiment:
     def test_prefix_curve_consistency(self, small_report):
         # curve entries equal, bit for bit, a fresh estimate on a state made
         # of the first m snapshots
-        from aqstate.snapshots import snapshots_from_state, NoiseModel
+        from aqstate.snapshots import snapshots_from_state
         from aqstate.harness import _snapshot_seed, _sub_rng, _TAG_CIRCUIT, _TAG_OBSERVABLES
         from aqstate.statevector import random_prep_circuit
 
         cfg, report = small_report
         circuit = random_prep_circuit(cfg.n_qubits, _sub_rng(cfg.seed, _TAG_CIRCUIT))
         psi = run_circuit(circuit)
-        state = snapshots_from_state(
-            psi, cfg.n_snapshots, _snapshot_seed(cfg.seed),
-            NoiseModel.uniform(cfg.p_err, cfg.n_qubits),
-        )
+        state = snapshots_from_state(psi, cfg.n_snapshots, _snapshot_seed(cfg.seed), cfg.p_err)
         obs_rng = _sub_rng(cfg.seed, _TAG_OBSERVABLES)
         first = random_observable(cfg.n_qubits, cfg.terms_per_observable, obs_rng,
                                   cfg.normalization)

@@ -10,7 +10,6 @@ import pytest
 from aqstate import snapshots
 from aqstate.snapshots import (
     ApproximateState,
-    NoiseModel,
     SnapshotFormatError,
     build_approximate_state,
     deserialize,
@@ -143,7 +142,7 @@ class TestAcquireSnapshot:
         # the same uniforms: a flip probability of almost 1 negates every outcome
         psi = haar_random_state(2, np.random.default_rng(6))
         clean = snapshots_from_state(psi, 500, seed=6)
-        flipped = snapshots_from_state(psi, 500, seed=6, noise=NoiseModel((0.999999999,) * 2))
+        flipped = snapshots_from_state(psi, 500, seed=6, p_err=(0.999999999,) * 2)
         assert np.array_equal(flipped.outcomes, -clean.outcomes)
 
     def test_born_rule_on_plus(self):
@@ -175,11 +174,13 @@ class TestBuildApproximateState:
         b = build_approximate_state(circuit, 200, seed=9)
         assert a == b
 
-    def test_batch_size_invariance(self):
+    def test_batch_size_invariance(self, monkeypatch):
         psi = haar_random_state(3, np.random.default_rng(10))
-        variants = [
-            snapshots_from_state(psi, 333, seed=4, batch_size=bs) for bs in (1, 7, 64, 999)
-        ]
+        variants = []
+        for rows in (1, 7, 64, 999):
+            monkeypatch.setattr(snapshots, "_MAX_BATCH", rows)
+            assert snapshots._default_batch_size(3) == rows
+            variants.append(snapshots_from_state(psi, 333, seed=4))
         assert all(v == variants[0] for v in variants[1:])
 
     def test_snapshots_are_counter_addressed(self):
@@ -228,7 +229,7 @@ class TestBuildApproximateState:
         # |0> measured along z flips with probability p_err exactly
         p = 0.17
         state = snapshots_from_state(
-            Statevector.zero(1), 40_000, seed=13, noise=NoiseModel((p,))
+            Statevector.zero(1), 40_000, seed=13, p_err=(p,)
         )
         # restrict to near-z directions where the noiseless outcome is certain
         mask = np.cos(state.thetas[:, 0]) > 0.995
@@ -247,7 +248,7 @@ class TestBuildApproximateState:
         # per-qubit rates match p_err and show no cross-qubit correlation
         p = np.array([0.1, 0.3])
         state = snapshots_from_state(
-            Statevector.zero(2), 200_000, seed=15, noise=NoiseModel(tuple(p))
+            Statevector.zero(2), 200_000, seed=15, p_err=p
         )
         mask = np.all(np.cos(state.thetas) > 0.99, axis=1)
         flips = state.outcomes[mask] == -1
@@ -369,5 +370,17 @@ class TestApproximateState:
             state_from_json_dict(data)
 
     def test_noise_model_validation(self):
-        with pytest.raises(ValueError):
-            NoiseModel((1.2,))
+        # readout rates are checked before anything is allocated: the
+        # snapshot arrays of 10^15 snapshots, or a 20-qubit state
+        bad = (1.2, -0.1, math.nan, (0.1,), (0.1, 0.2, 0.3), (0.1, 1.0), [[0.1, 0.1]])
+        for p_err in bad:
+            with pytest.raises(ValueError, match="p_err"):
+                snapshots_from_state(Statevector.zero(2), 10**15, seed=0, p_err=p_err)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="p_err"):
+                    build_approximate_state(Circuit(20, ()), 10, seed=0, p_err=p_err)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20

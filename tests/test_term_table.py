@@ -26,7 +26,7 @@ from aqstate.pauli import (
     seminorm1,
     seminorm2,
 )
-from aqstate.snapshots import ApproximateState, NoiseModel, snapshots_from_state
+from aqstate.snapshots import ApproximateState, snapshots_from_state
 from aqstate.statevector import haar_random_state, random_prep_circuit, run_circuit
 
 
@@ -113,42 +113,48 @@ def signed_observable(n, n_terms, rng, identity=0.0):
 
 def noisy_state(n, m, rng, seed):
     psi = haar_random_state(n, rng) if n <= 8 else run_circuit(random_prep_circuit(n, rng))
-    return snapshots_from_state(psi, m, seed, NoiseModel.uniform(0.05, n))
+    return snapshots_from_state(psi, m, seed, 0.05)
 
 
 class TestTermTable:
+    # an Observable is its term table: axes, coeffs, offset and x/z planes
     def test_layout(self):
         obs = Observable.from_strings([(0.5, "XIZ"), (-0.25, "III"), (2.0, "IYY")])
-        table = obs.table
-        assert table.axes.dtype == np.uint8 and table.axes.shape == (2, 3)
+        assert obs.axes.dtype == np.uint8 and obs.axes.shape == (2, 3)
         # canonical order sorts by support: XIZ before IYY
-        assert table.axes.tolist() == [[1, 0, 3], [0, 2, 2]]
-        assert table.coeffs.tolist() == [0.5, 2.0]
-        assert table.offset == -0.25
-        assert table.x.dtype == np.uint64 and table.x.shape == (2, 1)
-        assert table.x[:, 0].tolist() == [0b001, 0b110]
-        assert table.z[:, 0].tolist() == [0b100, 0b110]
+        assert obs.axes.tolist() == [[1, 0, 3], [0, 2, 2]]
+        assert obs.coeffs.tolist() == [0.5, 2.0]
+        assert obs.offset == -0.25
+        assert obs.x.dtype == np.uint64 and obs.x.shape == (2, 1)
+        assert obs.x[:, 0].tolist() == [0b001, 0b110]
+        assert obs.z[:, 0].tolist() == [0b100, 0b110]
+        # rows in the order of terms: the identity first
+        axes, coeffs = obs.rows()
+        assert axes.tolist() == [[0, 0, 0], [1, 0, 3], [0, 2, 2]]
+        assert coeffs.tolist() == [c for c, _ in obs.terms] == [-0.25, 0.5, 2.0]
 
     def test_multi_word_planes(self):
         n = 130
         obs = Observable(n, ((1.0, PauliString(n, ((0, "X"), (64, "Y"), (129, "Z")))),))
-        table = obs.table
-        assert table.x.shape == (1, 3)
-        assert table.x[0].tolist() == [1, 1, 0]
-        assert table.z[0].tolist() == [0, 1, 1 << 1]
+        assert obs.x.shape == (1, 3)
+        assert obs.x[0].tolist() == [1, 1, 0]
+        assert obs.z[0].tolist() == [0, 1, 1 << 1]
 
     def test_built_once_and_read_only(self):
         obs = Observable.from_strings([(1.0, "XY")])
-        assert obs.table is obs.table
-        assert not obs.table.axes.flags.writeable
+        for name in ("axes", "coeffs", "x", "z"):
+            assert not getattr(obs, name).flags.writeable
+        with pytest.raises(AttributeError):
+            obs.offset = 1.0
+        assert seminorm(obs) is seminorm(obs)  # cached with the observable
         assert obs == Observable.from_strings([(1.0, "XY")])
         assert hash(obs) == hash(Observable.from_strings([(1.0, "XY")]))
 
     def test_empty(self):
-        table = Observable.from_strings([(3.0, "II")]).table
-        assert table.axes.shape == (0, 2) and table.x.shape == (0, 1)
-        assert table.offset == 3.0
-        assert Observable(2).table.offset == 0.0
+        obs = Observable.from_strings([(3.0, "II")])
+        assert obs.axes.shape == (0, 2) and obs.x.shape == (0, 1)
+        assert obs.offset == 3.0
+        assert Observable(2).offset == 0.0
 
 
 class TestEstimatesMatchFsum:
@@ -251,7 +257,6 @@ class TestEstimationMemory:
         peaks = {}
         for n_terms in (20, 2000):
             obs = random_observable(n, n_terms, rng, normalization="none")
-            obs.table  # the table belongs to the observable, not the estimate
             tracemalloc.start()
             estimate_observable(state, obs)
             peaks[n_terms] = tracemalloc.get_traced_memory()[1]
