@@ -10,7 +10,6 @@ with statistical error bounded by its seminorm divided by sqrt(M).
 from .pauli import (
     FactoredObservable,
     Observable,
-    SingleQubitOperator,
     factored_seminorms,
     load_observable,
     normalize_to_unit_seminorm,

@@ -23,12 +23,10 @@ def _cmd_prepare(args) -> int:
     circuit = statevector.random_prep_circuit(
         args.qubits, rng, allow_overlapping_pairs=args.allow_overlapping_pairs
     )
-    text = json.dumps(statevector.circuit_to_dict(circuit), indent=1)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        statevector.save_circuit(circuit, args.out)
     else:
-        print(text)
+        print(json.dumps(statevector.circuit_to_dict(circuit), indent=1))
     return 0
 
 

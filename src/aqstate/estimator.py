@@ -101,9 +101,8 @@ def _pauli_values(weights: np.ndarray, obs: Observable) -> np.ndarray:
 
 def _factored_values(weights: np.ndarray, fobs: FactoredObservable) -> np.ndarray:
     values = np.zeros(weights.shape[2])
-    for coeff, factors in fobs.terms:
-        ops = np.array([op.coefficients() for op in factors])
-        values += coeff * np.prod(np.einsum("kaj,ka->kj", weights, ops), axis=0)
+    for coeff, table in fobs.terms:
+        values += coeff * np.prod(np.einsum("kaj,ka->kj", weights, table), axis=0)
     return values
 
 

@@ -26,6 +26,7 @@ from .pauli import (
     seminorm2,
 )
 from .statevector import (
+    MAX_QUBITS,
     Circuit,
     Gate,
     circuit_to_dict,
@@ -36,7 +37,7 @@ from .statevector import (
     random_prep_circuit,
     run_circuit,
 )
-from .snapshots import build_approximate_state, snapshots_from_state
+from .snapshots import snapshots_from_state
 from .estimator import (
     EstimateResult,
     estimate_observable,
@@ -91,10 +92,19 @@ class ExperimentConfig:
     normalization: str = "seminorm"
 
     def __post_init__(self):
-        if self.n_qubits < 2 or self.n_snapshots < 1 or self.n_observables < 1:
-            raise ValueError("counts must be positive (and n_qubits >= 2)")
-        if self.terms_per_observable < 1:
-            raise ValueError("terms_per_observable must be positive")
+        for name in ("n_qubits", "n_snapshots", "seed", "n_observables", "terms_per_observable"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a NumPy integer would not serialize
+        if not 2 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must lie in 2..{MAX_QUBITS}")
+        if self.n_snapshots < 1 or self.n_observables < 1 or self.terms_per_observable < 1:
+            raise ValueError("counts must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if isinstance(self.p_err, bool) or not isinstance(self.p_err, (int, float)):
+            raise ValueError(f"p_err must be a number, got {self.p_err!r}")
         if not 0.0 <= self.p_err < 1.0:
             raise ValueError("p_err must lie in [0, 1)")
         if self.observable_kind not in OBSERVABLE_KINDS:
@@ -134,8 +144,8 @@ def random_projector(n_qubits: int, rng: np.random.Generator) -> FactoredObserva
 
 def projector_bits(fobs: FactoredObservable) -> list[int]:
     """Recover the basis bitstring from a factored projector."""
-    (_, factors), = fobs.terms
-    return [0 if op.az > 0 else 1 for op in factors]
+    (table,) = fobs.factors
+    return [0 if az > 0 else 1 for az in table[:, 3].tolist()]
 
 
 def log_checkpoints(n_snapshots: int, points: int = 12, start: int = 100) -> list[int]:
@@ -384,9 +394,8 @@ def noise_attenuation_study(
     max_weight = n_qubits if max_weight is None else max_weight
     if not 1 <= max_weight <= n_qubits:
         raise ValueError("max_weight out of range")
-    circuit = Circuit(n_qubits, tuple(Gate("H", (q,)) for q in range(n_qubits)))
-    psi = run_circuit(circuit)
-    state = build_approximate_state(circuit, n_snapshots, seed, p_err)
+    psi = run_circuit(Circuit(n_qubits, tuple(Gate("H", (q,)) for q in range(n_qubits))))
+    state = snapshots_from_state(psi, n_snapshots, seed, p_err)
     damp = 1.0 - 2.0 * p_err
     rows = []
     for r in range(1, max_weight + 1):

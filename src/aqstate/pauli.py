@@ -1,5 +1,5 @@
-"""Sparse Pauli-string algebra, observables, and the seminorms that bound
-the statistical error of snapshot-based estimation.
+"""Observables as arrays, Pauli sums and tensor-factored sums, and the
+seminorms that bound the statistical error of snapshot-based estimation.
 
 Conventions: axis indices 0..3 are I, X, Y, Z; an observable is a real
 linear combination of Pauli strings; the identity string never contributes
@@ -11,17 +11,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
-from enum import IntEnum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "PauliAxis",
     "PauliString",
     "Observable",
-    "SingleQubitOperator",
     "FactoredObservable",
     "seminorm",
     "seminorm2",
@@ -42,25 +38,6 @@ __all__ = [
 
 # explicit Pauli expansions of factored observables stop at this many qubits
 EXPANSION_QUBIT_CAP = 12
-
-
-class PauliAxis(IntEnum):
-    I = 0
-    X = 1
-    Y = 2
-    Z = 3
-
-
-_AXIS_CHARS = "IXYZ"
-
-
-def _coerce_axis(value) -> PauliAxis:
-    if isinstance(value, str):
-        try:
-            return PauliAxis(_AXIS_CHARS.index(value.upper()))
-        except ValueError:
-            raise ValueError(f"unknown Pauli axis {value!r}") from None
-    return PauliAxis(value)
 
 
 # axis of each label byte: I, X, Y, Z in either case; 4 marks any other byte
@@ -98,54 +75,43 @@ def _labels(axes: np.ndarray) -> list[str]:
     return [text[i : i + n] for i in range(0, len(text), n)]
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value):
+    raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+
 class PauliString:
-    """Pauli monomial on ``n_qubits``, stored as a sparse qubit -> axis map.
+    """One term row: ``axes``, a read-only (N,) uint8 array of axis indices
+    0..3 (I, X, Y, Z) on qubits 0..N-1.  Instances are immutable and
+    hashable."""
 
-    Identity factors are never stored; an empty support is the identity
-    monomial.  Instances are immutable and hashable.
-    """
+    def __init__(self, axes):
+        axes = np.array(axes, dtype=np.uint8)
+        if axes.ndim != 1 or not axes.size or axes.max() > 3:
+            raise ValueError("a Pauli string is a non-empty row of axes 0..3")
+        axes.setflags(write=False)
+        self.__dict__["axes"] = axes
 
-    n_qubits: int
-    support: tuple[tuple[int, PauliAxis], ...] = ()
+    __setattr__ = _frozen
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        raw = self.support.items() if isinstance(self.support, Mapping) else self.support
-        items = []
-        for qubit, axis in raw:
-            axis = _coerce_axis(axis)
-            if axis is PauliAxis.I:
-                continue
-            if not 0 <= qubit < self.n_qubits:
-                raise ValueError(f"qubit {qubit} out of range for {self.n_qubits} qubits")
-            items.append((int(qubit), axis))
-        items.sort()
-        for (q1, _), (q2, _) in zip(items, items[1:]):
-            if q1 == q2:
-                raise ValueError(f"duplicate qubit {q1} in support")
-        object.__setattr__(self, "support", tuple(items))
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Parse a label like ``"XIZ"`` (qubit 0 is the leftmost character)."""
-        (row,) = _label_axes([label], len(label))
-        return cls(len(label), tuple((q, int(a)) for q, a in enumerate(row) if a))
-
-    def to_label(self) -> str:
-        chars = ["I"] * self.n_qubits
-        for qubit, axis in self.support:
-            chars[qubit] = _AXIS_CHARS[axis]
-        return "".join(chars)
+    @property
+    def n_qubits(self) -> int:
+        return len(self.axes)
 
     @property
     def weight(self) -> int:
         """Number of qubits on which the monomial acts non-trivially."""
-        return len(self.support)
+        return int(np.count_nonzero(self.axes))
+
+    def __eq__(self, other):
+        if not isinstance(other, PauliString):
+            return NotImplemented
+        return np.array_equal(self.axes, other.axes)
+
+    def __hash__(self):
+        return hash(self.axes.tobytes())
 
     def __repr__(self):
-        return f"PauliString({self.to_label()!r})"
+        return f"PauliString({_labels(self.axes[None])[0]!r})"
 
 
 class Observable:
@@ -166,12 +132,10 @@ class Observable:
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliString]] = ()):
         terms = tuple(terms)
-        axes = np.zeros((len(terms), _qubit_count(n_qubits)), dtype=np.uint8)
-        for row, (_, string) in enumerate(terms):
-            if string.n_qubits != n_qubits:
-                raise ValueError("all strings must share the observable's qubit count")
-            for qubit, axis in string.support:
-                axes[row, qubit] = axis
+        if any(string.n_qubits != n_qubits for _, string in terms):
+            raise ValueError("all strings must share the observable's qubit count")
+        axes = np.array([string.axes for _, string in terms], dtype=np.uint8)
+        axes = axes.reshape(len(terms), _qubit_count(n_qubits))
         self._init(n_qubits, axes, [float(c) for c, _ in terms])
 
     def _init(self, n_qubits: int, axes, coeffs) -> None:
@@ -184,8 +148,8 @@ class Observable:
             raise ValueError("Pauli axes must lie in 0..3")
         axes, coeffs, offset = _canonical_rows(axes.astype(np.uint8, copy=False), coeffs)
         bits = np.zeros((2, len(axes), 64 * -(-n_qubits // 64)), dtype=bool)
-        bits[0, :, :n_qubits] = (axes == PauliAxis.X) | (axes == PauliAxis.Y)
-        bits[1, :, :n_qubits] = axes >= PauliAxis.Y
+        bits[0, :, :n_qubits] = (axes == 1) | (axes == 2)  # X, Y
+        bits[1, :, :n_qubits] = axes >= 2  # Y, Z
         x, z = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
         for arr in (axes, coeffs, x, z):
             arr.setflags(write=False)
@@ -213,18 +177,14 @@ class Observable:
         axes = _label_axes([label for _, label in pairs], n_qubits)
         return cls.from_rows(n_qubits, axes, [float(c) for c, _ in pairs])
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: Observable is immutable")
+    __setattr__ = _frozen
 
     @functools.cached_property
     def terms(self) -> tuple[tuple[float, PauliString], ...]:
         """``(coeff, PauliString)`` pairs in canonical order, the identity
         first; built on first use."""
         axes, coeffs = self.rows()
-        return tuple(
-            (coeff, PauliString(self.n_qubits, tuple((q, a) for q, a in enumerate(row) if a)))
-            for coeff, row in zip(coeffs.tolist(), axes.tolist())
-        )
+        return tuple(zip(coeffs.tolist(), map(PauliString, axes)))
 
     @property
     def n_terms(self) -> int:
@@ -270,19 +230,6 @@ class Observable:
         axes, coeffs = self.rows()
         return Observable.from_rows(self.n_qubits, axes, factor * coeffs)
 
-    def __add__(self, other: "Observable") -> "Observable":
-        if not isinstance(other, Observable):
-            return NotImplemented
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("qubit count mismatch")
-        (axes, coeffs), (axes_b, coeffs_b) = self.rows(), other.rows()
-        return Observable.from_rows(
-            self.n_qubits, np.concatenate([axes, axes_b]), np.concatenate([coeffs, coeffs_b])
-        )
-
-    def __rmul__(self, factor: float) -> "Observable":
-        return self.scaled(float(factor))
-
     def __eq__(self, other):
         if not isinstance(other, Observable):
             return NotImplemented
@@ -302,48 +249,36 @@ class Observable:
         return f"Observable({body})"
 
 
-@dataclass(frozen=True)
-class SingleQubitOperator:
-    """One-qubit Hermitian operator a0*I + ax*X + ay*Y + az*Z."""
-
-    a0: float = 0.0
-    ax: float = 0.0
-    ay: float = 0.0
-    az: float = 0.0
-
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.a0, self.ax, self.ay, self.az])
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.a0 + self.az, self.ax - 1j * self.ay],
-                [self.ax + 1j * self.ay, self.a0 - self.az],
-            ]
-        )
-
-
-@dataclass(frozen=True)
 class FactoredObservable:
-    """Sum of tensor-factored terms, one single-qubit operator per qubit.
+    """Sum of tensor-factored terms: term k is ``coeffs[k]`` times the tensor
+    product over qubits q of a0*I + ax*X + ay*Y + az*Z, where
+    ``factors[k, q]`` is the row [a0, ax, ay, az], as in the file format.
 
     This form avoids the exponential Pauli expansion for product operators
-    such as computational-basis projectors.
+    such as computational-basis projectors.  ``coeffs`` (K,) and ``factors``
+    (K, N, 4) are read-only float64 arrays; instances are immutable.
     """
 
-    n_qubits: int
-    terms: tuple[tuple[float, tuple[SingleQubitOperator, ...]], ...]
+    def __init__(self, n_qubits: int, terms: Iterable[tuple[float, Sequence[Sequence[float]]]]):
+        n_qubits = _qubit_count(n_qubits)
+        terms = tuple(terms)
+        coeffs = np.array([float(c) for c, _ in terms])
+        tables = [np.asarray(table, dtype=np.float64) for _, table in terms]
+        if any(table.shape != (n_qubits, 4) for table in tables):
+            raise ValueError("each term needs one [a0, ax, ay, az] row per qubit")
+        factors = np.array(tables).reshape(len(tables), n_qubits, 4)
+        if not (np.isfinite(coeffs).all() and np.isfinite(factors).all()):
+            raise ValueError("observable coefficients must be finite")
+        for arr in (coeffs, factors):
+            arr.setflags(write=False)
+        self.__dict__.update(n_qubits=n_qubits, coeffs=coeffs, factors=factors)
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        for coeff, factors in self.terms:
-            if len(factors) != self.n_qubits:
-                raise ValueError("each term needs exactly one factor per qubit")
-            if not math.isfinite(coeff) or not all(
-                math.isfinite(a) for op in factors for a in (op.a0, op.ax, op.ay, op.az)
-            ):
-                raise ValueError("observable coefficients must be finite")
+    __setattr__ = _frozen
+
+    @property
+    def terms(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """``(coeff, factors)`` pairs, one per term, with its (N, 4) table."""
+        return tuple(zip(self.coeffs.tolist(), self.factors))
 
     def to_observable(self) -> Observable:
         """Distribute the tensor products into an explicit Pauli sum.
@@ -357,10 +292,9 @@ class FactoredObservable:
                 f"refusing to expand {self.n_qubits} qubits (cap {EXPANSION_QUBIT_CAP})"
             )
         all_axes, all_coeffs = [np.zeros((0, self.n_qubits), dtype=np.uint8)], [np.zeros(0)]
-        for coeff, factors in self.terms:
+        for coeff, table in self.terms:
             axes, coeffs = np.zeros((1, 0), dtype=np.uint8), np.array([coeff])
-            for op in factors:
-                parts = op.coefficients()
+            for parts in table:
                 (nonzero,) = np.nonzero(parts)
                 coeffs = (coeffs[:, None] * parts[nonzero]).reshape(-1)
                 axes = np.column_stack(
@@ -460,12 +394,10 @@ def normalize_to_unit_seminorm(obs: Observable, which: str = "seminorm") -> Obse
 def projector_factored(bits: Sequence[int]) -> FactoredObservable:
     """Computational-basis projector |x><x| as a tensor product of
     (I + Z)/2 for bit 0 and (I - Z)/2 for bit 1."""
-    factors = tuple(
-        SingleQubitOperator(a0=0.5, az=0.5 if bit == 0 else -0.5) for bit in bits
-    )
-    if not factors:
+    table = [[0.5, 0.0, 0.0, 0.5 if bit == 0 else -0.5] for bit in bits]
+    if not table:
         raise ValueError("empty bitstring")
-    return FactoredObservable(len(bits), ((1.0, factors),))
+    return FactoredObservable(len(table), ((1.0, table),))
 
 
 def projector_pauli_expansion(bits: Sequence[int]) -> Observable:
@@ -500,13 +432,13 @@ def factored_seminorms(fobs: FactoredObservable) -> tuple[float, float]:
     multi-term forms fall back to the explicit expansion (capped), since
     coinciding strings from different terms must merge before squaring.
     """
-    if len(fobs.terms) == 1:
-        coeff, factors = fobs.terms[0]
+    if len(fobs.coeffs) == 1:
+        (coeff,), (table,) = fobs.coeffs.tolist(), fobs.factors.tolist()
         full = ident_row = ident_pair = diag = 1.0
-        for op in factors:
-            s = abs(op.ax) + abs(op.ay) + abs(op.az)
-            v2 = op.ax**2 + op.ay**2 + op.az**2
-            a0 = abs(op.a0)
+        for a0, ax, ay, az in table:
+            s = abs(ax) + abs(ay) + abs(az)
+            v2 = ax**2 + ay**2 + az**2
+            a0 = abs(a0)
             full *= a0 * a0 + 2.0 * a0 * s + 3.0 * v2
             ident_row *= a0 * (a0 + s)
             ident_pair *= a0 * a0
@@ -550,8 +482,8 @@ def factored_to_dict(fobs: FactoredObservable) -> dict:
     return {
         "n_qubits": fobs.n_qubits,
         "terms": [
-            {"coeff": c, "factors": [list(op.coefficients()) for op in factors]}
-            for c, factors in fobs.terms
+            {"coeff": c, "factors": table}
+            for c, table in zip(fobs.coeffs.tolist(), fobs.factors.tolist())
         ],
     }
 
@@ -559,16 +491,9 @@ def factored_to_dict(fobs: FactoredObservable) -> dict:
 def factored_from_dict(data: dict) -> FactoredObservable:
     try:
         n = int(data["n_qubits"])
-        terms = tuple(
-            (
-                float(t["coeff"]),
-                tuple(SingleQubitOperator(*map(float, f)) for f in t["factors"]),
-            )
-            for t in data["terms"]
-        )
+        return FactoredObservable(n, [(t["coeff"], t["factors"]) for t in data["terms"]])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed factored observable data: {exc}") from exc
-    return FactoredObservable(n, terms)
 
 
 def save_observable(obs: Observable | FactoredObservable, path) -> None:

@@ -162,17 +162,12 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate) -> None:
         _apply_single_inplace(amps, gate.qubits[0], _SINGLE_QUBIT_MATRICES[gate.kind])
 
 
-def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
-    """Apply all gates in order, starting from |0...0> by default."""
+def run_circuit(circuit: Circuit) -> Statevector:
+    """Apply all gates in order, starting from |0...0>."""
     if not 1 <= circuit.n_qubits <= MAX_QUBITS:
         raise ValueError(f"{circuit.n_qubits} qubits is outside 1..{MAX_QUBITS}")
-    if initial is None:
-        amps = np.zeros(1 << circuit.n_qubits, dtype=complex)
-        amps[0] = 1.0
-    else:
-        if initial.n_qubits != circuit.n_qubits:
-            raise ValueError("initial state size does not match circuit")
-        amps = initial.amps.copy()
+    amps = np.zeros(1 << circuit.n_qubits, dtype=complex)
+    amps[0] = 1.0
     for gate in circuit.gates:
         _apply_gate_inplace(amps, gate)
     return Statevector(amps, copy=False)
@@ -238,14 +233,16 @@ def exact_expectation(psi: Statevector, obs: Observable) -> float:
 
 
 def exact_expectation_factored(psi: Statevector, fobs: FactoredObservable) -> float:
-    """<psi|O|psi> for a tensor-factored observable via per-qubit 2x2 maps."""
+    """<psi|O|psi> for a tensor-factored observable via per-qubit 2x2 maps:
+    the row [a0, ax, ay, az] acts as [[a0 + az, ax - i ay], [ax + i ay, a0 - az]]."""
     if fobs.n_qubits != psi.n_qubits:
         raise ValueError("observable and state qubit counts differ")
     total = 0.0
-    for coeff, factors in fobs.terms:
+    for coeff, table in fobs.terms:
         work = psi.amps.copy()
-        for qubit, op in enumerate(factors):
-            _apply_single_inplace(work, qubit, op.matrix())
+        for qubit, (a0, ax, ay, az) in enumerate(table.tolist()):
+            block = np.array([[a0 + az, ax - 1j * ay], [ax + 1j * ay, a0 - az]])
+            _apply_single_inplace(work, qubit, block)
         total += coeff * float(np.vdot(psi.amps, work).real)
     return total
 

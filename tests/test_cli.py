@@ -35,6 +35,12 @@ class TestPrepare:
         data = json.loads(capsys.readouterr().out)
         assert data["n_qubits"] == 4
 
+    def test_file_matches_stdout(self, tmp_path, capsys):
+        path = tmp_path / "circ.json"
+        assert run_cli("prepare", "--qubits", 6, "--seed", 2, "--out", path) == 0
+        assert run_cli("prepare", "--qubits", 6, "--seed", 2) == 0
+        assert path.read_text() == capsys.readouterr().out
+
 
 class TestPipeline:
     @pytest.fixture()
@@ -161,6 +167,17 @@ class TestPipeline:
         assert run_cli("estimate", "--snapshots", snaps, "--observable", obs_path, *flags) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", [[0.5], [0.5, 0, 0, 0.5, 0]], ids=["short", "long"])
+    def test_factor_row_of_wrong_length_fails(self, tmp_path, snaps, capsys, row):
+        obs_path = tmp_path / "obs.json"
+        term = {"coeff": 1.0, "factors": [[0.5, 0, 0, 0.5], row]}
+        obs_path.write_text(json.dumps({"n_qubits": 2, "terms": [term]}))
+        assert run_cli(
+            "estimate", "--snapshots", snaps, "--observable", obs_path, "--factored"
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
     def test_nan_angle_in_circuit_fails(self, tmp_path, circuit_path, capsys):
         data = json.loads(circuit_path.read_text())
         data["gates"].append({"kind": "XY", "q1": 0, "q2": 1, "alpha": math.nan})
@@ -174,7 +191,7 @@ class TestPipeline:
     def test_estimate_builds_no_pauli_strings(self, tmp_path, snaps, monkeypatch):
         obs_path = tmp_path / "obs.json"
         save_observable(Observable.from_strings([(1.0, "ZI"), (0.5, "XY"), (0.25, "II")]), obs_path)
-        monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
+        monkeypatch.setattr(pauli.PauliString, "__init__", forbidden)
         assert run_cli("estimate", "--snapshots", snaps, "--observable", obs_path) == 0
 
 
@@ -182,9 +199,19 @@ def forbidden(*args):
     raise AssertionError("a PauliString was built")
 
 
+def test_guard_catches_every_pauli_string(monkeypatch):
+    # the guard the tests here install fails on each way to build one
+    obs = Observable.from_strings([(1.0, "ZI"), (0.25, "II")])
+    monkeypatch.setattr(pauli.PauliString, "__init__", forbidden)
+    with pytest.raises(AssertionError, match="PauliString was built"):
+        obs.terms
+    with pytest.raises(AssertionError, match="PauliString was built"):
+        pauli.PauliString([3, 0])
+
+
 def test_writers_build_no_pauli_strings(tmp_path, monkeypatch):
     obs = Observable.from_strings([(1.0, "ZI"), (0.5, "XY"), (0.25, "II")])
-    monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
+    monkeypatch.setattr(pauli.PauliString, "__init__", forbidden)
     path = tmp_path / "obs.json"
     save_observable(obs, path)
     # the identity first, then canonical order
@@ -206,7 +233,7 @@ class TestSeminormCommand:
     def test_builds_no_pauli_strings(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "obs.json"
         save_observable(Observable.from_strings([(0.5, "XI"), (0.5, "xz"), (0.2, "II")]), path)
-        monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
+        monkeypatch.setattr(pauli.PauliString, "__init__", forbidden)
         assert run_cli("seminorm", "--observable", path, "--epsilon", 0.05) == 0
 
     def test_norms_and_budget(self, tmp_path, capsys):
@@ -274,14 +301,14 @@ class TestExperimentCommand:
                "terms_per_observable": 4, "p_err": 0.05, "observable_kind": kind}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
+        monkeypatch.setattr(pauli.PauliString, "__init__", forbidden)
         assert run_cli("experiment", "--config", cfg_path, "--out-prefix", tmp_path / "run") == 0
 
 
 class TestVerifyCommand:
     def test_fast_suite(self, capsys, monkeypatch):
         # every check reads term tables: none builds a PauliString
-        monkeypatch.setattr(pauli.PauliString, "__post_init__", forbidden)
+        monkeypatch.setattr(pauli.PauliString, "__init__", forbidden)
         assert run_cli("verify") == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
@@ -319,6 +346,26 @@ class TestInputErrors:
     def test_oversized_experiment(self, tmp_path, capsys):
         cfg_path, prefix = tmp_path / "cfg.json", tmp_path / "run"
         cfg_path.write_text(json.dumps({"n_qubits": 3, "n_snapshots": 10**13, "seed": 1}))
+        assert run_cli("experiment", "--config", cfg_path, "--out-prefix", prefix) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("change", [
+        {"n_snapshots": 100.0},
+        {"terms_per_observable": 2.5},
+        {"n_observables": 2.5},
+        {"seed": 1.5},
+        {"seed": 1e30},
+        {"seed": "1"},
+        {"seed": -1},
+        {"n_qubits": 4.5},
+        {"n_qubits": 10**40},
+        {"n_snapshots": True},
+        {"p_err": False},
+    ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
+    def test_bad_experiment_config(self, tmp_path, capsys, change):
+        cfg_path, prefix = tmp_path / "cfg.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps({"n_qubits": 3, "n_snapshots": 50, "seed": 1} | change))
         assert run_cli("experiment", "--config", cfg_path, "--out-prefix", prefix) == 2
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]

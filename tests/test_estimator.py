@@ -17,9 +17,6 @@ from aqstate.harness import check_second_moments
 from aqstate.pauli import (
     FactoredObservable,
     Observable,
-    PauliAxis,
-    PauliString,
-    SingleQubitOperator,
     projector_factored,
     seminorm,
     seminorm2,
@@ -67,9 +64,9 @@ class TestR1:
         state = snapshots_from_state(haar_random_state(1, rng), 50, seed=2)
         paulis = [values_of(state, monomial(axis)) for axis in "XYZ"]
         for _ in range(50):
-            op = SingleQubitOperator(*rng.uniform(-1, 1, 4))
-            parts = op.a0 + op.ax * paulis[0] + op.ay * paulis[1] + op.az * paulis[2]
-            values = values_of(state, FactoredObservable(1, ((1.0, (op,)),)))
+            a0, ax, ay, az = row = rng.uniform(-1, 1, 4)
+            parts = a0 + ax * paulis[0] + ay * paulis[1] + az * paulis[2]
+            values = values_of(state, FactoredObservable(1, ((1.0, [row]),)))
             assert values == pytest.approx(parts, abs=1e-12)
 
 
@@ -97,7 +94,7 @@ class TestEstimatePauliString:
         n, m = 3, 20_000
         state = snapshots_from_state(Statevector.zero(n), m, seed=3)
         for k in range(n):
-            obs = Observable(n, ((1.0, PauliString(n, ((k, PauliAxis.Z),))),))
+            obs = monomial("I" * k + "Z" + "I" * (n - k - 1))
             result = estimate_observable(state, obs)
             assert result.std_bound == pytest.approx(math.sqrt(3.0 / m))
             assert result.value == pytest.approx(1.0, abs=3 * result.std_bound)
@@ -149,9 +146,8 @@ class TestEstimateObservable:
         rng = np.random.default_rng(7)
         psi = haar_random_state(3, rng)
         state = snapshots_from_state(psi, 500, seed=7)
-        string = PauliString.from_label("XIZ")
-        single = estimate_observable(state, Observable(3, ((1.0, string),)))
-        scaled = estimate_observable(state, Observable(3, ((2.5, string),)))
+        single = estimate_observable(state, Observable.from_strings([(1.0, "XIZ")]))
+        scaled = estimate_observable(state, Observable.from_strings([(2.5, "XIZ")]))
         assert scaled.value == pytest.approx(2.5 * single.value, rel=1e-12)
         assert scaled.std_bound == pytest.approx(2.5 * single.std_bound, rel=1e-12)
 
@@ -160,7 +156,7 @@ class TestEstimateObservable:
         state = snapshots_from_state(psi, 300, seed=9)
         a = Observable.from_strings([(0.8, "XZI"), (0.1, "IIY")])
         b = Observable.from_strings([(0.5, "ZZZ")])
-        combined = Observable(3, (2.0 * a + (-3.0) * b).terms)
+        combined = Observable(3, a.scaled(2.0).terms + b.scaled(-3.0).terms)
         lhs = estimate_observable(state, combined).value
         rhs = 2.0 * estimate_observable(state, a).value - 3.0 * estimate_observable(state, b).value
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -221,7 +217,7 @@ class TestEstimateFactored:
         for n in (1, 2, 4):
             psi = haar_random_state(n, rng)
             state = snapshots_from_state(psi, 200, seed=19 + n)
-            factors = tuple(SingleQubitOperator(*rng.uniform(-1, 1, 4)) for _ in range(n))
+            factors = rng.uniform(-1, 1, (n, 4))
             fobs = FactoredObservable(n, ((float(rng.uniform(0.5, 2.0)), factors),))
             direct = estimate_factored(state, fobs)
             expanded = estimate_observable(state, fobs.to_observable())

@@ -88,7 +88,7 @@ class TestRandomProjector:
     def test_reproducible(self):
         a = random_projector(5, np.random.default_rng(11))
         b = random_projector(5, np.random.default_rng(11))
-        assert a == b
+        assert np.array_equal(a.coeffs, b.coeffs) and np.array_equal(a.factors, b.factors)
 
 
 class TestCheckpoints:
@@ -222,7 +222,7 @@ class TestMixedTerms:
         products = mixed_term_strings(obs).terms
         assert len(products) == 1
         coeff, string = products[0]
-        assert string.to_label() == "IZ"
+        assert string.axes.tolist() == [0, 3]
         assert coeff == pytest.approx(2 * 3.0 * 0.5 * 0.25)
 
     def test_conflicting_pair_dropped(self):

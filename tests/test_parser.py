@@ -1,16 +1,18 @@
 """Property tests of the input parsers.
 
-Any JSON value fed to the observable, circuit and readout-error loaders
-gives an object or a clean ``ValueError``; any bytes fed to ``deserialize``
-give a state or a ``SnapshotFormatError`` (huge sizes only as claims, never
-allocated).  Random labels in either case, with duplicate, zero and identity
-terms, give the terms of the earlier dictionary canonicalization (copied
-below as ``reference_terms``), and the seminorms, shot budget and estimates
-of the earlier formulas copied into test_term_table.py.
+Any JSON value fed to the observable, circuit, readout-error and
+experiment-config loaders gives an object or a clean ``ValueError``; any
+bytes fed to ``deserialize`` give a state or a ``SnapshotFormatError`` (huge
+sizes only as claims, never allocated).  Random labels in either case, with
+duplicate, zero and identity terms, give the terms of the earlier dictionary
+canonicalization (copied below as ``reference_terms``), and the seminorms,
+shot budget and estimates of the earlier formulas copied into
+test_term_table.py.
 """
 
 import json
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from aqstate.cli import _read_p_err
 from aqstate.estimator import estimate_observable
+from aqstate.harness import NORMALIZATIONS, OBSERVABLE_KINDS, ExperimentConfig
 from aqstate.pauli import (
     FactoredObservable,
     Observable,
@@ -42,6 +45,7 @@ from aqstate.snapshots import (
 )
 from aqstate.statevector import (
     GATE_KINDS,
+    MAX_QUBITS as STATE_QUBIT_CAP,
     Circuit,
     Statevector,
     circuit_from_dict,
@@ -62,16 +66,24 @@ def reference_terms(data):
     """(coeff, PauliString) pairs as the dictionary canonicalization gave
     them: coefficients summed per support in input order from 0.0, exact
     zeros dropped, sorted by support."""
-    n = data["n_qubits"]
-    merged, strings = {}, {}
+    merged = {}
     for term in data["terms"]:
         support = tuple(
             (q, "IXYZ".index(c.upper())) for q, c in enumerate(term["pauli"]) if c.upper() != "I"
         )
-        string = PauliString(n, support)
-        merged[string.support] = merged.get(string.support, 0.0) + float(term["coeff"])
-        strings[string.support] = string
-    return tuple((merged[key], strings[key]) for key in sorted(merged) if merged[key] != 0.0)
+        merged[support] = merged.get(support, 0.0) + float(term["coeff"])
+    return tuple(
+        (merged[key], PauliString(support_row(key, data["n_qubits"])))
+        for key in sorted(merged)
+        if merged[key] != 0.0
+    )
+
+
+def support_row(support, n_qubits):
+    row = [0] * n_qubits
+    for qubit, axis in support:
+        row[qubit] = axis
+    return row
 
 
 json_values = st.recursive(
@@ -128,6 +140,34 @@ def test_any_json_value_gives_a_circuit_or_value_error(data):
     except ValueError:
         return
     assert isinstance(circuit, Circuit)
+
+
+config_values = (
+    st.integers(-2, STATE_QUBIT_CAP + 2) | numbers | st.booleans()
+    | st.sampled_from(OBSERVABLE_KINDS + NORMALIZATIONS) | json_values
+)
+near_configs = st.fixed_dictionaries(
+    {key: config_values for key in ("n_qubits", "n_snapshots", "seed")},
+    optional={key: config_values for key in (
+        "n_observables", "terms_per_observable", "p_err", "observable_kind", "normalization", "x"
+    )},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values | near_configs)
+def test_any_json_value_gives_a_config_or_value_error(data):
+    # validation only: no experiment runs
+    try:
+        cfg = ExperimentConfig.from_dict(data)
+    except ValueError:
+        return
+    counts = (cfg.n_snapshots, cfg.n_observables, cfg.terms_per_observable)
+    assert all(type(v) is int for v in counts + (cfg.n_qubits, cfg.seed))
+    assert 2 <= cfg.n_qubits <= STATE_QUBIT_CAP and min(counts) >= 1 and cfg.seed >= 0
+    assert type(cfg.p_err) in (int, float) and 0.0 <= cfg.p_err < 1.0
+    assert cfg.observable_kind in OBSERVABLE_KINDS and cfg.normalization in NORMALIZATIONS
+    json.dumps(asdict(cfg))  # the report records the config
 
 
 @pytest.fixture(scope="module")

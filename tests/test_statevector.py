@@ -10,8 +10,7 @@ from scipy.linalg import expm
 from aqstate.pauli import (
     FactoredObservable,
     Observable,
-    PauliString,
-    SingleQubitOperator,
+    observable_to_dict,
     projector_factored,
 )
 from aqstate.statevector import (
@@ -19,6 +18,7 @@ from aqstate.statevector import (
     Circuit,
     Gate,
     Statevector,
+    _apply_gate_inplace,
     circuit_from_dict,
     circuit_to_dict,
     exact_expectation,
@@ -40,8 +40,8 @@ def dense_observable(obs):
     """Test-local oracle: dense matrix of a Pauli sum (qubit 0 = LSB)."""
     dim = 1 << obs.n_qubits
     total = np.zeros((dim, dim), dtype=complex)
-    for coeff, string in obs.terms:
-        label = string.to_label()
+    for term in observable_to_dict(obs)["terms"]:
+        coeff, label = term["coeff"], term["pauli"]
         mat = np.eye(1, dtype=complex)
         for ch in reversed(label):  # leftmost char = qubit 0 = rightmost factor
             mat = np.kron(mat, PAULI_MATS[ch])
@@ -50,7 +50,10 @@ def dense_observable(obs):
 
 
 def apply_gate(psi, gate):
-    return run_circuit(Circuit(psi.n_qubits, (gate,)), initial=psi)
+    Circuit(psi.n_qubits, (gate,))  # checks the targets
+    amps = psi.amps.copy()
+    _apply_gate_inplace(amps, gate)
+    return Statevector(amps, copy=False)
 
 
 class TestStatevector:
@@ -271,16 +274,11 @@ class TestExactExpectation:
         for _ in range(25):
             n = int(rng.integers(1, 6))
             psi = haar_random_state(n, rng)
-            terms = []
+            rows, coeffs = [], []
             for _ in range(int(rng.integers(1, 6))):
-                axes = rng.integers(0, 4, n)
-                terms.append(
-                    (
-                        float(rng.uniform(-1, 1)),
-                        PauliString(n, tuple((q, int(a)) for q, a in enumerate(axes) if a)),
-                    )
-                )
-            obs = Observable(n, tuple(terms))
+                rows.append(rng.integers(0, 4, n))
+                coeffs.append(float(rng.uniform(-1, 1)))
+            obs = Observable.from_rows(n, rows, coeffs)
             expected = np.vdot(psi.amps, dense_observable(obs) @ psi.amps).real
             assert exact_expectation(psi, obs) == pytest.approx(expected, abs=1e-10)
 
@@ -289,7 +287,7 @@ class TestExactExpectation:
         psi = haar_random_state(3, rng)
         a = Observable.from_strings([(0.7, "XZI")])
         b = Observable.from_strings([(0.2, "IYY"), (0.4, "ZII")])
-        combined = a + b
+        combined = Observable(3, a.terms + b.terms)
         assert exact_expectation(psi, combined) == pytest.approx(
             exact_expectation(psi, a) + exact_expectation(psi, b), abs=1e-12
         )
@@ -315,9 +313,7 @@ class TestFactoredExpectation:
         for _ in range(15):
             n = int(rng.integers(1, 7))
             psi = haar_random_state(n, rng)
-            factors = tuple(
-                SingleQubitOperator(*rng.uniform(-1, 1, size=4)) for _ in range(n)
-            )
+            factors = rng.uniform(-1, 1, size=(n, 4))
             fobs = FactoredObservable(n, ((float(rng.uniform(0.5, 1.5)), factors),))
             assert exact_expectation_factored(psi, fobs) == pytest.approx(
                 exact_expectation(psi, fobs.to_observable()), abs=1e-10

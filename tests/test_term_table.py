@@ -20,7 +20,6 @@ from aqstate.pauli import (
     FactoredObservable,
     Observable,
     PauliString,
-    SingleQubitOperator,
     projector_factored,
     seminorm,
     seminorm1,
@@ -41,8 +40,8 @@ def reference_weights(state):
 
 
 def reference_string_values(w, string):
-    qubits = np.array([q for q, _ in string.support])
-    axes = np.array([int(a) - 1 for _, a in string.support])
+    (qubits,) = np.nonzero(string.axes)
+    axes = string.axes[qubits].astype(int) - 1
     if qubits.size == 1:
         return w[:, qubits[0], axes[0]]
     return np.prod(w[:, qubits, axes], axis=1)
@@ -64,10 +63,8 @@ def reference_estimate(state, obs):
 def reference_factored(state, fobs):
     w = reference_weights(state)
     parts = []
-    for coeff, factors in fobs.terms:
-        bias = np.array([op.a0 for op in factors])
-        pauli = np.array([[op.ax, op.ay, op.az] for op in factors])
-        per_qubit = bias[None, :] + np.einsum("jka,ka->jk", w, pauli)
+    for coeff, table in fobs.terms:
+        per_qubit = table[None, :, 0] + np.einsum("jka,ka->jk", w, table[:, 1:])
         parts.append(coeff * reference_mean(np.prod(per_qubit, axis=1)))
     return math.fsum(parts)
 
@@ -77,10 +74,7 @@ def reference_seminorms(obs):
     rows = [(string, coeff) for coeff, string in obs.terms if string.weight > 0]
     if not rows:
         return 0.0, 0.0, 0.0
-    axes = np.zeros((len(rows), obs.n_qubits), dtype=np.uint8)
-    for row, (string, _) in enumerate(rows):
-        for qubit, axis in string.support:
-            axes[row, qubit] = axis
+    axes = np.array([string.axes for string, _ in rows])
     signed = np.array([coeff for _, coeff in rows])
 
     def diag(coeffs):
@@ -135,7 +129,9 @@ class TestTermTable:
 
     def test_multi_word_planes(self):
         n = 130
-        obs = Observable(n, ((1.0, PauliString(n, ((0, "X"), (64, "Y"), (129, "Z")))),))
+        row = np.zeros(n, dtype=np.uint8)
+        row[[0, 64, 129]] = 1, 2, 3  # X, Y, Z
+        obs = Observable(n, ((1.0, PauliString(row)),))
         assert obs.x.shape == (1, 3)
         assert obs.x[0].tolist() == [1, 1, 0]
         assert obs.z[0].tolist() == [0, 1, 1 << 1]
@@ -192,16 +188,12 @@ class TestEstimatesMatchFsum:
             w = reference_weights(state)
             bits = [int(b) for b in rng.integers(0, 2, n)]
             general = FactoredObservable(n, tuple(
-                (float(rng.uniform(-2, 2)),
-                 tuple(SingleQubitOperator(*rng.uniform(-1, 1, 4)) for _ in range(n)))
-                for _ in range(3)
+                (float(rng.uniform(-2, 2)), rng.uniform(-1, 1, (n, 4))) for _ in range(3)
             ))
             for fobs in (projector_factored(bits), general):
                 scale = 0.0
-                for coeff, factors in fobs.terms:
-                    bias = np.array([op.a0 for op in factors])
-                    pauli = np.array([[op.ax, op.ay, op.az] for op in factors])
-                    per_qubit = bias[None, :] + np.einsum("jka,ka->jk", w, pauli)
+                for coeff, table in fobs.terms:
+                    per_qubit = table[None, :, 0] + np.einsum("jka,ka->jk", w, table[:, 1:])
                     scale += abs(coeff) * float(np.mean(np.abs(np.prod(per_qubit, axis=1))))
                 # values, not estimate_factored: the seminorms of a multi-term
                 # form would expand it to 4^N strings
@@ -225,8 +217,10 @@ class TestSeminormsAreBitIdentical:
             terms = []
             for _ in range(200):
                 qubits = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
-                support = tuple((int(q), int(rng.integers(1, 4))) for q in qubits)
-                terms.append((float(rng.uniform(-1, 1)), PauliString(n, support)))
+                row = np.zeros(n, dtype=np.uint8)
+                for q in qubits:
+                    row[q] = rng.integers(1, 4)
+                terms.append((float(rng.uniform(-1, 1)), PauliString(row)))
             obs = Observable(n, tuple(terms))
             assert (seminorm(obs), seminorm2(obs), seminorm1(obs)) == reference_seminorms(obs)
 
