@@ -14,7 +14,6 @@ from .pauli import (
     load_observable,
     normalize_to_unit_seminorm,
     projector_factored,
-    projector_pauli_expansion,
     projector_seminorms,
     save_observable,
     seminorm,
@@ -56,11 +55,9 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     HaarMixedTermResult,
-    NoiseAttenuationReport,
     haar_mixed_term_check,
     noise_attenuation_study,
     random_observable,
-    random_projector,
     run_experiment,
     run_verification,
 )

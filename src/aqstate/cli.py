@@ -53,16 +53,14 @@ def _cmd_snapshot(args) -> int:
     psi = statevector.run_circuit(circuit)  # checks the qubit count first
     p_err = _read_p_err(args.readout_error, circuit.n_qubits)
     # acquisition checks the rates and the count before any file is written
-    state = snapshots.snapshots_from_state(
-        psi, args.shots, args.seed, p_err, circuit_hash=circuit.content_hash()
-    )
+    state = snapshots.snapshots_from_state(psi, args.shots, args.seed, p_err)
     if args.dump_state:
         with open(args.dump_state, "w") as fh:
             json.dump([[a.real, a.imag] for a in psi.amps], fh)
             fh.write("\n")
     if args.json:
         with open(args.out, "w") as fh:
-            json.dump(snapshots.state_to_json_dict(state), fh)
+            json.dump(snapshots.state_to_json_dict(state, circuit.content_hash()), fh)
             fh.write("\n")
     else:
         snapshots.save_snapshots(state, args.out)

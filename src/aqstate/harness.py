@@ -14,12 +14,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .pauli import (
-    FactoredObservable,
     Observable,
     factored_seminorms,
     normalize_to_unit_seminorm,
     projector_factored,
-    projector_pauli_expansion,
     projector_seminorms,
     seminorm,
     seminorm1,
@@ -49,11 +47,8 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "HaarMixedTermResult",
-    "NoiseAttenuationReport",
     "VerificationResult",
     "random_observable",
-    "random_projector",
-    "projector_bits",
     "log_checkpoints",
     "run_experiment",
     "mixed_term_strings",
@@ -136,18 +131,6 @@ def random_observable(
     return obs
 
 
-def random_projector(n_qubits: int, rng: np.random.Generator) -> FactoredObservable:
-    """Projector onto a uniformly random computational basis state."""
-    bits = rng.integers(0, 2, size=n_qubits)
-    return projector_factored([int(b) for b in bits])
-
-
-def projector_bits(fobs: FactoredObservable) -> list[int]:
-    """Recover the basis bitstring from a factored projector."""
-    (table,) = fobs.factors
-    return [0 if az > 0 else 1 for az in table[:, 3].tolist()]
-
-
 def log_checkpoints(n_snapshots: int, points: int = 12, start: int = 100) -> list[int]:
     """Logarithmically spaced snapshot counts ending exactly at M."""
     start = min(start, n_snapshots)
@@ -187,9 +170,7 @@ class ExperimentReport:
     format_version: int = REPORT_FORMAT_VERSION
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["config"] = asdict(self.config)
-        return data
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
@@ -228,15 +209,29 @@ def _coverage(rows, which: str) -> dict:
     return out
 
 
+def _check_allocatable(cfg: ExperimentConfig) -> None:
+    """Raise ValueError unless the run's per-snapshot values, one float per
+    observable and snapshot, and one observable's axis draw can be
+    allocated."""
+    try:
+        np.empty((cfg.n_observables, cfg.n_snapshots))
+        if cfg.observable_kind == "random_pauli_sum":
+            np.empty((cfg.terms_per_observable, cfg.n_qubits), dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"{cfg.n_observables} observables of {cfg.terms_per_observable} terms "
+            f"over {cfg.n_snapshots} snapshots need more memory than can be allocated"
+        ) from None
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Prepare a random state, collect one shared approximate state, and
     estimate every observable against it at log-spaced snapshot prefixes."""
+    _check_allocatable(cfg)
     circuit = random_prep_circuit(cfg.n_qubits, _sub_rng(cfg.seed, _TAG_CIRCUIT))
     psi = run_circuit(circuit)
     snap_seed = _snapshot_seed(cfg.seed)
-    state = snapshots_from_state(
-        psi, cfg.n_snapshots, snap_seed, cfg.p_err, circuit_hash=circuit.content_hash()
-    )
+    state = snapshots_from_state(psi, cfg.n_snapshots, snap_seed, cfg.p_err)
     checkpoints = log_checkpoints(cfg.n_snapshots)
 
     obs_rng = _sub_rng(cfg.seed, _TAG_OBSERVABLES)
@@ -250,10 +245,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         described = [{"kind": "pauli_sum", "n_terms": obs.n_terms} for obs in observables]
         band = "bound"
     else:
-        observables = [random_projector(cfg.n_qubits, obs_rng) for _ in range(cfg.n_observables)]
+        # each projector is onto a uniformly random computational basis state
+        bits = [obs_rng.integers(0, 2, size=cfg.n_qubits).tolist()
+                for _ in range(cfg.n_observables)]
+        observables = [projector_factored(b) for b in bits]
         seminorms = [factored_seminorms(proj) for proj in observables]
         oracles = [exact_expectation_factored(psi, proj) for proj in observables]
-        described = [{"kind": "basis_projector", "bits": projector_bits(p)} for p in observables]
+        described = [{"kind": "basis_projector", "bits": b} for b in bits]
         band = "approx"
 
     rows = []
@@ -316,14 +314,10 @@ class HaarMixedTermResult:
     stderr_mean: float
     variance: float
     stderr_variance: float
-    n_samples: int
 
 
 def haar_mixed_term_check(
-    n_qubits: int,
-    n_samples: int,
-    obs: Observable,
-    rng: np.random.Generator,
+    n_samples: int, obs: Observable, rng: np.random.Generator
 ) -> HaarMixedTermResult:
     """Sample the off-diagonal part of the squared seminorm over Haar states.
 
@@ -331,13 +325,11 @@ def haar_mixed_term_check(
     sum_{i != j} 3^r_ij * delta_ij * a_i * a_j * <P_i P_j>; its ensemble
     mean is zero and, for basis projectors, its variance stays below (3/4)^N.
     """
-    if n_qubits > HAAR_QUBIT_CAP:
+    if obs.n_qubits > HAAR_QUBIT_CAP:
         raise ValueError(f"haar check capped at {HAAR_QUBIT_CAP} qubits")
-    if obs.n_qubits != n_qubits:
-        raise ValueError("observable does not match n_qubits")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    dim = 1 << n_qubits
+    dim = 1 << obs.n_qubits
     amps = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     values = pauli_expectation_batch(amps, mixed_term_strings(obs))
@@ -351,7 +343,6 @@ def haar_mixed_term_check(
         stderr_mean=float(values.std(ddof=1)) / math.sqrt(n_samples),
         variance=variance,
         stderr_variance=stderr_var,
-        n_samples=n_samples,
     )
 
 
@@ -367,22 +358,13 @@ class NoiseAttenuationRow:
     std_bound: float
 
 
-@dataclass(frozen=True)
-class NoiseAttenuationReport:
-    n_qubits: int
-    n_snapshots: int
-    p_err: float
-    seed: int
-    rows: tuple[NoiseAttenuationRow, ...]
-
-
 def noise_attenuation_study(
     n_qubits: int,
     n_snapshots: int,
     p_err: float,
     seed: int,
     max_weight: int | None = None,
-) -> NoiseAttenuationReport:
+) -> tuple[NoiseAttenuationRow, ...]:
     """Estimate weight-r monomials under readout noise against the
     (1 - 2*p_err)^r attenuation prediction.
 
@@ -415,7 +397,7 @@ def noise_attenuation_study(
                 std_bound=result.std_bound,
             )
         )
-    return NoiseAttenuationReport(n_qubits, n_snapshots, p_err, seed, tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -478,7 +460,7 @@ def check_projector_closed_forms(seed: int) -> VerificationResult:
     bound_ok = True
     for n in range(1, 7):
         bits = [int(b) for b in rng.integers(0, 2, size=n)]
-        expansion = projector_pauli_expansion(bits)
+        expansion = projector_factored(bits).to_observable()
         gap2 = max(gap2, abs(seminorm2(expansion) ** 2 - (1.0 - 0.25**n)))
         gap = max(gap, abs(seminorm(expansion) - projector_seminorms(n)[0]))
         bound_ok &= seminorm(expansion) ** 2 <= 1.5**n
@@ -518,11 +500,11 @@ def check_readout_attenuation(
     study = noise_attenuation_study(n_qubits, n_snapshots, p_err, seed, max_weight)
     rows = ", ".join(
         f"r={row.weight}: |err| {row.abs_error:.4f} <= {3 * row.std_bound:.4f}"
-        for row in study.rows
+        for row in study
     )
     return VerificationResult(
         "readout-attenuation",
-        all(row.abs_error <= 3 * row.std_bound for row in study.rows),
+        all(row.abs_error <= 3 * row.std_bound for row in study),
         f"N={n_qubits}, p={p_err}, M={_count(n_snapshots)}: {rows}",
     )
 
@@ -533,10 +515,11 @@ def check_haar_mixed_terms(n_samples: int, seed: int) -> tuple[VerificationResul
     projector at N = 2, 3, 4 has variance below (3/4)^N (plus 4 stderr)."""
     rng = np.random.default_rng(seed)
     obs = random_observable(3, 8, rng, normalization="none")
-    mean = haar_mixed_term_check(3, n_samples, obs, rng)
+    mean = haar_mixed_term_check(n_samples, obs, rng)
     variance_ok, details = True, []
     for n in (2, 3, 4):
-        result = haar_mixed_term_check(n, n_samples, projector_pauli_expansion([0] * n), rng)
+        projector = projector_factored([0] * n).to_observable()
+        result = haar_mixed_term_check(n_samples, projector, rng)
         limit = 0.75**n + 4.0 * result.stderr_variance
         variance_ok &= result.variance < limit
         details.append(f"var(N={n}) {result.variance:.3f} < {limit:.3f}")

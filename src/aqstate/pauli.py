@@ -25,7 +25,6 @@ __all__ = [
     "shot_budget",
     "normalize_to_unit_seminorm",
     "projector_factored",
-    "projector_pauli_expansion",
     "projector_seminorms",
     "factored_seminorms",
     "observable_to_dict",
@@ -203,8 +202,6 @@ class Observable:
     def _seminorm(self) -> float:
         """See :func:`seminorm`; computed once per observable."""
         t, n = self.axes.shape
-        if t < 2:  # no pairs
-            return math.sqrt(float(np.sum(_diag_sum(self))))
         coeffs = np.abs(self.coeffs)
         # word-major planes: the blocks below are (words, rows, later terms)
         x, z = self.x.T, self.z.T
@@ -377,10 +374,14 @@ def seminorm1(obs: Observable) -> float:
 
 
 def shot_budget(obs: Observable, epsilon: float) -> int:
-    """Snapshots needed to push the std bound below ``epsilon``."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return max(1, math.ceil((seminorm(obs) / epsilon) ** 2))
+    """Snapshots needed to push the std bound below ``epsilon``, a finite
+    positive number."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be finite and positive")
+    try:
+        return max(1, math.ceil((seminorm(obs) / epsilon) ** 2))
+    except OverflowError:
+        raise ValueError(f"the shot budget for epsilon {epsilon} overflows a float") from None
 
 
 def normalize_to_unit_seminorm(obs: Observable, which: str = "seminorm") -> Observable:
@@ -398,16 +399,6 @@ def projector_factored(bits: Sequence[int]) -> FactoredObservable:
     if not table:
         raise ValueError("empty bitstring")
     return FactoredObservable(len(table), ((1.0, table),))
-
-
-def projector_pauli_expansion(bits: Sequence[int]) -> Observable:
-    """Explicit 2^N-term {I,Z} expansion of a basis projector, the expansion
-    of :func:`projector_factored`.
-
-    Exists for brute-force seminorm cross-checks only; use the factored form
-    for estimation.
-    """
-    return projector_factored(bits).to_observable()
 
 
 def projector_seminorms(n_qubits: int) -> tuple[float, float, float]:

@@ -32,7 +32,6 @@ __all__ = [
     "save_snapshots",
     "load_snapshots",
     "state_to_json_dict",
-    "state_from_json_dict",
 ]
 
 _MAGIC = b"AQST"
@@ -62,12 +61,11 @@ class ApproximateState:
     """M snapshots of an N-qubit state: three numbers per qubit per snapshot.
 
     Arrays are read only.  ``p_err`` holds the per-qubit readout flip
-    probabilities, given as one float or one value per qubit.  Equality covers the persisted payload (arrays, noise, seed); the circuit
-    hash is advisory metadata carried only by the JSON export.
+    probabilities, given as one float or one value per qubit.  Equality
+    covers the whole state: arrays, noise and seed.
     """
 
-    __slots__ = ("n_qubits", "outcomes", "thetas", "phis", "p_err", "seed",
-                 "circuit_hash")
+    __slots__ = ("n_qubits", "outcomes", "thetas", "phis", "p_err", "seed")
 
     def __init__(
         self,
@@ -76,7 +74,6 @@ class ApproximateState:
         phis: np.ndarray,
         p_err: float | Sequence[float] = 0.0,
         seed: int = 0,
-        circuit_hash: str | None = None,
     ):
         outcomes = np.asarray(outcomes, dtype=np.int8)
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -101,7 +98,6 @@ class ApproximateState:
         self.phis = phis
         self.p_err = p
         self.seed = int(seed)
-        self.circuit_hash = circuit_hash
 
     @property
     def n_snapshots(self) -> int:
@@ -174,7 +170,6 @@ def snapshots_from_state(
     n_snapshots: int,
     seed: int,
     p_err: float | Sequence[float] = 0.0,
-    circuit_hash: str | None = None,
 ) -> ApproximateState:
     """Acquire ``n_snapshots`` independent snapshots of a known pure state,
     each outcome flipped with the readout error ``p_err`` of its qubit (one
@@ -251,7 +246,7 @@ def snapshots_from_state(
         thetas[start : start + rows] = theta
         phis[start : start + rows] = phi
 
-    return ApproximateState(outcomes, thetas, phis, p_err, seed, circuit_hash)
+    return ApproximateState(outcomes, thetas, phis, p_err, seed)
 
 
 def build_approximate_state(
@@ -267,7 +262,7 @@ def build_approximate_state(
     """
     p_err = _flip_probabilities(p_err, circuit.n_qubits)
     psi = run_circuit(circuit)
-    return snapshots_from_state(psi, n_snapshots, seed, p_err, circuit.content_hash())
+    return snapshots_from_state(psi, n_snapshots, seed, p_err)
 
 
 # --- binary format ----------------------------------------------------------
@@ -331,30 +326,18 @@ def load_snapshots(path) -> ApproximateState:
         return deserialize(fh.read())
 
 
-def state_to_json_dict(state: ApproximateState) -> dict:
-    """JSON export for interop and debugging; carries full metadata."""
+def state_to_json_dict(state: ApproximateState, circuit_hash: str | None = None) -> dict:
+    """JSON export for interop and debugging, with the hash of the circuit
+    that prepared the state when the caller passes one.  Nothing reads it
+    back."""
     return {
         "format_version": _FORMAT_VERSION,
         "n_qubits": state.n_qubits,
         "n_snapshots": state.n_snapshots,
         "seed": state.seed,
         "p_err": state.p_err.tolist(),
-        "circuit_hash": state.circuit_hash,
+        "circuit_hash": circuit_hash,
         "outcomes": state.outcomes.tolist(),
         "thetas": state.thetas.tolist(),
         "phis": state.phis.tolist(),
     }
-
-
-def state_from_json_dict(data: dict) -> ApproximateState:
-    try:
-        return ApproximateState(
-            np.array(data["outcomes"], dtype=np.int8),
-            np.array(data["thetas"]),
-            np.array(data["phis"]),
-            np.array(data["p_err"]),
-            int(data["seed"]),
-            data.get("circuit_hash"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotFormatError(f"malformed snapshot JSON: {exc}") from exc

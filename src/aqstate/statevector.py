@@ -189,7 +189,10 @@ def random_prep_circuit(
     n_single = n_qubits // 2
     n_pairs = n_qubits // 4
     gates = []
-    targets = rng.choice(n_qubits, size=n_single, replace=False)
+    try:
+        targets = rng.choice(n_qubits, size=n_single, replace=False)
+    except (MemoryError, OverflowError):
+        raise ValueError(f"cannot draw gate targets among {n_qubits} qubits") from None
     kinds = rng.integers(0, len(SINGLE_QUBIT_KINDS), size=n_single)
     gates.extend(
         Gate(SINGLE_QUBIT_KINDS[k], (int(q),)) for q, k in zip(targets, kinds)

@@ -12,7 +12,7 @@ import pytest
 from aqstate import pauli
 from aqstate.cli import main
 from aqstate.pauli import Observable, projector_factored, save_observable, seminorm
-from aqstate.snapshots import load_snapshots, state_from_json_dict
+from aqstate.snapshots import load_snapshots
 from aqstate.statevector import load_circuit
 
 
@@ -102,14 +102,22 @@ class TestPipeline:
         assert result["std_approx"] <= result["std_bound"]
 
     def test_json_snapshot_mode(self, tmp_path, circuit_path):
-        out = tmp_path / "state.json"
-        assert run_cli(
-            "snapshot", "--circuit", circuit_path, "--shots", 50,
-            "--seed", 7, "--out", out, "--json",
-        ) == 0
+        out, binary = tmp_path / "state.json", tmp_path / "state.aqst"
+        for path, mode in ((out, ["--json"]), (binary, [])):
+            assert run_cli(
+                "snapshot", "--circuit", circuit_path, "--shots", 50,
+                "--seed", 7, "--readout-error", 0.1, "--out", path, *mode,
+            ) == 0
         with open(out) as fh:
-            state = state_from_json_dict(json.load(fh))
-        assert state.n_snapshots == 50
+            data = json.load(fh)
+        state = load_snapshots(binary)
+        assert (data["n_qubits"], data["n_snapshots"]) == (2, 50)
+        assert data["seed"] == state.seed == 7
+        assert data["p_err"] == state.p_err.tolist() == [0.1, 0.1]
+        assert data["outcomes"] == state.outcomes.tolist()
+        assert data["thetas"] == state.thetas.tolist()
+        assert data["phis"] == state.phis.tolist()
+        assert data["circuit_hash"] == load_circuit(circuit_path).content_hash()
 
     def test_dump_state_debug_flag(self, tmp_path, circuit_path):
         snaps = tmp_path / "state.aqst"
@@ -350,6 +358,23 @@ class TestInputErrors:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]
 
+    @pytest.mark.parametrize("epsilon", ["1e-300", "inf", "nan"])
+    def test_bad_epsilon(self, tmp_path, capsys, epsilon):
+        path = tmp_path / "obs.json"
+        save_observable(Observable.from_strings([(0.5, "XI"), (0.5, "XZ")]), path)
+        assert run_cli("seminorm", "--observable", path, "--epsilon", epsilon) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epsilon" in captured.err
+
+    # drawing gate targets among 10^13 qubits needs a 73 TiB permutation, and
+    # 10^20 does not fit a C long: both fail before anything is allocated
+    @pytest.mark.parametrize("qubits", [10**13, 10**20])
+    def test_impossible_qubit_count(self, tmp_path, capsys, qubits):
+        out = tmp_path / "circ.json"
+        assert run_cli("prepare", "--qubits", qubits, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("change", [
         {"n_snapshots": 100.0},
         {"terms_per_observable": 2.5},
@@ -362,6 +387,11 @@ class TestInputErrors:
         {"n_qubits": 10**40},
         {"n_snapshots": True},
         {"p_err": False},
+        # the axis draw of 10^12 terms (22 TiB) or the per-snapshot values of
+        # 10^13 observables cannot be allocated: the run stops before its
+        # circuit runs and before any observable is built
+        {"terms_per_observable": 10**12},
+        {"n_observables": 10**13},
     ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
     def test_bad_experiment_config(self, tmp_path, capsys, change):
         cfg_path, prefix = tmp_path / "cfg.json", tmp_path / "run"

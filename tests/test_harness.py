@@ -16,16 +16,14 @@ from aqstate.harness import (
     log_checkpoints,
     mixed_term_strings,
     noise_attenuation_study,
-    projector_bits,
     random_observable,
-    random_projector,
     run_experiment,
     run_verification,
 )
 from aqstate.pauli import (
     Observable,
     factored_seminorms,
-    projector_pauli_expansion,
+    projector_factored,
     seminorm,
     seminorm2,
 )
@@ -67,13 +65,18 @@ class TestRandomObservable:
         assert a == b
 
 
+def projector_bits(seed, n_observables):
+    """The basis bitstrings of a projector experiment at N = 3."""
+    cfg = ExperimentConfig(n_qubits=3, n_snapshots=10, seed=seed, n_observables=n_observables,
+                           observable_kind="basis_projector")
+    return [o["bits"] for o in run_experiment(cfg).observables]
+
+
 class TestRandomProjector:
     def test_uniform_over_basis_states(self):
-        rng = np.random.default_rng(5)
-        n, draws = 3, 4000
+        draws = 4000
         counts = np.zeros(8)
-        for _ in range(draws):
-            bits = projector_bits(random_projector(n, rng))
+        for bits in projector_bits(5, draws):
             counts[bits[0] + 2 * bits[1] + 4 * bits[2]] += 1
         expected = draws / 8
         assert np.all(np.abs(counts - expected) <= 4 * math.sqrt(expected))
@@ -81,14 +84,12 @@ class TestRandomProjector:
     def test_seminorm2_closed_form(self):
         rng = np.random.default_rng(6)
         for n in (2, 5, 12):
-            proj = random_projector(n, rng)
+            proj = projector_factored(rng.integers(0, 2, size=n).tolist())
             _, norm2 = factored_seminorms(proj)
             assert norm2**2 == pytest.approx(1.0 - 0.25**n, abs=1e-12)
 
     def test_reproducible(self):
-        a = random_projector(5, np.random.default_rng(11))
-        b = random_projector(5, np.random.default_rng(11))
-        assert np.array_equal(a.coeffs, b.coeffs) and np.array_equal(a.factors, b.factors)
+        assert projector_bits(11, 5) == projector_bits(11, 5)
 
 
 class TestCheckpoints:
@@ -238,7 +239,7 @@ class TestHaarMixedTermCheck:
     def test_single_term_identically_zero(self):
         rng = np.random.default_rng(17)
         obs = Observable.from_strings([(0.7, "XYZ")])
-        result = haar_mixed_term_check(3, 100, obs, rng)
+        result = haar_mixed_term_check(100, obs, rng)
         assert result.mean == 0.0
         assert result.variance == 0.0
 
@@ -249,27 +250,27 @@ class TestHaarMixedTermCheck:
     def test_projector_variance_bound(self):
         rng = np.random.default_rng(23)
         for n in (2, 3):
-            expansion = projector_pauli_expansion([0] * n)
-            result = haar_mixed_term_check(n, 4000, expansion, rng)
+            expansion = projector_factored([0] * n).to_observable()
+            result = haar_mixed_term_check(4000, expansion, rng)
             assert result.variance < 0.75**n + 4.0 * result.stderr_variance
 
     def test_qubit_cap(self):
         rng = np.random.default_rng(29)
         obs = random_observable(6, 3, rng, normalization="none")
         with pytest.raises(ValueError):
-            haar_mixed_term_check(6, 100, obs, rng)
+            haar_mixed_term_check(100, obs, rng)
 
 
 class TestNoiseAttenuation:
     def test_noiseless_ratios(self):
-        report = noise_attenuation_study(4, 20_000, 0.0, seed=3)
-        for row in report.rows:
+        rows = noise_attenuation_study(4, 20_000, 0.0, seed=3)
+        assert [row.weight for row in rows] == [1, 2, 3, 4]
+        for row in rows:
             assert row.attenuation == 1.0
             assert abs(row.estimate - row.oracle) <= 3 * row.std_bound
 
     def test_five_percent_weight_one(self):
-        report = noise_attenuation_study(4, 50_000, 0.05, seed=5)
-        row = report.rows[0]
+        row = noise_attenuation_study(4, 50_000, 0.05, seed=5)[0]
         assert row.predicted == pytest.approx(0.9, abs=1e-12)
         assert row.observed_ratio == pytest.approx(0.9, abs=3 * row.std_bound)
 

@@ -1,5 +1,6 @@
 """Pauli algebra, observables, and seminorm tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from aqstate.pauli import (
     observable_from_dict,
     observable_to_dict,
     projector_factored,
-    projector_pauli_expansion,
     projector_seminorms,
     save_observable,
     seminorm,
@@ -279,6 +279,11 @@ class TestStdBound:
         m = shot_budget(obs, 0.01)
         assert seminorm(obs) / math.sqrt(m) <= 0.01 < seminorm(obs) / math.sqrt(m - 1)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.inf, math.nan, 1e-300])
+    def test_shot_budget_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            shot_budget(Observable.from_strings([(1.0, "X")]), epsilon)
+
 
 class TestNormalization:
     def test_scalar_rescale(self):
@@ -319,30 +324,36 @@ class TestProjectors:
         assert proj.factors.tolist() == [[[0.5, 0.0, 0.0, -0.5]] * 2]
 
     def test_expansion_one_qubit(self):
-        obs = projector_pauli_expansion([0])
+        obs = projector_factored([0]).to_observable()
         assert term_labels(obs) == {"I": 0.5, "Z": 0.5}
 
     def test_expansion_two_qubits_coefficients(self):
-        obs = projector_pauli_expansion([0, 1])
+        obs = projector_factored([0, 1]).to_observable()
         assert len(obs.terms) == 4
         assert all(abs(c) == 0.25 for c, _ in obs.terms)
 
     def test_expansion_matches_factored(self):
+        # |x><x| = 2^-N sum over subsets S of (-1)^(sum of x over S) Z_S
         rng = np.random.default_rng(31)
         for n in range(1, 5):
             bits = [int(b) for b in rng.integers(0, 2, n)]
             expanded = projector_factored(bits).to_observable()
-            direct = projector_pauli_expansion(bits)
-            assert term_labels(expanded) == pytest.approx(term_labels(direct))
+            direct = {
+                "".join("Z" if q in subset else "I" for q in range(n)):
+                    (-1) ** sum(bits[q] for q in subset) / 2**n
+                for k in range(n + 1)
+                for subset in itertools.combinations(range(n), k)
+            }
+            assert term_labels(expanded) == pytest.approx(direct)
 
     def test_seminorm2_closed_form(self):
         for n in range(1, 7):
-            obs = projector_pauli_expansion([1] * n)
+            obs = projector_factored([1] * n).to_observable()
             assert seminorm2(obs) ** 2 == pytest.approx(1.0 - 0.25**n, abs=1e-12)
 
     def test_seminorm_bound(self):
         for n in range(1, 7):
-            obs = projector_pauli_expansion([0] * n)
+            obs = projector_factored([0] * n).to_observable()
             assert seminorm(obs) ** 2 <= 1.5**n
             # the N = 3 instance from the brute-force pair sum
             if n == 3:
@@ -352,7 +363,7 @@ class TestProjectors:
         rng = np.random.default_rng(37)
         for n in range(1, 7):
             bits = [int(b) for b in rng.integers(0, 2, n)]
-            obs = projector_pauli_expansion(bits)
+            obs = projector_factored(bits).to_observable()
             closed = projector_seminorms(n)
             assert closed[0] == pytest.approx(seminorm(obs), rel=1e-13)
             assert closed[1] == pytest.approx(seminorm2(obs), rel=1e-13)
@@ -360,7 +371,7 @@ class TestProjectors:
 
     def test_expansion_cap(self):
         with pytest.raises(ValueError):
-            projector_pauli_expansion([0] * 13)
+            projector_factored([0] * 13).to_observable()
 
 
 class TestFactoredSeminorms:
