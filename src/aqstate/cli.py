@@ -38,12 +38,12 @@ def _read_p_err(value_or_path: str, n_qubits: int) -> list[float]:
     except ValueError:
         with open(value_or_path) as fh:
             values = json.load(fh)
-    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+    if not isinstance(values, list):
         raise ValueError("a readout-error file must hold a JSON list of numbers")
     if len(values) != n_qubits:
         raise ValueError(f"need {n_qubits} per-qubit error rates, got {len(values)}")
     try:
-        return [float(v) for v in values]
+        return [float(pauli._number("p_err entry", v)) for v in values]
     except OverflowError:  # an integer too large for a float
         raise ValueError("p_err entries must lie in [0, 1)") from None
 
@@ -87,7 +87,7 @@ def _cmd_estimate(args) -> int:
                 "std_approx": result.std_approx,
                 "std_empirical": result.std_empirical,
                 "M": result.n_snapshots,
-                "N": result.n_qubits,
+                "N": state.n_qubits,
             },
             indent=1,
         )

@@ -10,6 +10,7 @@ the per-snapshot values over sqrt(M).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .pauli import (
     seminorm2,
 )
 from .snapshots import ApproximateState
+from .statevector import _SINGLE_QUBIT_MATRICES
 
 __all__ = [
     "EstimateResult",
@@ -47,7 +49,6 @@ class EstimateResult:
     std_bound: float
     std_approx: float
     n_snapshots: int
-    n_qubits: int
     std_empirical: float | None = None
 
     def __post_init__(self):
@@ -55,14 +56,14 @@ class EstimateResult:
             raise ValueError("std_approx cannot exceed std_bound")
 
     @classmethod
-    def from_values(cls, values: np.ndarray, seminorms: tuple, n_qubits: int) -> "EstimateResult":
+    def from_values(cls, values: np.ndarray, seminorms: tuple) -> "EstimateResult":
         """Snapshot average of per-snapshot values (a pairwise sum), with the
         (seminorm, seminorm2) pair ``seminorms`` scaled to error fields."""
         m = len(values)
         root_m = math.sqrt(m)
         spread = float(np.std(values, ddof=1)) / root_m if m > 1 else None
         mean = float(np.sum(values)) / m
-        return cls(mean, seminorms[0] / root_m, seminorms[1] / root_m, m, n_qubits, spread)
+        return cls(mean, seminorms[0] / root_m, seminorms[1] / root_m, m, spread)
 
 
 # terms whose per-snapshot products fill this many bytes are evaluated at once
@@ -126,7 +127,7 @@ def estimate_observable(state: ApproximateState, obs: Observable) -> EstimateRes
     one-term observable, whose error scale is 3^(r/2)/sqrt(M) at weight r.
     The pair-sum seminorm is cached with the observable."""
     (values,) = snapshot_values(state, [obs])
-    return EstimateResult.from_values(values, (seminorm(obs), seminorm2(obs)), state.n_qubits)
+    return EstimateResult.from_values(values, (seminorm(obs), seminorm2(obs)))
 
 
 def estimate_factored(state: ApproximateState, fobs: FactoredObservable) -> EstimateResult:
@@ -136,44 +137,32 @@ def estimate_factored(state: ApproximateState, fobs: FactoredObservable) -> Esti
     term, with no Pauli expansion.
     """
     (values,) = snapshot_values(state, [fobs])
-    return EstimateResult.from_values(values, factored_seminorms(fobs), state.n_qubits)
+    return EstimateResult.from_values(values, factored_seminorms(fobs))
 
 
 def reconstruct_density(state: ApproximateState) -> np.ndarray:
     """Average of the tensor-product kernels: the 2^N x 2^N matrix whose
     expectation is the true density operator.
 
-    Exists only to verify the tomographic identity at tiny N; estimation
-    never needs it.
+    Snapshot j's kernel on qubit q is 1/2 sum_a w[q, a, j] sigma_a over the
+    weight table, so the average is 2^-N times the sum over Pauli strings of
+    the mean weight product times the string.  Exists only to verify the
+    tomographic identity at tiny N; estimation never needs it.
     """
     n = state.n_qubits
     if n > DENSITY_QUBIT_CAP:
         raise ValueError(f"density reconstruction capped at {DENSITY_QUBIT_CAP} qubits")
-    m = state.n_snapshots
-    sin_t = np.sin(state.thetas)
-    nx = np.cos(state.phis) * sin_t
-    ny = np.sin(state.phis) * sin_t
-    nz = np.cos(state.thetas)
-    f = 1.5 * state.outcomes
-    kernels = np.empty((m, n, 2, 2), dtype=complex)
-    kernels[..., 0, 0] = 0.5 + f * nz
-    kernels[..., 0, 1] = f * (nx - 1j * ny)
-    kernels[..., 1, 0] = f * (nx + 1j * ny)
-    kernels[..., 1, 1] = 0.5 - f * nz
+    weights = _weight_table(state)
     # qubit 0 is the least-significant index bit, so it is the rightmost
-    # factor of the matrix tensor product
-    subscripts = {
-        1: "jab->ab",
-        2: "jab,jcd->acbd",
-        3: "jab,jcd,jef->acebdf",
-    }[n]
-    operands = [kernels[:, k] for k in reversed(range(n))]
-    total = np.zeros((2**n, 2**n), dtype=complex)
-    chunk = 10_000
-    for start in range(0, m, chunk):
-        parts = [op[start : start + chunk] for op in operands]
-        total += np.einsum(subscripts, *parts).reshape(2**n, 2**n)
-    return total / m
+    # factor: axis k of ``means`` is qubit n-1-k
+    operands = [arg for q in range(n) for arg in (weights[q], [q, n])]
+    means = np.einsum(*operands, list(reversed(range(n)))) / state.n_snapshots
+    sigma = [np.eye(2)] + [_SINGLE_QUBIT_MATRICES[axis] for axis in "XYZ"]
+    total = sum(
+        means[index] * functools.reduce(np.kron, [sigma[a] for a in index])
+        for index in np.ndindex(means.shape)
+    )
+    return total / 2**n
 
 
 def predict_attenuated(

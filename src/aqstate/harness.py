@@ -15,6 +15,8 @@ import numpy as np
 
 from .pauli import (
     Observable,
+    _integer,
+    _number,
     factored_seminorms,
     normalize_to_unit_seminorm,
     projector_factored,
@@ -39,6 +41,7 @@ from .snapshots import snapshots_from_state
 from .estimator import (
     EstimateResult,
     estimate_observable,
+    predict_attenuated,
     reconstruct_density,
     snapshot_values,
 )
@@ -88,19 +91,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_qubits", "n_snapshots", "seed", "n_observables", "terms_per_observable"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a NumPy integer would not serialize
+            # a NumPy integer would not serialize
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 2 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must lie in 2..{MAX_QUBITS}")
         if self.n_snapshots < 1 or self.n_observables < 1 or self.terms_per_observable < 1:
             raise ValueError("counts must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if isinstance(self.p_err, bool) or not isinstance(self.p_err, (int, float)):
-            raise ValueError(f"p_err must be a number, got {self.p_err!r}")
-        if not 0.0 <= self.p_err < 1.0:
+        if not 0.0 <= _number("p_err", self.p_err) < 1.0:
             raise ValueError("p_err must lie in [0, 1)")
         if self.observable_kind not in OBSERVABLE_KINDS:
             raise ValueError(f"observable_kind must be one of {OBSERVABLE_KINDS}")
@@ -131,10 +130,10 @@ def random_observable(
     return obs
 
 
-def log_checkpoints(n_snapshots: int, points: int = 12, start: int = 100) -> list[int]:
-    """Logarithmically spaced snapshot counts ending exactly at M."""
-    start = min(start, n_snapshots)
-    grid = np.geomspace(start, n_snapshots, num=points)
+def log_checkpoints(n_snapshots: int) -> list[int]:
+    """12 logarithmically spaced snapshot counts from min(100, M), ending
+    exactly at M."""
+    grid = np.geomspace(min(100, n_snapshots), n_snapshots, num=12)
     return sorted({int(round(v)) for v in grid} | {n_snapshots})
 
 
@@ -169,11 +168,8 @@ class ExperimentReport:
     band: str
     format_version: int = REPORT_FORMAT_VERSION
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        return json.dumps(asdict(self), sort_keys=True, indent=1)
 
     def curves_csv(self) -> str:
         out = io.StringIO()
@@ -258,7 +254,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for values, pair, oracle in zip(snapshot_values(state, observables), seminorms, oracles):
         # curve point k averages the first m_k per-snapshot values; the last
         # checkpoint is M, so the last point is the final estimate
-        points = [EstimateResult.from_values(values[:m], pair, cfg.n_qubits) for m in checkpoints]
+        points = [EstimateResult.from_values(values[:m], pair) for m in checkpoints]
         final = points[-1]
         rows.append(ObservableRow(oracle, final.value, final.std_bound, final.std_approx,
                                   final.std_empirical, tuple(p.value for p in points)))
@@ -369,7 +365,7 @@ def noise_attenuation_study(
     (1 - 2*p_err)^r attenuation prediction.
 
     Uses the |+...+> state with X^(x r) monomials so every oracle value is
-    exactly 1 and the observed ratio reads off the attenuation directly.
+    1 up to rounding and the observed ratio reads off the attenuation directly.
     """
     if n_qubits > 10:
         raise ValueError("attenuation study capped at 10 qubits")
@@ -384,7 +380,7 @@ def noise_attenuation_study(
         obs = Observable.from_strings([(1.0, "X" * r + "I" * (n_qubits - r))])
         oracle = exact_expectation(psi, obs)
         result = estimate_observable(state, obs)
-        predicted = damp**r * oracle
+        predicted = predict_attenuated(obs, [oracle], p_err)
         rows.append(
             NoiseAttenuationRow(
                 weight=r,

@@ -46,10 +46,27 @@ _LABEL_AXES[list(b"IXYZ")] = _LABEL_AXES[list(b"ixyz")] = range(4)
 _AXIS_BYTES = np.frombuffer(b"IXYZ", dtype=np.uint8)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is a Python or NumPy integer, not a bool;
+    else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(name: str, value):
+    """``value`` unchanged if it is an int or float, not a bool; else
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _qubit_count(n_qubits: int) -> int:
+    n_qubits = _integer("n_qubits", n_qubits)
     if n_qubits < 1:
         raise ValueError("n_qubits must be positive")
-    return int(n_qubits)
+    return n_qubits
 
 
 def _label_axes(labels: Sequence[str], n_qubits: int) -> np.ndarray:
@@ -461,8 +478,8 @@ def observable_to_dict(obs: Observable) -> dict:
 
 def observable_from_dict(data: dict) -> Observable:
     try:
-        n = int(data["n_qubits"])
-        coeffs = [float(t["coeff"]) for t in data["terms"]]
+        n = data["n_qubits"]
+        coeffs = [float(_number("coeff", t["coeff"])) for t in data["terms"]]
         labels = [t["pauli"] for t in data["terms"]]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed observable data: {exc}") from exc
@@ -481,8 +498,12 @@ def factored_to_dict(fobs: FactoredObservable) -> dict:
 
 def factored_from_dict(data: dict) -> FactoredObservable:
     try:
-        n = int(data["n_qubits"])
-        return FactoredObservable(n, [(t["coeff"], t["factors"]) for t in data["terms"]])
+        terms = [
+            (_number("coeff", t["coeff"]),
+             [[_number("factor entry", a) for a in row] for row in t["factors"]])
+            for t in data["terms"]
+        ]
+        return FactoredObservable(data["n_qubits"], terms)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed factored observable data: {exc}") from exc
 

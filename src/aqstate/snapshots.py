@@ -103,9 +103,6 @@ class ApproximateState:
     def n_snapshots(self) -> int:
         return self.outcomes.shape[0]
 
-    def __len__(self):
-        return self.n_snapshots
-
     def __eq__(self, other):
         if not isinstance(other, ApproximateState):
             return NotImplemented

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .pauli import FactoredObservable, Observable
+from .pauli import FactoredObservable, Observable, _integer, _number
 
 __all__ = [
     "MAX_QUBITS",
@@ -75,16 +75,6 @@ class Statevector:
         self.n_qubits = n
         self.amps = amps
 
-    @classmethod
-    def zero(cls, n_qubits: int) -> "Statevector":
-        return cls.basis(n_qubits, 0)
-
-    @classmethod
-    def basis(cls, n_qubits: int, index: int) -> "Statevector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps, copy=False)
-
     def __repr__(self):
         return f"Statevector(n_qubits={self.n_qubits})"
 
@@ -101,13 +91,13 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(_integer("gate qubit", q) for q in self.qubits))
         if self.kind == "XY":
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError("XY needs two distinct targets")
             if self.alpha is None:
                 raise ValueError("XY needs an angle")
-            alpha = float(self.alpha)
+            alpha = float(_number("XY angle", self.alpha))
             if not math.isfinite(alpha):
                 raise ValueError(f"XY angle must be finite, got {alpha!r}")
             object.__setattr__(self, "alpha", alpha % (2.0 * math.pi))
@@ -124,6 +114,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", _integer("n_qubits", self.n_qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
             if any(q < 0 or q >= self.n_qubits for q in gate.qubits):
@@ -277,18 +268,14 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 def circuit_from_dict(data: dict) -> Circuit:
     try:
-        n = int(data["n_qubits"])
-        gates = []
-        for entry in data["gates"]:
-            if entry["kind"] == "XY":
-                gates.append(
-                    Gate("XY", (int(entry["q1"]), int(entry["q2"])), float(entry["alpha"]))
-                )
-            else:
-                gates.append(Gate(entry["kind"], (int(entry["q"]),)))
+        gates = [
+            Gate("XY", (entry["q1"], entry["q2"]), entry["alpha"]) if entry["kind"] == "XY"
+            else Gate(entry["kind"], (entry["q"],))
+            for entry in data["gates"]
+        ]
+        return Circuit(data["n_qubits"], tuple(gates))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed circuit data: {exc}") from exc
-    return Circuit(n, tuple(gates))
 
 
 def save_circuit(circuit: Circuit, path) -> None:

@@ -412,6 +412,43 @@ class TestInputErrors:
         assert self.snapshot(tmp_path, '{"n_qubits": 3, "gates": [%s]}' % gates, path) == 2
         assert "error:" in capsys.readouterr().err
 
+    # integer fields take only integers, number fields only numbers: none of
+    # these is rounded, parsed from a string or read as 0 or 1
+    @pytest.mark.parametrize("circuit", [
+        '{"n_qubits": 3.0, "gates": []}',
+        '{"n_qubits": "3", "gates": [{"kind": "XY", "q1": true, "q2": 2.99, "alpha": "0.5"}]}',
+        '{"n_qubits": 3, "gates": [{"kind": "XY", "q1": true, "q2": 2, "alpha": 0.5}]}',
+        '{"n_qubits": 3, "gates": [{"kind": "XY", "q1": 1, "q2": 2.99, "alpha": 0.5}]}',
+        '{"n_qubits": 3, "gates": [{"kind": "XY", "q1": 1, "q2": 2, "alpha": "0.5"}]}',
+        '{"n_qubits": 3, "gates": [{"kind": "H", "q": 0.9}]}',
+    ], ids=["float-count", "mixed-fields", "bool-qubit", "float-qubit", "string-angle",
+            "float-target"])
+    def test_non_integer_circuit_field(self, tmp_path, capsys, circuit):
+        assert self.snapshot(tmp_path, circuit) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, factored", [
+        ({"n_qubits": 2.9, "terms": [{"coeff": 1.0, "pauli": "XZ"}]}, False),
+        ({"n_qubits": True, "terms": [{"coeff": 1.0, "pauli": "X"}]}, False),
+        ({"n_qubits": 2, "terms": [{"coeff": "2", "pauli": "XZ"}]}, False),
+        ({"n_qubits": 2, "terms": [{"coeff": "2", "factors": [[1, 0, 0, 0]] * 2}]}, True),
+        ({"n_qubits": 2, "terms": [{"coeff": 1, "factors": [["0.5", 0, 0, 0.5]] * 2}]}, True),
+        ({"n_qubits": 2, "terms": [{"coeff": 1, "factors": [[1, False, 0, 0]] * 2}]}, True),
+        ({"n_qubits": 2.0, "terms": [{"coeff": 1, "factors": [[1, 0, 0, 0]] * 2}]}, True),
+    ], ids=["float-count", "bool-count", "string-coeff", "factored-string-coeff",
+            "string-factor", "bool-factor", "factored-float-count"])
+    def test_non_number_observable_field(self, tmp_path, capsys, data, factored):
+        circuit, snaps, obs = tmp_path / "c.json", tmp_path / "s.aqst", tmp_path / "o.json"
+        circuit.write_text('{"n_qubits": 2, "gates": []}')
+        assert run_cli("snapshot", "--circuit", circuit, "--shots", 10, "--out", snaps) == 0
+        obs.write_text(json.dumps(data))
+        argv = ["estimate", "--snapshots", snaps, "--observable", obs] + ["--factored"] * factored
+        assert run_cli(*argv) == 2
+        if not factored:
+            assert run_cli("seminorm", "--observable", obs) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
 
 class TestArgumentErrors:
     def test_missing_subcommand(self):

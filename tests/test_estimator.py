@@ -77,7 +77,7 @@ def monomial(label):
 
 class TestEstimatePauliString:
     def test_identity_is_exact(self):
-        state = snapshots_from_state(Statevector.zero(2), 50, seed=1)
+        state = snapshots_from_state(Statevector(np.eye(4)[0]), 50, seed=1)
         result = estimate_observable(state, monomial("II"))
         assert result.value == 1.0
         assert result.std_bound == 0.0
@@ -92,7 +92,7 @@ class TestEstimatePauliString:
 
     def test_z_on_zero_state(self):
         n, m = 3, 20_000
-        state = snapshots_from_state(Statevector.zero(n), m, seed=3)
+        state = snapshots_from_state(Statevector(np.eye(1 << n)[0]), m, seed=3)
         for k in range(n):
             obs = monomial("I" * k + "Z" + "I" * (n - k - 1))
             result = estimate_observable(state, obs)
@@ -100,7 +100,7 @@ class TestEstimatePauliString:
             assert result.value == pytest.approx(1.0, abs=3 * result.std_bound)
 
     def test_qubit_count_mismatch(self):
-        state = snapshots_from_state(Statevector.zero(2), 10, seed=0)
+        state = snapshots_from_state(Statevector(np.eye(4)[0]), 10, seed=0)
         with pytest.raises(ValueError):
             estimate_observable(state, monomial("X"))
 
@@ -110,7 +110,7 @@ class TestStdEmpirical:
         # per-snapshot value 3*m*n_z has mean 1 and second moment 9 <n_z^2> = 3,
         # so the per-snapshot spread is sqrt(2)
         m = 20_000
-        state = snapshots_from_state(Statevector.zero(1), m, seed=41)
+        state = snapshots_from_state(Statevector(np.eye(2)[0]), m, seed=41)
         result = estimate_observable(state, monomial("Z"))
         expected = math.sqrt(2.0 / m)
         assert result.std_empirical == pytest.approx(expected, rel=0.03)
@@ -126,7 +126,7 @@ class TestStdEmpirical:
         assert result.value == float(np.sum(values)) / 700
 
     def test_factored_reports_spread(self):
-        state = snapshots_from_state(Statevector.basis(2, 0), 5_000, seed=45)
+        state = snapshots_from_state(Statevector(np.eye(4)[0]), 5_000, seed=45)
         result = estimate_factored(state, projector_factored([0, 0]))
         assert result.std_empirical is not None and math.isfinite(result.std_empirical)
         assert result.std_empirical > 0.0
@@ -138,7 +138,7 @@ class TestStdEmpirical:
 
 class TestEstimateObservable:
     def test_identity_exact(self):
-        state = snapshots_from_state(Statevector.zero(2), 64, seed=5)
+        state = snapshots_from_state(Statevector(np.eye(4)[0]), 64, seed=5)
         result = estimate_observable(state, Observable.from_strings([(1.0, "II")]))
         assert result.value == 1.0
 
@@ -163,7 +163,7 @@ class TestEstimateObservable:
 
     def test_error_fields_use_seminorms(self):
         obs = Observable.from_strings([(0.5, "XI"), (0.5, "XZ")])
-        state = snapshots_from_state(Statevector.zero(2), 400, seed=11)
+        state = snapshots_from_state(Statevector(np.eye(4)[0]), 400, seed=11)
         result = estimate_observable(state, obs)
         assert result.std_bound == pytest.approx(seminorm(obs) / 20.0)
         assert result.std_approx == pytest.approx(seminorm2(obs) / 20.0)
@@ -201,14 +201,14 @@ class TestEstimateObservable:
 class TestEstimateFactored:
     def test_projector_on_own_basis_state(self):
         m = 40_000
-        state = snapshots_from_state(Statevector.basis(3, 0b101), m, seed=15)
+        state = snapshots_from_state(Statevector(np.eye(8)[0b101]), m, seed=15)
         proj = projector_factored([1, 0, 1])
         result = estimate_factored(state, proj)
         assert result.value == pytest.approx(1.0, abs=3.0 / math.sqrt(m))
 
     def test_projector_on_orthogonal_state(self):
         m = 40_000
-        state = snapshots_from_state(Statevector.basis(3, 0b000), m, seed=17)
+        state = snapshots_from_state(Statevector(np.eye(8)[0b000]), m, seed=17)
         result = estimate_factored(state, projector_factored([1, 0, 1]))
         assert result.value == pytest.approx(0.0, abs=3.0 / math.sqrt(m))
 
@@ -225,7 +225,7 @@ class TestEstimateFactored:
             assert direct.std_bound == pytest.approx(expanded.std_bound, rel=1e-10)
 
     def test_qubit_count_mismatch(self):
-        state = snapshots_from_state(Statevector.zero(2), 10, seed=0)
+        state = snapshots_from_state(Statevector(np.eye(4)[0]), 10, seed=0)
         with pytest.raises(ValueError):
             estimate_factored(state, projector_factored([0]))
 
@@ -241,14 +241,14 @@ class TestReconstructDensity:
 
     def test_zero_state_convergence(self):
         m = 100_000
-        state = snapshots_from_state(Statevector.zero(1), m, seed=23)
+        state = snapshots_from_state(Statevector(np.eye(2)[0]), m, seed=23)
         rho = reconstruct_density(state)
         limit = 5.0 * math.sqrt(3.0) / math.sqrt(m)
         assert np.max(np.abs(rho - np.diag([1.0, 0.0]))) <= limit
 
     def test_matches_estimator_functional(self):
         rng = np.random.default_rng(25)
-        for n in (1, 2):
+        for n in (1, 2, 3):
             psi = haar_random_state(n, rng)
             state = snapshots_from_state(psi, 300, seed=25 + n)
             rho = reconstruct_density(state)
@@ -258,7 +258,7 @@ class TestReconstructDensity:
             assert via_density == pytest.approx(via_estimator, abs=1e-10)
 
     def test_qubit_cap(self):
-        state = snapshots_from_state(Statevector.zero(4), 10, seed=0)
+        state = snapshots_from_state(Statevector(np.eye(16)[0]), 10, seed=0)
         with pytest.raises(ValueError):
             reconstruct_density(state)
 
@@ -329,4 +329,4 @@ class TestNoisePredictions:
 class TestEstimateResult:
     def test_rejects_inverted_error_fields(self):
         with pytest.raises(ValueError):
-            EstimateResult(0.0, 0.1, 0.2, 10, 2)
+            EstimateResult(0.0, 0.1, 0.2, 10)

@@ -110,7 +110,10 @@ near_factored = st.fixed_dictionaries({
 })
 
 
-gate_numbers = st.integers(-1, 3) | st.floats() | st.sampled_from([math.inf, 10**400])
+gate_numbers = (
+    st.integers(-1, 3) | st.floats() | st.booleans()
+    | st.sampled_from([math.inf, 10**400, "1", "0.5"])
+)
 gates = st.fixed_dictionaries(
     {"kind": st.sampled_from(GATE_KINDS)} | {key: gate_numbers for key in ("q", "q1", "q2", "alpha")}
 )
@@ -119,8 +122,21 @@ near_circuits = st.fixed_dictionaries(
 )
 
 
+def is_integer(value):
+    return type(value) is int
+
+
+def is_number(value):
+    return type(value) in (int, float)
+
+
+# a file loads only when its integer fields hold integers and its number
+# fields numbers, and the object gives those integers back
 @settings(max_examples=400, deadline=None)
 @given(json_values | near_observables | near_factored)
+@example({"n_qubits": 2.9, "terms": [{"coeff": 1.0, "pauli": "XZ"}]})
+@example({"n_qubits": True, "terms": [{"coeff": "2", "pauli": "X"}]})
+@example({"n_qubits": 1, "terms": [{"coeff": "2", "factors": [["0.5", False, 0, 1]]}]})
 def test_any_json_value_gives_an_object_or_value_error(data):
     for parse, kind in ((observable_from_dict, Observable), (factored_from_dict, FactoredObservable)):
         try:
@@ -128,18 +144,30 @@ def test_any_json_value_gives_an_object_or_value_error(data):
         except ValueError:
             continue
         assert isinstance(obs, kind)
+        assert is_integer(data["n_qubits"]) and obs.n_qubits == data["n_qubits"]
+        numbers = [term["coeff"] for term in data["terms"]]
         if kind is Observable:
             assert np.isfinite(obs.coeffs).all() and math.isfinite(obs.offset)
+        else:
+            numbers += [a for term in data["terms"] for row in term["factors"] for a in row]
+        assert all(map(is_number, numbers))
 
 
 @settings(max_examples=100, deadline=None)
 @given(json_values | near_circuits)
+@example({"n_qubits": "3", "gates": [{"kind": "XY", "q1": True, "q2": 2.99, "alpha": "0.5"}]})
+@example({"n_qubits": 1, "gates": [{"kind": "H", "q": 0.9}]})
 def test_any_json_value_gives_a_circuit_or_value_error(data):
     try:
         circuit = circuit_from_dict(data)
     except ValueError:
         return
     assert isinstance(circuit, Circuit)
+    assert is_integer(data["n_qubits"]) and circuit.n_qubits == data["n_qubits"]
+    for entry, gate in zip(data["gates"], circuit.gates, strict=True):
+        targets = [entry["q1"], entry["q2"]] if gate.kind == "XY" else [entry["q"]]
+        assert all(map(is_integer, targets)) and list(gate.qubits) == targets
+        assert gate.kind != "XY" or is_number(entry["alpha"])
 
 
 config_values = (
@@ -182,7 +210,7 @@ def test_any_readout_error_file_gives_a_noise_model_or_value_error(p_err_path, d
     p_err_path.write_text(json.dumps(data))
     try:
         p_err = _read_p_err(str(p_err_path), n_qubits)
-        state = snapshots_from_state(Statevector.zero(n_qubits), 1, 0, p_err)
+        state = snapshots_from_state(Statevector(np.eye(1 << n_qubits)[0]), 1, 0, p_err)
     except ValueError:
         return
     assert state.p_err.tolist() == p_err and len(p_err) == n_qubits

@@ -67,7 +67,7 @@ class TestDirections:
 
     def test_sphere_moments(self):
         samples = 100_000
-        vectors = directions(snapshots_from_state(Statevector.zero(1), samples, seed=2))[:, 0]
+        vectors = directions(snapshots_from_state(Statevector(np.eye(2)[0]), samples, seed=2))[:, 0]
         stderr_mean = 3.0 / math.sqrt(samples)  # component std < 1
         assert np.all(np.abs(vectors.mean(axis=0)) <= stderr_mean)
         second = vectors.T @ vectors / samples
@@ -75,7 +75,7 @@ class TestDirections:
         assert np.allclose(second, np.eye(3) / 3.0, atol=3.0 / math.sqrt(samples))
 
     def test_reproducible(self):
-        psi = Statevector.zero(3)
+        psi = Statevector(np.eye(8)[0])
         a, b, c = (snapshots_from_state(psi, 5, seed) for seed in (7, 7, 8))
         assert np.array_equal(a.thetas, b.thetas) and np.array_equal(a.phis, b.phis)
         assert not np.any(a.thetas == c.thetas) and not np.any(a.phis == c.phis)
@@ -132,7 +132,7 @@ class TestKernelMatrix:
 class TestAcquireSnapshot:
     def test_eigenstate_deterministic(self):
         # basis state |101> (qubit 0 = 1): near z every qubit reads its bit
-        state = snapshots_from_state(Statevector.basis(3, 0b101), 50_000, seed=5)
+        state = snapshots_from_state(Statevector(np.eye(8)[0b101]), 50_000, seed=5)
         for qubit, m in enumerate((-1, 1, -1)):
             near_z = np.cos(state.thetas[:, qubit]) > 0.9999
             assert near_z.any() and np.all(state.outcomes[near_z, qubit] == m)
@@ -227,7 +227,7 @@ class TestBuildApproximateState:
         # |0> measured along z flips with probability p_err exactly
         p = 0.17
         state = snapshots_from_state(
-            Statevector.zero(1), 40_000, seed=13, p_err=(p,)
+            Statevector(np.eye(2)[0]), 40_000, seed=13, p_err=(p,)
         )
         # restrict to near-z directions where the noiseless outcome is certain
         mask = np.cos(state.thetas[:, 0]) > 0.995
@@ -237,7 +237,7 @@ class TestBuildApproximateState:
         assert rate == pytest.approx(p, abs=3 * math.sqrt(p * (1 - p) / mask.sum()) + 0.003)
 
     def test_deterministic_eigenstate_outcomes(self):
-        state = snapshots_from_state(Statevector.zero(1), 2_000, seed=14)
+        state = snapshots_from_state(Statevector(np.eye(2)[0]), 2_000, seed=14)
         along_z = np.cos(state.thetas[:, 0]) > 0.9999
         assert np.all(state.outcomes[along_z, 0] == 1)
 
@@ -246,7 +246,7 @@ class TestBuildApproximateState:
         # per-qubit rates match p_err and show no cross-qubit correlation
         p = np.array([0.1, 0.3])
         state = snapshots_from_state(
-            Statevector.zero(2), 200_000, seed=15, p_err=p
+            Statevector(np.eye(4)[0]), 200_000, seed=15, p_err=p
         )
         mask = np.all(np.cos(state.thetas) > 0.99, axis=1)
         flips = state.outcomes[mask] == -1
@@ -259,6 +259,58 @@ class TestBuildApproximateState:
         assert both == pytest.approx(
             flips[:, 0].mean() * flips[:, 1].mean(), abs=4 / math.sqrt(count)
         )
+
+
+# The dense memory budget, computed without allocating.  A half of the
+# state is 8*2^N bytes; NumPy sums two temporaries in place once they reach
+# its 256 KiB elision threshold, that is from N = 15 on.
+def run_circuit_bytes(n):
+    """Bytes run_circuit holds: the 16*2^N-byte state, the copy of the half
+    a single-qubit gate rewrites and its two half-size products (plus the
+    sum below the elision threshold)."""
+    return (5 if n >= 15 else 6) * (8 << n)
+
+
+def batch_bytes(n, m):
+    """Bytes one default acquisition batch holds besides the state: its rows
+    of the 16*2^(N-1)-byte branch buffer, the next level's buffer of half
+    that size, and the 17*M*N bytes of snapshot arrays."""
+    return snapshots._default_batch_size(n) * (16 << (n - 1)) * 3 // 2 + 17 * m * n
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    def test_dense_budget_up_to_max_qubits(self):
+        # run_circuit, then the state and one batch: at most 2.5 GiB, reached
+        # by run_circuit at N = 26, besides 17 bytes per qubit and snapshot
+        budget = 5 << 29
+        for n in range(1, MAX_QUBITS + 1):
+            assert max(run_circuit_bytes(n), (16 << n) + batch_bytes(n, 0)) <= budget
+        assert run_circuit_bytes(MAX_QUBITS) == budget
+        assert batch_bytes(MAX_QUBITS, 0) == 768 << 20
+
+    # NumPy's ufunc buffer of 8192 complex doubles (128 KiB), used when a
+    # gate reads a strided half, and small objects come on top
+    @pytest.mark.parametrize("n", range(12, 19))
+    def test_run_circuit_peak_matches_formula(self, n):
+        peak = traced_peak(run_circuit, random_prep_circuit(n, np.random.default_rng(n)))
+        assert run_circuit_bytes(n) <= peak <= run_circuit_bytes(n) + (160 << 10)
+
+    # one full batch; the per-batch uniforms and angle arrays come on top
+    @pytest.mark.parametrize("n", range(12, 19))
+    def test_acquisition_peak_matches_formula(self, n):
+        psi = run_circuit(random_prep_circuit(n, np.random.default_rng(n)))
+        m = snapshots._default_batch_size(n)
+        peak = traced_peak(snapshots_from_state, psi, m, n)
+        assert batch_bytes(n, m) <= peak <= 1.03 * batch_bytes(n, m)
 
 
 class TestTomographicIdentity:
@@ -373,7 +425,7 @@ class TestApproximateState:
         bad = (1.2, -0.1, math.nan, (0.1,), (0.1, 0.2, 0.3), (0.1, 1.0), [[0.1, 0.1]])
         for p_err in bad:
             with pytest.raises(ValueError, match="p_err"):
-                snapshots_from_state(Statevector.zero(2), 10**15, seed=0, p_err=p_err)
+                snapshots_from_state(Statevector(np.eye(4)[0]), 10**15, seed=0, p_err=p_err)
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match="p_err"):

@@ -58,7 +58,7 @@ def apply_gate(psi, gate):
 
 class TestStatevector:
     def test_zero_state(self):
-        psi = Statevector.zero(3)
+        psi = Statevector(np.eye(8)[0])
         assert psi.amps[0] == 1.0
         assert np.count_nonzero(psi.amps) == 1
 
@@ -71,7 +71,7 @@ class TestStatevector:
             Statevector(np.array([1.0, 0.0, 0.0]))
 
     def test_amplitudes_frozen(self):
-        psi = Statevector.zero(1)
+        psi = Statevector(np.eye(2)[0])
         with pytest.raises(ValueError):
             psi.amps[0] = 0.0
 
@@ -95,15 +95,15 @@ class TestStatevector:
 
 class TestSingleQubitGates:
     def test_h_on_zero(self):
-        out = apply_gate(Statevector.zero(1), Gate("H", (0,)))
+        out = apply_gate(Statevector(np.eye(2)[0]), Gate("H", (0,)))
         assert np.allclose(out.amps, np.array([1, 1]) / math.sqrt(2))
 
     def test_x_on_zero(self):
-        out = apply_gate(Statevector.zero(1), Gate("X", (0,)))
+        out = apply_gate(Statevector(np.eye(2)[0]), Gate("X", (0,)))
         assert np.allclose(out.amps, [0, 1])
 
     def test_s_squared_is_z(self):
-        one = Statevector.basis(1, 1)
+        one = Statevector(np.eye(2)[1])
         out = apply_gate(apply_gate(one, Gate("S", (0,))), Gate("S", (0,)))
         assert np.allclose(out.amps, [0, -1])
 
@@ -114,22 +114,22 @@ class TestSingleQubitGates:
         for gate in gates:
             # column k of the gate's unitary is its image of basis state k
             n = len(gate.qubits)
-            u = np.array([apply_gate(Statevector.basis(n, k), gate).amps for k in range(2**n)]).T
+            u = np.array([apply_gate(Statevector(row), gate).amps for row in np.eye(2**n)]).T
             assert np.allclose(u.conj().T @ u, np.eye(2**n), atol=1e-12)
 
     def test_gate_on_correct_qubit(self):
-        psi = apply_gate(Statevector.zero(2), Gate("X", (1,)))
+        psi = apply_gate(Statevector(np.eye(4)[0]), Gate("X", (1,)))
         assert psi.amps[2] == 1.0  # qubit 1 is bit 1 of the index
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
-            apply_gate(Statevector.zero(1), Gate("X", (1,)))
+            apply_gate(Statevector(np.eye(2)[0]), Gate("X", (1,)))
 
 
 class TestXYGate:
     def test_even_parity_fixed(self):
         for index in (0, 3):
-            psi = Statevector.basis(2, index)
+            psi = Statevector(np.eye(4)[index])
             out = apply_gate(psi, Gate("XY", (0, 1), 0.7))
             assert np.allclose(out.amps, psi.amps)
 
@@ -145,14 +145,14 @@ class TestXYGate:
 
     def test_odd_block_rotation(self):
         alpha = 0.3
-        out = apply_gate(Statevector.basis(2, 1), Gate("XY", (0, 1), alpha))
+        out = apply_gate(Statevector(np.eye(4)[1]), Gate("XY", (0, 1), alpha))
         expect = np.zeros(4, dtype=complex)
         expect[1] = math.cos(2 * alpha)
         expect[2] = -1j * math.sin(2 * alpha)
         assert np.allclose(out.amps, expect, atol=1e-12)
 
     def test_quarter_pi_swap(self):
-        out = apply_gate(Statevector.basis(2, 1), Gate("XY", (0, 1), math.pi / 4))
+        out = apply_gate(Statevector(np.eye(4)[1]), Gate("XY", (0, 1), math.pi / 4))
         expect = np.zeros(4, dtype=complex)
         expect[2] = -1j
         assert np.allclose(out.amps, expect, atol=1e-12)
@@ -175,6 +175,16 @@ class TestXYGate:
     def test_equal_targets_rejected(self):
         with pytest.raises(ValueError):
             Gate("XY", (1, 1), 0.5)
+
+    @pytest.mark.parametrize("qubits", [(0.9,), (True,), ("0",)])
+    def test_non_integer_target_rejected(self, qubits):
+        with pytest.raises(ValueError, match="integer"):
+            Gate("H", qubits)
+
+    @pytest.mark.parametrize("alpha", ["0.5", False])
+    def test_non_number_angle_rejected(self, alpha):
+        with pytest.raises(ValueError, match="number"):
+            Gate("XY", (0, 1), alpha)
 
 
 class TestCircuits:
@@ -247,7 +257,7 @@ class TestCircuits:
 class TestExactExpectation:
     def test_z_on_zero(self):
         assert exact_expectation(
-            Statevector.zero(1), Observable.from_strings([(1.0, "Z")])
+            Statevector(np.eye(2)[0]), Observable.from_strings([(1.0, "Z")])
         ) == pytest.approx(1.0)
 
     def test_bell_stabilizer(self):
@@ -294,12 +304,12 @@ class TestExactExpectation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            exact_expectation(Statevector.zero(2), Observable.from_strings([(1.0, "X")]))
+            exact_expectation(Statevector(np.eye(4)[0]), Observable.from_strings([(1.0, "X")]))
 
 
 class TestFactoredExpectation:
     def test_projector_on_own_state(self):
-        psi = Statevector.basis(2, 0b10)  # |01>: qubit0=0, qubit1=1
+        psi = Statevector(np.eye(4)[0b10])  # |01>: qubit0=0, qubit1=1
         assert exact_expectation_factored(psi, projector_factored([0, 1])) == pytest.approx(1.0)
 
     def test_plus_tensor_zero(self):

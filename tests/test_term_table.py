@@ -198,7 +198,7 @@ class TestEstimatesMatchFsum:
                 # values, not estimate_factored: the seminorms of a multi-term
                 # form would expand it to 4^N strings
                 (values,) = snapshot_values(state, [fobs])
-                got = EstimateResult.from_values(values, (0.0, 0.0), n).value
+                got = EstimateResult.from_values(values, (0.0, 0.0)).value
                 assert abs(got - reference_factored(state, fobs)) <= 1e-12 * scale
 
 
