@@ -24,6 +24,7 @@ from .pauli import (
 from .statevector import (
     Circuit,
     Gate,
+    ProductState,
     Statevector,
     exact_expectation,
     exact_expectation_factored,

@@ -50,13 +50,16 @@ def _read_p_err(value_or_path: str, n_qubits: int) -> list[float]:
 
 def _cmd_snapshot(args) -> int:
     circuit = statevector.load_circuit(args.circuit)
-    psi = statevector.run_circuit(circuit)  # checks the qubit count first
+    # checks the qubit count and every component's size first
+    psi = statevector.ProductState.from_circuit(circuit)
+    # the debug dump is the dense state, within MAX_QUBITS
+    dense = statevector.run_circuit(circuit) if args.dump_state else None
     p_err = _read_p_err(args.readout_error, circuit.n_qubits)
     # acquisition checks the rates and the count before any file is written
     state = snapshots.snapshots_from_state(psi, args.shots, args.seed, p_err)
     if args.dump_state:
         with open(args.dump_state, "w") as fh:
-            json.dump([[a.real, a.imag] for a in psi.amps], fh)
+            json.dump([[a.real, a.imag] for a in dense.amps], fh)
             fh.write("\n")
     if args.json:
         with open(args.out, "w") as fh:

@@ -26,16 +26,16 @@ from .pauli import (
     seminorm2,
 )
 from .statevector import (
-    MAX_QUBITS,
+    MAX_TOTAL_QUBITS,
     Circuit,
     Gate,
+    ProductState,
     circuit_to_dict,
     exact_expectation,
     exact_expectation_factored,
     haar_random_state,
     pauli_expectation_batch,
     random_prep_circuit,
-    run_circuit,
 )
 from .snapshots import snapshots_from_state
 from .estimator import (
@@ -93,8 +93,8 @@ class ExperimentConfig:
         for name in ("n_qubits", "n_snapshots", "seed", "n_observables", "terms_per_observable"):
             # a NumPy integer would not serialize
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not 2 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must lie in 2..{MAX_QUBITS}")
+        if not 2 <= self.n_qubits <= MAX_TOTAL_QUBITS:
+            raise ValueError(f"n_qubits must lie in 2..{MAX_TOTAL_QUBITS}")
         if self.n_snapshots < 1 or self.n_observables < 1 or self.terms_per_observable < 1:
             raise ValueError("counts must be positive")
         if self.seed < 0:
@@ -221,11 +221,12 @@ def _check_allocatable(cfg: ExperimentConfig) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Prepare a random state, collect one shared approximate state, and
-    estimate every observable against it at log-spaced snapshot prefixes."""
+    """Prepare a random state, one connected component at a time, collect one
+    shared approximate state, and estimate every observable against it at
+    log-spaced snapshot prefixes."""
     _check_allocatable(cfg)
     circuit = random_prep_circuit(cfg.n_qubits, _sub_rng(cfg.seed, _TAG_CIRCUIT))
-    psi = run_circuit(circuit)
+    psi = ProductState.from_circuit(circuit)
     snap_seed = _snapshot_seed(cfg.seed)
     state = snapshots_from_state(psi, cfg.n_snapshots, snap_seed, cfg.p_err)
     checkpoints = log_checkpoints(cfg.n_snapshots)
@@ -372,7 +373,9 @@ def noise_attenuation_study(
     max_weight = n_qubits if max_weight is None else max_weight
     if not 1 <= max_weight <= n_qubits:
         raise ValueError("max_weight out of range")
-    psi = run_circuit(Circuit(n_qubits, tuple(Gate("H", (q,)) for q in range(n_qubits))))
+    psi = ProductState.from_circuit(
+        Circuit(n_qubits, tuple(Gate("H", (q,)) for q in range(n_qubits)))
+    )
     state = snapshots_from_state(psi, n_snapshots, seed, p_err)
     damp = 1.0 - 2.0 * p_err
     rows = []

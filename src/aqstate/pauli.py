@@ -62,6 +62,18 @@ def _number(name: str, value):
     return value
 
 
+def _numeric(name: str, values, kinds: str = "iuf") -> np.ndarray:
+    """``values`` as an array whose dtype kind is one of ``kinds``: signed
+    or unsigned integers, and floats unless left out.  ValueError for bool,
+    string, object and any other array: one check on the dtype, however many
+    entries."""
+    values = np.asarray(values)
+    if values.dtype.kind not in kinds:
+        noun = "numbers" if "f" in kinds else "integers"
+        raise ValueError(f"{name} must be {noun}, got an array of {values.dtype}")
+    return values
+
+
 def _qubit_count(n_qubits: int) -> int:
     n_qubits = _integer("n_qubits", n_qubits)
     if n_qubits < 1:
@@ -152,12 +164,12 @@ class Observable:
             raise ValueError("all strings must share the observable's qubit count")
         axes = np.array([string.axes for _, string in terms], dtype=np.uint8)
         axes = axes.reshape(len(terms), _qubit_count(n_qubits))
-        self._init(n_qubits, axes, [float(c) for c, _ in terms])
+        self._init(n_qubits, axes, [c for c, _ in terms])
 
     def _init(self, n_qubits: int, axes, coeffs) -> None:
         n_qubits = _qubit_count(n_qubits)
-        axes = np.asarray(axes)
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        axes = _numeric("Pauli axes", axes, "iu")
+        coeffs = _numeric("observable coefficients", coeffs).astype(np.float64)
         if axes.ndim != 2 or axes.shape[1] != n_qubits or coeffs.shape != axes.shape[:1]:
             raise ValueError("need a (terms, n_qubits) axes array and one coefficient per row")
         if axes.size and not 0 <= axes.min() <= axes.max() <= 3:
@@ -191,7 +203,7 @@ class Observable:
                 raise ValueError("empty observable needs an explicit n_qubits")
             n_qubits = len(pairs[0][1])
         axes = _label_axes([label for _, label in pairs], n_qubits)
-        return cls.from_rows(n_qubits, axes, [float(c) for c, _ in pairs])
+        return cls.from_rows(n_qubits, axes, [c for c, _ in pairs])
 
     __setattr__ = _frozen
 
@@ -276,11 +288,18 @@ class FactoredObservable:
     def __init__(self, n_qubits: int, terms: Iterable[tuple[float, Sequence[Sequence[float]]]]):
         n_qubits = _qubit_count(n_qubits)
         terms = tuple(terms)
-        coeffs = np.array([float(c) for c, _ in terms])
-        tables = [np.asarray(table, dtype=np.float64) for _, table in terms]
-        if any(table.shape != (n_qubits, 4) for table in tables):
+        coeffs = _numeric("observable coefficients", [c for c, _ in terms])
+        try:
+            factors = np.array([table for _, table in terms])
+        except ValueError:  # ragged tables
+            factors = np.empty(0)
+        if terms and factors.shape != (len(terms), n_qubits, 4):
             raise ValueError("each term needs one [a0, ax, ay, az] row per qubit")
-        factors = np.array(tables).reshape(len(tables), n_qubits, 4)
+        if coeffs.shape != (len(terms),):
+            raise ValueError("each term needs one number as its coefficient")
+        coeffs = coeffs.astype(np.float64)
+        factors = _numeric("factor entries", factors).astype(np.float64)
+        factors = factors.reshape(len(terms), n_qubits, 4)
         if not (np.isfinite(coeffs).all() and np.isfinite(factors).all()):
             raise ValueError("observable coefficients must be finite")
         for arr in (coeffs, factors):

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Philox
 
-from .statevector import Statevector, Circuit, run_circuit
+from .statevector import Circuit, ProductState, Statevector
 
 __all__ = [
     "ApproximateState",
@@ -162,21 +162,99 @@ def _moments(halves: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
+def _measure_part(
+    bits: np.ndarray,
+    part: tuple,
+    cos_h: np.ndarray,
+    sin_h: np.ndarray,
+    phase: np.ndarray,
+    picks: np.ndarray,
+) -> None:
+    """Draw the bits of one part of the state from its highest qubit down.
+    ``part`` is ``(qubits, top, top_moments)``: the part's columns of the
+    batch's tables, its amplitudes split on its highest qubit, and their
+    moments.
+
+    Rotating qubit k by U = [[c, s e^-iphi], [-s e^iphi, c]] and projecting
+    on outcome 0 leaves c*a0 + s e^-iphi*a1, whose squared norm follows from
+    the moments; outcome 1 leaves -s e^iphi*a0 + c*a1.  Only the chosen
+    branch is built, straight from the part's amplitudes at the top level.
+    It is an einsum, not a matmul: BLAS threads the large products and then
+    runs twice as slow whenever another process holds a core.
+    """
+    qubits, top, moments = part
+    rows = len(bits)
+    halves = np.broadcast_to(top, (rows, *top.shape))
+    for k in range(len(qubits) - 1, -1, -1):
+        q = qubits[k]
+        n0, n1, re, im = moments
+        c, s = cos_h[:, q], sin_h[:, q]
+        cross = phase[:, q].real * re + phase[:, q].imag * im
+        p0 = c * c * n0 + s * s * n1 + 2.0 * c * s * cross
+        take1 = picks[:, q] * (n0 + n1) >= p0
+        bits[:, q] = take1
+        if k == 0:
+            break
+        coef = np.where(
+            take1[:, None],
+            np.stack([-s * phase[:, q], c + 0j], axis=1),
+            np.stack([c + 0j, s * phase[:, q].conj()], axis=1),
+        )
+        halves = np.einsum("rk,rkh->rh", coef, halves).reshape(rows, 2, -1)
+        moments = _moments(halves)
+
+
+def _acquire_batch(
+    parts: list,
+    u: np.ndarray,
+    p_err: np.ndarray,
+    outcomes: np.ndarray,
+    thetas: np.ndarray,
+    phis: np.ndarray,
+) -> None:
+    """Fill one batch of snapshot rows from its uniform table ``u``
+    (rows, 4N), measuring each of ``parts`` in turn.  The batch's tables
+    die on return, before the next batch draws its uniforms."""
+    n = outcomes.shape[1]
+    phi = 2.0 * math.pi * u[:, :n]
+    theta = np.arccos(2.0 * u[:, n : 2 * n] - 1.0)
+    picks = u[:, 2 * n : 3 * n]
+    flip_u = u[:, 3 * n :]
+
+    half = 0.5 * theta
+    cos_h, sin_h = np.cos(half), np.sin(half)
+    phase = np.exp(1j * phi)
+    bits = np.empty((len(u), n), dtype=np.int8)
+    for part in parts:
+        _measure_part(bits, part, cos_h, sin_h, phase, picks)
+
+    m = 1 - 2 * bits
+    outcomes[...] = np.where(flip_u < p_err[None, :], -m, m)
+    thetas[...] = theta
+    phis[...] = phi
+
+
 def snapshots_from_state(
-    psi: Statevector,
+    psi: Statevector | ProductState,
     n_snapshots: int,
     seed: int,
     p_err: float | Sequence[float] = 0.0,
 ) -> ApproximateState:
     """Acquire ``n_snapshots`` independent snapshots of a known pure state,
-    each outcome flipped with the readout error ``p_err`` of its qubit (one
-    float for all qubits, or one value per qubit).
+    dense or a product of parts, each outcome flipped with the readout error
+    ``p_err`` of its qubit (one float for all qubits, or one value per
+    qubit).
 
-    Qubits are measured from the highest down.  Each step reads the qubit's
-    conditional 2x2 reduced density, draws its bit, and builds only the chosen
-    half of the amplitudes.  A batch holds the most rows (up to 1024) whose
-    half-size branch buffer fits in 128 MiB, or a single row where one row
-    alone is larger; the result does not depend on the batch size.
+    Each part's qubits are measured from the highest down.  Each step reads
+    the qubit's conditional 2x2 reduced density, which depends only on the
+    bits already drawn in its own part, draws its bit, and builds only the
+    chosen half of the part's amplitudes.  Every part reads its own columns
+    of one uniform table, so a product state and its dense equivalent use
+    the same uniforms for each qubit and give the same bits, up to rounding
+    at a threshold.  A batch holds the most rows (up to 1024) whose half-size
+    branch buffer for the largest part fits in 128 MiB, or a single row
+    where one row alone is larger; the result does not depend on the batch
+    size.
     """
     if n_snapshots < 1:
         raise ValueError("n_snapshots must be at least 1")
@@ -184,7 +262,7 @@ def snapshots_from_state(
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     n = psi.n_qubits
     p_err = _flip_probabilities(p_err, n)
-    batch_size = _default_batch_size(n)
+    batch_size = _default_batch_size(max(part.n_qubits for _, part in psi.parts))
     try:
         outcomes = np.empty((n_snapshots, n), dtype=np.int8)
         thetas = np.empty((n_snapshots, n))
@@ -195,53 +273,18 @@ def snapshots_from_state(
             "more than can be allocated"
         ) from None
 
-    # Every row starts from psi, so the top qubit's moments are shared.
-    top = psi.amps.reshape(2, -1)
-    top_moments = _moments(top)
+    # Every row starts from the same parts, so their top moments are shared.
+    parts = []
+    for qubits, part in psi.parts:
+        top = part.amps.reshape(2, -1)
+        parts.append((qubits, top, _moments(top)))
 
     for start in range(0, n_snapshots, batch_size):
-        rows = min(batch_size, n_snapshots - start)
-        u = _snapshot_uniforms(seed, start, rows, n)
-        phi = 2.0 * math.pi * u[:, :n]
-        theta = np.arccos(2.0 * u[:, n : 2 * n] - 1.0)
-        picks = u[:, 2 * n : 3 * n]
-        flip_u = u[:, 3 * n :]
-
-        half = 0.5 * theta
-        cos_h, sin_h = np.cos(half), np.sin(half)
-        phase = np.exp(1j * phi)
-        bits = np.empty((rows, n), dtype=np.int8)
-
-        # Rotating qubit k by U = [[c, s e^-iphi], [-s e^iphi, c]] and
-        # projecting on outcome 0 leaves c*a0 + s e^-iphi*a1, whose squared
-        # norm follows from the moments; outcome 1 leaves -s e^iphi*a0 + c*a1.
-        # Only the chosen branch is built, straight from psi at the top level.
-        # It is an einsum, not a matmul: BLAS threads the large products and
-        # then runs twice as slow whenever another process holds a core.
-        halves, moments = np.broadcast_to(top, (rows, *top.shape)), top_moments
-        for k in range(n - 1, -1, -1):
-            n0, n1, re, im = moments
-            c, s = cos_h[:, k], sin_h[:, k]
-            cross = phase[:, k].real * re + phase[:, k].imag * im
-            p0 = c * c * n0 + s * s * n1 + 2.0 * c * s * cross
-            take1 = picks[:, k] * (n0 + n1) >= p0
-            bits[:, k] = take1
-            if k == 0:
-                break
-            coef = np.where(
-                take1[:, None],
-                np.stack([-s * phase[:, k], c + 0j], axis=1),
-                np.stack([c + 0j, s * phase[:, k].conj()], axis=1),
-            )
-            halves = np.einsum("rk,rkh->rh", coef, halves).reshape(rows, 2, -1)
-            moments = _moments(halves)
-
-        m = 1 - 2 * bits
-        m = np.where(flip_u < p_err[None, :], -m, m)
-
-        outcomes[start : start + rows] = m
-        thetas[start : start + rows] = theta
-        phis[start : start + rows] = phi
+        stop = min(start + batch_size, n_snapshots)
+        _acquire_batch(
+            parts, _snapshot_uniforms(seed, start, stop - start, n), p_err,
+            outcomes[start:stop], thetas[start:stop], phis[start:stop],
+        )
 
     return ApproximateState(outcomes, thetas, phis, p_err, seed)
 
@@ -252,13 +295,14 @@ def build_approximate_state(
     seed: int,
     p_err: float | Sequence[float] = 0.0,
 ) -> ApproximateState:
-    """Prepare the circuit's state once and collect M independent snapshots.
+    """Prepare the circuit's state once, one connected component at a time,
+    and collect M independent snapshots.
 
     Pure-state simulation permits reusing the prepared amplitudes; each
     snapshot is semantically a fresh preparation.
     """
     p_err = _flip_probabilities(p_err, circuit.n_qubits)
-    psi = run_circuit(circuit)
+    psi = ProductState.from_circuit(circuit)
     return snapshots_from_state(psi, n_snapshots, seed, p_err)
 
 

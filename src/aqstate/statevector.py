@@ -1,5 +1,6 @@
-"""Dense statevector engine: gate kernels, random preparation circuits, and
-the exact-expectation oracle used to validate the snapshot estimators.
+"""Statevector engine: gate kernels, product states of a circuit's connected
+components, random preparation circuits, and the exact-expectation oracle
+used to validate the snapshot estimators.
 
 Amplitude ordering: qubit 0 is the least-significant bit of the basis index.
 """
@@ -16,7 +17,9 @@ from .pauli import FactoredObservable, Observable, _integer, _number
 
 __all__ = [
     "MAX_QUBITS",
+    "MAX_TOTAL_QUBITS",
     "Statevector",
+    "ProductState",
     "Gate",
     "Circuit",
     "run_circuit",
@@ -31,8 +34,15 @@ __all__ = [
     "load_circuit",
 ]
 
-# 2^26 complex doubles ~ 1 GiB; enough for any desk-scale check.
+# 2^26 complex doubles ~ 1 GiB; enough for any desk-scale check.  Caps a
+# dense state, so also each part of a product state.
 MAX_QUBITS = 26
+
+# Caps the qubits of a product state, an experiment and a preparation
+# circuit.  An acquisition batch holds 104 bytes per row and qubit besides
+# its branch buffers (at most 1024 rows: 26 MiB at this cap), and 3^r for a
+# weight-r string stays finite.
+MAX_TOTAL_QUBITS = 256
 
 _NORM_TOL = 1e-10
 
@@ -74,6 +84,11 @@ class Statevector:
         amps.setflags(write=False)
         self.n_qubits = n
         self.amps = amps
+
+    @property
+    def parts(self) -> tuple[tuple[tuple[int, ...], "Statevector"], ...]:
+        """The state as the one part of a product state over all its qubits."""
+        return ((tuple(range(self.n_qubits)), self),)
 
     def __repr__(self):
         return f"Statevector(n_qubits={self.n_qubits})"
@@ -125,15 +140,37 @@ class Circuit:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _apply_single_inplace(amps: np.ndarray, qubit: int, u: np.ndarray) -> None:
+# The kernels copy the halves they read into ``scratch``, a complex buffer as
+# long as the state, and do their arithmetic there: NumPy runs a ufunc on a
+# strided view through two 128 KiB buffers, a plain copy through none.  Each
+# product keeps the scalar first and each sum its operands, up to order, as
+# in u00*a0 + u01*a1; IEEE addition commutes, so the bits, signed zeros
+# included, are those of that expression.
+
+
+def _apply_single_inplace(
+    amps: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndarray
+) -> None:
     view = amps.reshape(-1, 2, 1 << qubit)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
-    view[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
+    a0, a1 = view[:, 0, :], view[:, 1, :]
+    new, term = scratch.reshape(2, *a0.shape)
+    new[...] = a0
+    np.multiply(u[0, 0], new, out=new)
+    term[...] = a1
+    np.multiply(u[0, 1], term, out=term)
+    new += term
+    term[...] = a0
+    np.multiply(u[1, 0], term, out=term)
+    a0[...] = new
+    new[...] = a1
+    np.multiply(u[1, 1], new, out=new)
+    new += term
+    a1[...] = new
 
 
-def _apply_xy_inplace(amps: np.ndarray, q1: int, q2: int, alpha: float) -> None:
+def _apply_xy_inplace(
+    amps: np.ndarray, q1: int, q2: int, alpha: float, scratch: np.ndarray
+) -> None:
     # identity on the even-parity block; rotation by 2*alpha on {|01>,|10>}
     lo, hi = min(q1, q2), max(q1, q2)
     view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
@@ -141,27 +178,110 @@ def _apply_xy_inplace(amps: np.ndarray, q1: int, q2: int, alpha: float) -> None:
     # sel: bit q1 set and bit q2 clear; swapped: the reverse
     sel, swapped = (hi_only, lo_only) if q1 == hi else (lo_only, hi_only)
     c, s = math.cos(2.0 * alpha), math.sin(2.0 * alpha)
-    va, vb = sel.copy(), swapped.copy()
-    sel[...] = c * va - 1j * s * vb
-    swapped[...] = -1j * s * va + c * vb
+    va, vb, new, term = scratch.reshape(4, *sel.shape)
+    va[...] = sel
+    vb[...] = swapped
+    np.multiply(c, va, out=new)
+    np.multiply(1j * s, vb, out=term)
+    new -= term
+    sel[...] = new
+    np.multiply(-1j * s, va, out=new)
+    np.multiply(c, vb, out=term)
+    new += term
+    swapped[...] = new
 
 
-def _apply_gate_inplace(amps: np.ndarray, gate: Gate) -> None:
+def _apply_gate_inplace(amps: np.ndarray, gate: Gate, scratch: np.ndarray) -> None:
     if gate.kind == "XY":
-        _apply_xy_inplace(amps, gate.qubits[0], gate.qubits[1], gate.alpha)
+        _apply_xy_inplace(amps, gate.qubits[0], gate.qubits[1], gate.alpha, scratch)
     else:
-        _apply_single_inplace(amps, gate.qubits[0], _SINGLE_QUBIT_MATRICES[gate.kind])
+        _apply_single_inplace(amps, gate.qubits[0], _SINGLE_QUBIT_MATRICES[gate.kind], scratch)
 
 
 def run_circuit(circuit: Circuit) -> Statevector:
-    """Apply all gates in order, starting from |0...0>."""
+    """Apply all gates in order to the dense state, starting from |0...0>.
+    Holds twice the state: its amplitudes and one scratch buffer that every
+    gate reuses."""
     if not 1 <= circuit.n_qubits <= MAX_QUBITS:
         raise ValueError(f"{circuit.n_qubits} qubits is outside 1..{MAX_QUBITS}")
     amps = np.zeros(1 << circuit.n_qubits, dtype=complex)
     amps[0] = 1.0
+    scratch = np.empty_like(amps)
     for gate in circuit.gates:
-        _apply_gate_inplace(amps, gate)
+        _apply_gate_inplace(amps, gate, scratch)
     return Statevector(amps, copy=False)
+
+
+class ProductState:
+    """Tensor product of pure states on disjoint sets of qubits.
+
+    ``parts`` holds ``(qubits, Statevector)`` pairs ordered by lowest qubit;
+    local qubit i of a part is global qubit ``qubits[i]``, and ``qubits``
+    ascends, so local order follows global order.  A dense
+    :class:`Statevector` is the one-part case and has the same ``parts``.
+    """
+
+    __slots__ = ("n_qubits", "parts")
+
+    def __init__(self, n_qubits: int, parts):
+        parts = tuple((tuple(qubits), psi) for qubits, psi in parts)
+        covered = sorted(q for qubits, _ in parts for q in qubits)
+        if covered != list(range(n_qubits)) or any(
+            list(qubits) != sorted(qubits) or len(qubits) != psi.n_qubits
+            for qubits, psi in parts
+        ):
+            raise ValueError("parts must cover each qubit once, each in ascending order")
+        self.n_qubits = n_qubits
+        self.parts = parts
+
+    @classmethod
+    def from_circuit(cls, circuit: Circuit) -> "ProductState":
+        """Run each connected component of the circuit on its own.
+
+        Qubits that share a two-qubit gate are joined (union-find); each
+        component runs its own gates, in circuit order, through
+        :func:`run_circuit`.  Every cap is checked before any amplitude is
+        allocated.
+        """
+        n = circuit.n_qubits
+        if not 1 <= n <= MAX_TOTAL_QUBITS:
+            raise ValueError(f"{n} qubits is outside 1..{MAX_TOTAL_QUBITS}")
+        root = list(range(n))
+
+        def find(q: int) -> int:
+            while root[q] != q:
+                root[q] = q = root[root[q]]
+            return q
+
+        for gate in circuit.gates:
+            if len(gate.qubits) == 2:
+                a, b = find(gate.qubits[0]), find(gate.qubits[1])
+                root[max(a, b)] = min(a, b)  # a root is its component's lowest qubit
+        components: dict[int, list[int]] = {}
+        for q in range(n):
+            components.setdefault(find(q), []).append(q)
+        largest = max(map(len, components.values()))
+        if largest > MAX_QUBITS:
+            raise ValueError(
+                f"a component of {largest} qubits exceeds the cap of {MAX_QUBITS}"
+            )
+        local = [0] * n
+        for qubits in components.values():
+            for i, q in enumerate(qubits):
+                local[q] = i
+        gates: dict[int, list[Gate]] = {r: [] for r in components}
+        for gate in circuit.gates:
+            gates[find(gate.qubits[0])].append(
+                Gate(gate.kind, tuple(local[q] for q in gate.qubits), gate.alpha)
+            )
+        return cls(n, (
+            (qubits, run_circuit(Circuit(len(qubits), tuple(gates[r]))))
+            for r, qubits in components.items()
+        ))
+
+    def __repr__(self):
+        sizes = [len(qubits) for qubits, _ in self.parts]
+        return f"ProductState(n_qubits={self.n_qubits}, part_sizes={sizes})"
 
 
 def random_prep_circuit(
@@ -175,15 +295,12 @@ def random_prep_circuit(
     random qubits.  Layer 2: floor(N/4) XY(alpha) gates on random qubit pairs
     (disjoint by default) with alpha uniform on [0, 2*pi).
     """
-    if n_qubits < 2:
-        raise ValueError("need at least 2 qubits")
+    if not 2 <= n_qubits <= MAX_TOTAL_QUBITS:
+        raise ValueError(f"need 2..{MAX_TOTAL_QUBITS} qubits, got {n_qubits}")
     n_single = n_qubits // 2
     n_pairs = n_qubits // 4
     gates = []
-    try:
-        targets = rng.choice(n_qubits, size=n_single, replace=False)
-    except (MemoryError, OverflowError):
-        raise ValueError(f"cannot draw gate targets among {n_qubits} qubits") from None
+    targets = rng.choice(n_qubits, size=n_single, replace=False)
     kinds = rng.integers(0, len(SINGLE_QUBIT_KINDS), size=n_single)
     gates.extend(
         Gate(SINGLE_QUBIT_KINDS[k], (int(q),)) for q, k in zip(targets, kinds)
@@ -201,43 +318,85 @@ def random_prep_circuit(
     return Circuit(n_qubits, tuple(gates))
 
 
+def _string_values(amps: np.ndarray, x_masks, z_masks):
+    """<P> over the states ``amps`` (batch, 2^n) of each Pauli string given
+    by its bit masks x and z (Y sets both), as one (batch,) array per string.
+
+    P acts on basis states as P|b> = c(b)|b ^ x> with
+    c(b) = i^{#Y} * (-1)^{popcount(b & z)}.
+    """
+    idx = np.arange(amps.shape[-1], dtype=np.uint64)
+    for x, z in zip(x_masks, z_masks):
+        parity = np.bitwise_count(idx & np.uint64(z)) & 1
+        phase = (1j ** (x & z).bit_count()) * (1.0 - 2.0 * parity.astype(float))
+        permuted = amps[:, idx ^ np.uint64(x)]
+        yield np.einsum("sb,b,sb->s", permuted.conj(), phase, amps).real
+
+
 def pauli_expectation_batch(amps: np.ndarray, obs: Observable) -> np.ndarray:
     """<psi|O|psi> for a batch of states, shape (batch, 2^N) -> (batch,).
 
     Terms are added one by one in canonical order: the identity coefficient
-    first, then each row's.  The string with bit masks x and z (read from
-    the bit-planes, one word at N <= MAX_QUBITS; Y sets both) acts on basis
-    states as P|b> = c(b)|b ^ x> with c(b) = i^{#Y} * (-1)^{popcount(b & z)}.
+    first, then each row's, whose bit masks are read from the bit-planes
+    (one word at N <= MAX_QUBITS).
     """
     if obs.n_qubits != int(amps.shape[-1]).bit_length() - 1:
         raise ValueError("observable and state qubit counts differ")
-    idx = np.arange(amps.shape[-1], dtype=np.uint64)
     values = np.full(len(amps), obs.offset)
-    for coeff, x, z in zip(obs.coeffs.tolist(), obs.x[:, 0].tolist(), obs.z[:, 0].tolist()):
-        parity = np.bitwise_count(idx & np.uint64(z)) & 1
-        phase = (1j ** (x & z).bit_count()) * (1.0 - 2.0 * parity.astype(float))
-        permuted = amps[:, idx ^ np.uint64(x)]
-        values += coeff * np.einsum("sb,b,sb->s", permuted.conj(), phase, amps).real
+    strings = _string_values(amps, obs.x[:, 0].tolist(), obs.z[:, 0].tolist())
+    for coeff, value in zip(obs.coeffs.tolist(), strings):
+        values += coeff * value
     return values
 
 
-def exact_expectation(psi: Statevector, obs: Observable) -> float:
-    """<psi|O|psi> summed term by term via sparse Pauli action."""
-    return float(pauli_expectation_batch(psi.amps[None, :], obs)[0])
+def exact_expectation(psi: Statevector | ProductState, obs: Observable) -> float:
+    """<psi|O|psi> summed term by term via sparse Pauli action.
+
+    Each string's value is the product of its values on the parts of the
+    state, taken in part order; a string that acts as the identity on a part
+    contributes exactly 1.  Terms are then added one by one in canonical
+    order, after the identity coefficient.
+    """
+    if obs.n_qubits != psi.n_qubits:
+        raise ValueError("observable and state qubit counts differ")
+    values = np.ones(len(obs.coeffs))
+    for qubits, part in psi.parts:
+        axes, width = obs.axes[:, qubits], np.uint64(len(qubits))
+        place = np.uint64(1) << np.arange(width, dtype=np.uint64)
+        x, z = ((axes == 1) | (axes == 2)) @ place, (axes >= 2) @ place
+        # each distinct restriction is evaluated once; key 0 is the identity
+        keys, inverse = np.unique((x << width) | z, return_inverse=True)
+        acting = keys != 0
+        xs, zs = np.divmod(keys[acting], np.uint64(1) << width)
+        local = np.ones(len(keys))
+        strings = _string_values(part.amps[None, :], xs.tolist(), zs.tolist())
+        local[acting] = [value[0] for value in strings]
+        values *= local[inverse]
+    total = obs.offset
+    for coeff, value in zip(obs.coeffs.tolist(), values.tolist()):
+        total += coeff * value
+    return float(total)
 
 
-def exact_expectation_factored(psi: Statevector, fobs: FactoredObservable) -> float:
+def exact_expectation_factored(
+    psi: Statevector | ProductState, fobs: FactoredObservable
+) -> float:
     """<psi|O|psi> for a tensor-factored observable via per-qubit 2x2 maps:
-    the row [a0, ax, ay, az] acts as [[a0 + az, ax - i ay], [ax + i ay, a0 - az]]."""
+    the row [a0, ax, ay, az] acts as [[a0 + az, ax - i ay], [ax + i ay, a0 - az]].
+    Each term's value is the product of its values on the parts of the state."""
     if fobs.n_qubits != psi.n_qubits:
         raise ValueError("observable and state qubit counts differ")
+    scratch = np.empty(max(part.amps.size for _, part in psi.parts), dtype=complex)
     total = 0.0
     for coeff, table in fobs.terms:
-        work = psi.amps.copy()
-        for qubit, (a0, ax, ay, az) in enumerate(table.tolist()):
-            block = np.array([[a0 + az, ax - 1j * ay], [ax + 1j * ay, a0 - az]])
-            _apply_single_inplace(work, qubit, block)
-        total += coeff * float(np.vdot(psi.amps, work).real)
+        value = 1.0
+        for qubits, part in psi.parts:
+            work = part.amps.copy()
+            for qubit, (a0, ax, ay, az) in enumerate(table[list(qubits)].tolist()):
+                block = np.array([[a0 + az, ax - 1j * ay], [ax + 1j * ay, a0 - az]])
+                _apply_single_inplace(work, qubit, block, scratch[: work.size])
+            value *= float(np.vdot(part.amps, work).real)
+        total += coeff * value
     return total
 
 

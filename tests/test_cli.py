@@ -13,11 +13,18 @@ from aqstate import pauli
 from aqstate.cli import main
 from aqstate.pauli import Observable, projector_factored, save_observable, seminorm
 from aqstate.snapshots import load_snapshots
-from aqstate.statevector import load_circuit
+from aqstate.estimator import predict_attenuated
+from aqstate.statevector import MAX_TOTAL_QUBITS, ProductState, exact_expectation, load_circuit
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def xy_chain(n):
+    """Circuit file data: XY gates on the neighbours (q, q+1), one component."""
+    gates = [{"kind": "XY", "q1": q, "q2": q + 1, "alpha": 0.3} for q in range(n - 1)]
+    return {"n_qubits": n, "gates": [{"kind": "H", "q": 0}] + gates}
 
 
 class TestPrepare:
@@ -118,6 +125,25 @@ class TestPipeline:
         assert data["thetas"] == state.thetas.tolist()
         assert data["phis"] == state.phis.tolist()
         assert data["circuit_hash"] == load_circuit(circuit_path).content_hash()
+
+    def test_pipeline_beyond_dense_cap(self, tmp_path, capsys):
+        # a 40-qubit default circuit: components of at most 2 qubits
+        circuit_path, snaps, obs = tmp_path / "c.json", tmp_path / "s.aqst", tmp_path / "o.json"
+        assert run_cli("prepare", "--qubits", 40, "--seed", 5, "--out", circuit_path) == 0
+        assert run_cli("snapshot", "--circuit", circuit_path, "--shots", 2000, "--seed", 6,
+                       "--readout-error", 0.05, "--out", snaps) == 0
+        # three terms, in canonical order
+        labels = ["X" + "I" * 39, "I" * 20 + "ZZ" + "I" * 18, "I" * 39 + "Y"]
+        observable = Observable.from_strings([(0.5, label) for label in labels])
+        save_observable(observable, obs)
+        capsys.readouterr()
+        assert run_cli("estimate", "--snapshots", snaps, "--observable", obs) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["M"], result["N"]) == (2000, 40)
+        psi = ProductState.from_circuit(load_circuit(circuit_path))
+        exact = [exact_expectation(psi, Observable.from_strings([(1.0, l)])) for l in labels]
+        predicted = predict_attenuated(observable, exact, 0.05)
+        assert abs(result["value"] - predicted) <= 5 * result["std_bound"]
 
     def test_dump_state_debug_flag(self, tmp_path, circuit_path):
         snaps = tmp_path / "state.aqst"
@@ -334,14 +360,34 @@ class TestInputErrors:
         return rc
 
     def test_too_many_qubits(self, tmp_path, capsys):
+        # an XY chain joins 27 qubits into one component, one over the cap:
+        # refused before the 2 GiB state is allocated
         tracemalloc.start()
         try:
-            rc = self.snapshot(tmp_path, '{"n_qubits": 40, "gates": []}')
+            rc = self.snapshot(tmp_path, json.dumps(xy_chain(27)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rc == 2 and "error:" in capsys.readouterr().err
+        assert rc == 2 and "component of 27 qubits" in capsys.readouterr().err
         assert peak < 1 << 20
+
+    def test_too_many_qubits_in_all(self, tmp_path, capsys):
+        circuit = json.dumps({"n_qubits": MAX_TOTAL_QUBITS + 1, "gates": []})
+        assert self.snapshot(tmp_path, circuit) == 2
+        assert f"outside 1..{MAX_TOTAL_QUBITS}" in capsys.readouterr().err
+        out = tmp_path / "prepared.json"
+        assert run_cli("prepare", "--qubits", MAX_TOTAL_QUBITS + 1, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dump_state_of_product_circuit_beyond_dense_cap(self, tmp_path, capsys):
+        # the 40-qubit product state can be measured, but not dumped densely
+        circuit_path, out, dump = tmp_path / "circ.json", tmp_path / "s.aqst", tmp_path / "psi"
+        assert run_cli("prepare", "--qubits", 40, "--seed", 3, "--out", circuit_path) == 0
+        assert run_cli("snapshot", "--circuit", circuit_path, "--shots", 10,
+                       "--out", out, "--dump-state", dump) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
 
     # 10^13 snapshots of 3 qubits need 218 TiB per angle array, more than
     # the 128 TiB a 64-bit process can map on common hardware: allocation

@@ -16,6 +16,7 @@ from aqstate.snapshots import serialize, snapshots_from_state
 from aqstate.statevector import (
     Circuit,
     Gate,
+    ProductState,
     haar_random_state,
     random_prep_circuit,
     run_circuit,
@@ -110,3 +111,18 @@ GOLDEN = {
 def test_golden_digests():
     assert compute_digests() == GOLDEN
 
+
+
+def test_product_state_bytes_match_dense():
+    # each connected component measured on its own columns of the uniform
+    # table gives the dense bytes, on the golden circuits and on default
+    # circuits (components of at most 2 qubits)
+    circuits = [_circuit(n) for n in _SIZES]
+    circuits += [random_prep_circuit(n, np.random.default_rng(3000 + n)) for n in range(2, 17)]
+    for circuit in circuits:
+        dense, product = run_circuit(circuit), ProductState.from_circuit(circuit)
+        for seed in _SEEDS:
+            for p in _P_ERRS:
+                assert serialize(snapshots_from_state(product, _M, seed, p_err=p)) == serialize(
+                    snapshots_from_state(dense, _M, seed, p_err=p)
+                ), (circuit.n_qubits, seed, p)

@@ -45,7 +45,7 @@ from aqstate.snapshots import (
 )
 from aqstate.statevector import (
     GATE_KINDS,
-    MAX_QUBITS as STATE_QUBIT_CAP,
+    MAX_TOTAL_QUBITS,
     Circuit,
     Statevector,
     circuit_from_dict,
@@ -171,7 +171,7 @@ def test_any_json_value_gives_a_circuit_or_value_error(data):
 
 
 config_values = (
-    st.integers(-2, STATE_QUBIT_CAP + 2) | numbers | st.booleans()
+    st.integers(-2, MAX_TOTAL_QUBITS + 2) | numbers | st.booleans()
     | st.sampled_from(OBSERVABLE_KINDS + NORMALIZATIONS) | json_values
 )
 near_configs = st.fixed_dictionaries(
@@ -192,7 +192,7 @@ def test_any_json_value_gives_a_config_or_value_error(data):
         return
     counts = (cfg.n_snapshots, cfg.n_observables, cfg.terms_per_observable)
     assert all(type(v) is int for v in counts + (cfg.n_qubits, cfg.seed))
-    assert 2 <= cfg.n_qubits <= STATE_QUBIT_CAP and min(counts) >= 1 and cfg.seed >= 0
+    assert 2 <= cfg.n_qubits <= MAX_TOTAL_QUBITS and min(counts) >= 1 and cfg.seed >= 0
     assert type(cfg.p_err) in (int, float) and 0.0 <= cfg.p_err < 1.0
     assert cfg.observable_kind in OBSERVABLE_KINDS and cfg.normalization in NORMALIZATIONS
     json.dumps(asdict(cfg))  # the report records the config

@@ -201,6 +201,19 @@ class TestObservable:
         with pytest.raises(ValueError, match="finite"):
             Observable.from_strings([(1e308, "X"), (1e308, "X")])
 
+    def test_rows_constructor_rejects_non_numbers(self):
+        # a string coefficient is not parsed, a bool axis is not read as 1
+        with pytest.raises(ValueError, match="coefficients must be numbers"):
+            Observable.from_rows(2, [[1, 0]], ["3"])
+        with pytest.raises(ValueError, match="axes must be integers"):
+            Observable.from_rows(2, [[True, False]], [1.0])
+
+    def test_factored_constructor_rejects_non_numbers(self):
+        with pytest.raises(ValueError, match="must be numbers"):
+            FactoredObservable(1, [("2", [["0.5", False, 0, 1]])])
+        with pytest.raises(ValueError, match="factor entries must be numbers"):
+            FactoredObservable(1, [(2.0, [["0.5", False, 0, 1]])])
+
 
 class TestSeminorms:
     def test_sigma_x(self):

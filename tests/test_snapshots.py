@@ -21,8 +21,10 @@ from aqstate.snapshots import (
 )
 from aqstate.statevector import (
     MAX_QUBITS,
+    MAX_TOTAL_QUBITS,
     Circuit,
     Gate,
+    ProductState,
     Statevector,
     haar_random_state,
     random_prep_circuit,
@@ -261,14 +263,11 @@ class TestBuildApproximateState:
         )
 
 
-# The dense memory budget, computed without allocating.  A half of the
-# state is 8*2^N bytes; NumPy sums two temporaries in place once they reach
-# its 256 KiB elision threshold, that is from N = 15 on.
+# The dense memory budget, computed without allocating.
 def run_circuit_bytes(n):
-    """Bytes run_circuit holds: the 16*2^N-byte state, the copy of the half
-    a single-qubit gate rewrites and its two half-size products (plus the
-    sum below the elision threshold)."""
-    return (5 if n >= 15 else 6) * (8 << n)
+    """Bytes run_circuit holds: the 16*2^N-byte state and one scratch
+    buffer of the same size, which every gate reuses."""
+    return 2 * (16 << n)
 
 
 def batch_bytes(n, m):
@@ -276,6 +275,21 @@ def batch_bytes(n, m):
     of the 16*2^(N-1)-byte branch buffer, the next level's buffer of half
     that size, and the 17*M*N bytes of snapshot arrays."""
     return snapshots._default_batch_size(n) * (16 << (n - 1)) * 3 // 2 + 17 * m * n
+
+
+def product_bytes(state, m):
+    """Bytes acquiring M snapshots of a product state holds: its parts' 16*2^|C|
+    bytes each, one batch sized by the largest part (its branch buffers, as
+    in batch_bytes, and 104 bytes per row and qubit of uniforms, angles and
+    rotation tables) and the 17*M*N bytes of snapshot arrays."""
+    largest = max(part.n_qubits for _, part in state.parts)
+    rows = min(m, snapshots._default_batch_size(largest))
+    return (
+        sum(16 << part.n_qubits for _, part in state.parts)
+        + rows * (16 << (largest - 1)) * 3 // 2
+        + 104 * rows * state.n_qubits
+        + 17 * m * state.n_qubits
+    )
 
 
 def traced_peak(fn, *args):
@@ -289,20 +303,19 @@ def traced_peak(fn, *args):
 
 class TestMemoryBudget:
     def test_dense_budget_up_to_max_qubits(self):
-        # run_circuit, then the state and one batch: at most 2.5 GiB, reached
+        # run_circuit, then the state and one batch: at most 2 GiB, reached
         # by run_circuit at N = 26, besides 17 bytes per qubit and snapshot
-        budget = 5 << 29
+        budget = 1 << 31
         for n in range(1, MAX_QUBITS + 1):
             assert max(run_circuit_bytes(n), (16 << n) + batch_bytes(n, 0)) <= budget
         assert run_circuit_bytes(MAX_QUBITS) == budget
         assert batch_bytes(MAX_QUBITS, 0) == 768 << 20
 
-    # NumPy's ufunc buffer of 8192 complex doubles (128 KiB), used when a
-    # gate reads a strided half, and small objects come on top
+    # no gate allocates, so only small objects come on top
     @pytest.mark.parametrize("n", range(12, 19))
     def test_run_circuit_peak_matches_formula(self, n):
         peak = traced_peak(run_circuit, random_prep_circuit(n, np.random.default_rng(n)))
-        assert run_circuit_bytes(n) <= peak <= run_circuit_bytes(n) + (160 << 10)
+        assert run_circuit_bytes(n) <= peak <= run_circuit_bytes(n) + (16 << 10)
 
     # one full batch; the per-batch uniforms and angle arrays come on top
     @pytest.mark.parametrize("n", range(12, 19))
@@ -311,6 +324,15 @@ class TestMemoryBudget:
         m = snapshots._default_batch_size(n)
         peak = traced_peak(snapshots_from_state, psi, m, n)
         assert batch_bytes(n, m) <= peak <= 1.03 * batch_bytes(n, m)
+
+    # default circuits: components of at most 2 qubits, so 1024-row batches;
+    # the parts' Python objects come on top
+    @pytest.mark.parametrize("n, m", [(40, 2000), (MAX_TOTAL_QUBITS, 1500)])
+    def test_product_acquisition_peak_matches_formula(self, n, m):
+        circuit = random_prep_circuit(n, np.random.default_rng(n))
+        budget = product_bytes(ProductState.from_circuit(circuit), m)
+        peak = traced_peak(build_approximate_state, circuit, m, 1, 0.05)
+        assert 0.97 * budget <= peak <= 1.01 * budget
 
 
 class TestTomographicIdentity:

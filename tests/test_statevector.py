@@ -17,6 +17,7 @@ from aqstate.statevector import (
     MAX_QUBITS,
     Circuit,
     Gate,
+    ProductState,
     Statevector,
     _apply_gate_inplace,
     circuit_from_dict,
@@ -52,7 +53,7 @@ def dense_observable(obs):
 def apply_gate(psi, gate):
     Circuit(psi.n_qubits, (gate,))  # checks the targets
     amps = psi.amps.copy()
-    _apply_gate_inplace(amps, gate)
+    _apply_gate_inplace(amps, gate, np.empty_like(amps))
     return Statevector(amps, copy=False)
 
 
@@ -328,6 +329,75 @@ class TestFactoredExpectation:
             assert exact_expectation_factored(psi, fobs) == pytest.approx(
                 exact_expectation(psi, fobs.to_observable()), abs=1e-10
             )
+
+
+def dense_amplitudes(state):
+    """Test-local oracle: the amplitudes of a product state, as the product
+    over parts of each part's amplitude at its own bits of the index."""
+    index = np.arange(1 << state.n_qubits)
+    amps = np.ones(index.size, dtype=complex)
+    for qubits, part in state.parts:
+        local = sum(((index >> q) & 1) << i for i, q in enumerate(qubits))
+        amps *= part.amps[local]
+    return amps
+
+
+def circuits_with_components():
+    """Default and overlapping-pair circuits at N = 2..10, one XY chain."""
+    rng = np.random.default_rng(61)
+    for n in range(2, 11):
+        yield random_prep_circuit(n, rng)
+        yield random_prep_circuit(n, rng, allow_overlapping_pairs=True)
+    chain = [Gate("XY", (q, q + 1), 0.1 * q + 0.3) for q in range(5)]
+    yield Circuit(7, (Gate("H", (0,)), Gate("S", (6,)), *chain))
+
+
+class TestProductState:
+    def test_components_follow_two_qubit_gates(self):
+        circuit = Circuit(6, (
+            Gate("H", (4,)), Gate("XY", (4, 1), 0.5), Gate("XY", (3, 1), 1.0), Gate("X", (5,)),
+        ))
+        state = ProductState.from_circuit(circuit)
+        assert [qubits for qubits, _ in state.parts] == [(0,), (1, 3, 4), (2,), (5,)]
+        # local qubit i is global qubits[i]: H on 4 is local 2, XY(3, 1) is local (1, 0)
+        local = Circuit(3, (Gate("H", (2,)), Gate("XY", (2, 0), 0.5), Gate("XY", (1, 0), 1.0)))
+        assert np.array_equal(state.parts[1][1].amps, run_circuit(local).amps)
+
+    def test_matches_dense_state(self):
+        for circuit in circuits_with_components():
+            state = ProductState.from_circuit(circuit)
+            dense = run_circuit(circuit).amps
+            assert np.max(np.abs(dense_amplitudes(state) - dense)) <= 1e-12
+
+    def test_oracles_match_dense(self):
+        rng = np.random.default_rng(62)
+        for circuit in circuits_with_components():
+            n = circuit.n_qubits
+            state, dense = ProductState.from_circuit(circuit), run_circuit(circuit)
+            assert len(state.parts) > 1 or n == 7
+            obs = Observable.from_rows(n, rng.integers(0, 4, size=(20, n)), rng.uniform(-1, 1, 20))
+            assert abs(exact_expectation(state, obs) - exact_expectation(dense, obs)) <= 1e-12
+            for fobs in (
+                projector_factored(rng.integers(0, 2, n).tolist()),
+                FactoredObservable(n, [(0.7, rng.uniform(-1, 1, (n, 4))),
+                                       (-0.4, rng.uniform(-1, 1, (n, 4)))]),
+            ):
+                product = exact_expectation_factored(state, fobs)
+                assert abs(product - exact_expectation_factored(dense, fobs)) <= 1e-12
+
+    def test_dense_state_is_one_part(self):
+        psi = haar_random_state(3, np.random.default_rng(63))
+        assert psi.parts == (((0, 1, 2), psi),)
+
+    @pytest.mark.parametrize("n, parts", [
+        (3, [((0,), 1), ((1,), 1)]),
+        (2, [((1, 0), 2)]),
+        (1, [((0,), 1), ((0,), 1)]),
+        (3, [((0, 1, 2), 2)]),
+    ], ids=["missing", "descending", "repeated", "size-mismatch"])
+    def test_rejects_bad_parts(self, n, parts):
+        with pytest.raises(ValueError, match="cover each qubit"):
+            ProductState(n, [(qubits, Statevector(np.eye(1 << k)[0])) for qubits, k in parts])
 
 
 class TestHaarStates:
