@@ -7,7 +7,9 @@ the approximate state 𝒮 from which all estimators are computed.
 
 Randomness is counter based: the uniforms feeding snapshot j are a pure
 function of (seed, j), so acquisition order and batch size never change the
-result and any subrange can be regenerated independently.
+result and any subrange can be regenerated independently.  The head depth
+of a part depends on M, and two depths round differently: an outcome can
+change only where its uniform lies within rounding of its threshold.
 """
 
 from __future__ import annotations
@@ -134,15 +136,65 @@ def _snapshot_uniforms(seed: int, start: int, count: int, n_qubits: int) -> np.n
     return (words >> np.uint64(11)) * (2.0**-53)
 
 
-# The half-size branch buffer of one batch, (rows, 2^(N-1)) complex doubles,
-# stays within this many bytes unless a single row is already larger.
+# The first explicit level of one batch, (rows, 2^(n-D)) complex doubles for
+# a part of n qubits with head depth D, stays within this many bytes unless a
+# single row is already larger.
 _BATCH_BYTES = 128 << 20
 _MAX_BATCH = 1024
 
 
-def _default_batch_size(n_qubits: int) -> int:
-    row_bytes = (1 << (n_qubits - 1)) * np.dtype(complex).itemsize
+def _default_batch_size(branch_qubits: int) -> int:
+    """Rows per batch whose first explicit branch level, 2^branch_qubits
+    complex amplitudes per row, fits in ``_BATCH_BYTES``."""
+    row_bytes = (1 << branch_qubits) * np.dtype(complex).itemsize
     return max(1, min(_MAX_BATCH, _BATCH_BYTES // row_bytes))
+
+
+def _head_depth(n_qubits: int, n_snapshots: int) -> int:
+    """Head depth D of an n-qubit part: its top D qubits are drawn from
+    shared Gram matrices, the rest from each row's branch.
+
+    D minimises a cost model in complex multiply-adds, fitted to timings of
+    this kernel.  Every depth builds each row's branch once from all 2^n
+    amplitudes; on top of that a row costs about 4 * 2^(n-D) in the tail
+    levels and 4 * 4^d in the head's quadratic form at depth d = 1 .. D-1.
+    The Gram matrix, shared by all M rows, costs about 2^(n+D) / 4, and
+    each head level a fixed 4096 per batch for its NumPy calls.  So D is 1,
+    the shared top level only, for parts of up to 4 qubits and for small
+    parts with few snapshots, and about n/3 for large M.  A head deeper
+    than n/2 + 1 costs more per row than the whole tail at D = 1.
+    """
+    batches = -(-n_snapshots // _MAX_BATCH)
+
+    def cost(depth: int) -> int:
+        row = 4 * 2 ** (n_qubits - depth) + 4 * (4**depth - 4) // 3
+        return n_snapshots * row + 2 ** (n_qubits + depth - 2) + 4096 * (depth - 1) * batches
+
+    return min(range(1, n_qubits // 2 + 2), key=cost)
+
+
+def _gram(amps: np.ndarray, depth: int) -> np.ndarray:
+    """G[i, j] = <R_i, R_j> for R = amps reshaped to (2^depth, 2^(n-depth)),
+    from real dot products of the float view, as in ``_moments``: nothing
+    the size of the state is copied."""
+    f = amps.view(np.float64).reshape(1 << depth, -1)
+    re, im = f[:, 0::2], f[:, 1::2]
+    dot = "...h,...h->..."
+    cross = np.einsum(dot, re[:, None], im[None])
+    gram = np.empty((1 << depth, 1 << depth), dtype=complex)
+    gram.real = np.einsum(dot, f[:, None], f[None])
+    gram.imag = cross - cross.T
+    return gram
+
+
+def _head(amps: np.ndarray, depth: int) -> list[np.ndarray]:
+    """The Gram matrices G^(1) ... G^(depth) of ``_gram``, G^(d+1) reshaped
+    to (2^d, 2, 2^d, 2) for the qubit drawn at depth d.  Each smaller one is
+    the partial trace of the next larger over its last qubit."""
+    grams = [_gram(amps, depth).reshape(1 << (depth - 1), 2, 1 << (depth - 1), 2)]
+    for d in range(depth - 2, -1, -1):
+        grams.append(np.einsum("iaja->ij", grams[-1]).reshape(1 << d, 2, 1 << d, 2))
+    return grams[::-1]
 
 
 def _moments(halves: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -162,46 +214,76 @@ def _moments(halves: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
-def _measure_part(
-    bits: np.ndarray,
-    part: tuple,
-    cos_h: np.ndarray,
-    sin_h: np.ndarray,
-    phase: np.ndarray,
-    picks: np.ndarray,
-) -> None:
-    """Draw the bits of one part of the state from its highest qubit down.
-    ``part`` is ``(qubits, top, top_moments)``: the part's columns of the
-    batch's tables, its amplitudes split on its highest qubit, and their
-    moments.
+def _draw(bits: np.ndarray, q: int, moments: tuple, tables: tuple, last: bool):
+    """Draw qubit q's bit in every row from its conditional moments and
+    return the (rows, 2) weights of (a0, a1) in the chosen branch, or None
+    after the part's last qubit.  ``tables`` holds the batch's cos(theta/2),
+    sin(theta/2), e^(i phi) and outcome picks, one column per qubit.
 
-    Rotating qubit k by U = [[c, s e^-iphi], [-s e^iphi, c]] and projecting
+    Rotating the qubit by U = [[c, s e^-iphi], [-s e^iphi, c]] and projecting
     on outcome 0 leaves c*a0 + s e^-iphi*a1, whose squared norm follows from
-    the moments; outcome 1 leaves -s e^iphi*a0 + c*a1.  Only the chosen
-    branch is built, straight from the part's amplitudes at the top level.
-    It is an einsum, not a matmul: BLAS threads the large products and then
-    runs twice as slow whenever another process holds a core.
+    the moments; outcome 1 leaves -s e^iphi*a0 + c*a1.
     """
-    qubits, top, moments = part
-    rows = len(bits)
-    halves = np.broadcast_to(top, (rows, *top.shape))
-    for k in range(len(qubits) - 1, -1, -1):
-        q = qubits[k]
-        n0, n1, re, im = moments
-        c, s = cos_h[:, q], sin_h[:, q]
-        cross = phase[:, q].real * re + phase[:, q].imag * im
-        p0 = c * c * n0 + s * s * n1 + 2.0 * c * s * cross
-        take1 = picks[:, q] * (n0 + n1) >= p0
-        bits[:, q] = take1
-        if k == 0:
+    n0, n1, re, im = moments
+    cos_h, sin_h, phases, picks = tables
+    c, s, phase, pick = cos_h[:, q], sin_h[:, q], phases[:, q], picks[:, q]
+    cross = phase.real * re + phase.imag * im
+    p0 = c * c * n0 + s * s * n1 + 2.0 * c * s * cross
+    take1 = pick * (n0 + n1) >= p0
+    bits[:, q] = take1
+    if last:
+        return None
+    return np.where(
+        take1[:, None],
+        np.stack([-s * phase, c + 0j], axis=1),
+        np.stack([c + 0j, s * phase.conj()], axis=1),
+    )
+
+
+def _head_branch(bits: np.ndarray, part: tuple, tables: tuple) -> np.ndarray | None:
+    """Draw the top D qubits of ``part`` from its Gram matrices and return
+    each row's branch split on the next qubit, (rows, 2, 2^(n-D-1)), or None
+    when the head holds every qubit.
+
+    At depth d a row's branch is sum_b w_b R_b, where w is the Kronecker
+    product of the row's chosen weight pairs, so the qubit's moments are
+    quadratic forms of w in the shared Gram matrix and no amplitude is
+    touched.  w is (2^d, rows), so the rows run innermost.
+    """
+    qubits, head_rows, grams = part
+    rows, n = len(bits), len(qubits)
+    for d, g in enumerate(grams):
+        if d == 0:  # the top qubit's 2x2 matrix, the same for every row
+            m = g.reshape(2, 2, 1)
+        else:
+            t = np.einsum("bx,br->xr", g.reshape(len(w), -1), w.conj())
+            m = np.einsum("acdr,cr->adr", t.reshape(2, len(w), 2, -1), w)
+        moments = (m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag)
+        coef = _draw(bits, qubits[n - 1 - d], moments, tables, last=d == n - 1)
+        if coef is None:
+            return None
+        w = coef.T if d == 0 else (w[:, None, :] * coef.T[None]).reshape(-1, rows)
+    return np.einsum("br,bh->rh", w, head_rows).reshape(rows, 2, -1)
+
+
+def _measure_part(bits: np.ndarray, part: tuple, tables: tuple) -> None:
+    """Draw the bits of one part of the state from its highest qubit down.
+    ``part`` is ``(qubits, head_rows, grams)``: the part's columns of the
+    batch's ``tables``, its amplitudes reshaped to (2^D, 2^(n-D)) and the
+    Gram matrices of ``_head`` for its head of depth D.
+
+    The head builds each row's branch once from all rows of R; below it,
+    each level builds only the chosen half of the branch.  These are
+    einsums, not matmuls: BLAS threads the large products and then runs
+    twice as slow whenever another process holds a core.
+    """
+    qubits, _, grams = part
+    halves = _head_branch(bits, part, tables)
+    for k in range(len(qubits) - 1 - len(grams), -1, -1):
+        coef = _draw(bits, qubits[k], _moments(halves), tables, last=k == 0)
+        if coef is None:
             break
-        coef = np.where(
-            take1[:, None],
-            np.stack([-s * phase[:, q], c + 0j], axis=1),
-            np.stack([c + 0j, s * phase[:, q].conj()], axis=1),
-        )
-        halves = np.einsum("rk,rkh->rh", coef, halves).reshape(rows, 2, -1)
-        moments = _moments(halves)
+        halves = np.einsum("rk,rkh->rh", coef, halves).reshape(len(bits), 2, -1)
 
 
 def _acquire_batch(
@@ -217,16 +299,18 @@ def _acquire_batch(
     die on return, before the next batch draws its uniforms."""
     n = outcomes.shape[1]
     phi = 2.0 * math.pi * u[:, :n]
-    theta = np.arccos(2.0 * u[:, n : 2 * n] - 1.0)
+    u_cos = u[:, n : 2 * n]
+    theta = np.arccos(2.0 * u_cos - 1.0)
     picks = u[:, 2 * n : 3 * n]
     flip_u = u[:, 3 * n :]
 
-    half = 0.5 * theta
-    cos_h, sin_h = np.cos(half), np.sin(half)
-    phase = np.exp(1j * phi)
+    # cos(theta/2)^2 = (1 + cos theta)/2 = u exactly, since u is a multiple
+    # of 2^-53: no trigonometry per qubit.
+    cos_h, sin_h = np.sqrt(u_cos), np.sqrt(1.0 - u_cos)
+    tables = (cos_h, sin_h, np.exp(1j * phi), picks)
     bits = np.empty((len(u), n), dtype=np.int8)
     for part in parts:
-        _measure_part(bits, part, cos_h, sin_h, phase, picks)
+        _measure_part(bits, part, tables)
 
     m = 1 - 2 * bits
     outcomes[...] = np.where(flip_u < p_err[None, :], -m, m)
@@ -247,14 +331,17 @@ def snapshots_from_state(
 
     Each part's qubits are measured from the highest down.  Each step reads
     the qubit's conditional 2x2 reduced density, which depends only on the
-    bits already drawn in its own part, draws its bit, and builds only the
-    chosen half of the part's amplitudes.  Every part reads its own columns
-    of one uniform table, so a product state and its dense equivalent use
-    the same uniforms for each qubit and give the same bits, up to rounding
-    at a threshold.  A batch holds the most rows (up to 1024) whose half-size
-    branch buffer for the largest part fits in 128 MiB, or a single row
-    where one row alone is larger; the result does not depend on the batch
-    size.
+    bits already drawn in its own part, and draws its bit.  The top D qubits
+    of a part (its head, D from ``_head_depth``) read it from Gram matrices
+    of the part's amplitudes that all rows share; each row then builds its
+    branch once, and every later step builds only the chosen half of it.
+    Every part reads its own columns of one uniform table, so a product
+    state and its dense equivalent use the same uniforms for each qubit and
+    give the same bits, up to rounding at a threshold; the same holds for
+    two head depths.  A batch holds the most rows (up to 1024) whose first
+    branch level, in the part where it is longest, fits in 128 MiB, or a
+    single row where one row alone is larger; the result does not depend
+    on the batch size.
     """
     if n_snapshots < 1:
         raise ValueError("n_snapshots must be at least 1")
@@ -262,7 +349,11 @@ def snapshots_from_state(
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     n = psi.n_qubits
     p_err = _flip_probabilities(p_err, n)
-    batch_size = _default_batch_size(max(part.n_qubits for _, part in psi.parts))
+    heads = [
+        (qubits, part.amps, _head_depth(part.n_qubits, n_snapshots))
+        for qubits, part in psi.parts
+    ]
+    batch_size = _default_batch_size(max(len(qubits) - depth for qubits, _, depth in heads))
     try:
         outcomes = np.empty((n_snapshots, n), dtype=np.int8)
         thetas = np.empty((n_snapshots, n))
@@ -273,11 +364,11 @@ def snapshots_from_state(
             "more than can be allocated"
         ) from None
 
-    # Every row starts from the same parts, so their top moments are shared.
-    parts = []
-    for qubits, part in psi.parts:
-        top = part.amps.reshape(2, -1)
-        parts.append((qubits, top, _moments(top)))
+    # Every row starts from the same parts, so their Gram matrices are shared.
+    parts = [
+        (qubits, amps.reshape(1 << depth, -1), _head(amps, depth))
+        for qubits, amps, depth in heads
+    ]
 
     for start in range(0, n_snapshots, batch_size):
         stop = min(start + batch_size, n_snapshots)

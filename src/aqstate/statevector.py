@@ -39,9 +39,9 @@ __all__ = [
 MAX_QUBITS = 26
 
 # Caps the qubits of a product state, an experiment and a preparation
-# circuit.  An acquisition batch holds 104 bytes per row and qubit besides
-# its branch buffers (at most 1024 rows: 26 MiB at this cap), and 3^r for a
-# weight-r string stays finite.
+# circuit.  An acquisition batch holds up to 96 bytes per row and qubit
+# besides its branch buffers (at most 1024 rows: 24 MiB at this cap), and
+# 3^r for a weight-r string stays finite.
 MAX_TOTAL_QUBITS = 256
 
 _NORM_TOL = 1e-10

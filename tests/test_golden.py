@@ -22,7 +22,7 @@ from aqstate.statevector import (
     run_circuit,
 )
 
-_SIZES = (1, 2, 3, 8, 12)
+_SIZES = (1, 2, 3, 8, 12, 15)
 _SEEDS = (0, 2**63 + 12345)
 _P_ERRS = (0.0, 0.1)
 _M = 200
@@ -105,6 +105,15 @@ GOLDEN = {
     "snapshots haar n=12 seed=0 p=0.1": "6e47747c8cf3a275",
     "snapshots haar n=12 seed=9223372036854788153 p=0.0": "55e1b9a54144fff2",
     "snapshots haar n=12 seed=9223372036854788153 p=0.1": "cd9d60e8bc2b99a0",
+    "run_circuit n=15": "ae0062af9a5ab58d",
+    "snapshots circuit n=15 seed=0 p=0.0": "e2d1dfc58017821c",
+    "snapshots circuit n=15 seed=0 p=0.1": "8c00786473eaee60",
+    "snapshots circuit n=15 seed=9223372036854788153 p=0.0": "78fb36448e2a52a3",
+    "snapshots circuit n=15 seed=9223372036854788153 p=0.1": "62e878b7f29da066",
+    "snapshots haar n=15 seed=0 p=0.0": "705c4e74f5520110",
+    "snapshots haar n=15 seed=0 p=0.1": "71aaeb58d927bb59",
+    "snapshots haar n=15 seed=9223372036854788153 p=0.0": "fd73dac009ae0a2a",
+    "snapshots haar n=15 seed=9223372036854788153 p=0.1": "b34238cda0845398",
 }
 
 

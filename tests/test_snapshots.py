@@ -175,13 +175,17 @@ class TestBuildApproximateState:
         assert a == b
 
     def test_batch_size_invariance(self, monkeypatch):
-        psi = haar_random_state(3, np.random.default_rng(10))
-        variants = []
-        for rows in (1, 7, 64, 999):
-            monkeypatch.setattr(snapshots, "_MAX_BATCH", rows)
-            assert snapshots._default_batch_size(3) == rows
-            variants.append(snapshots_from_state(psi, 333, seed=4))
-        assert all(v == variants[0] for v in variants[1:])
+        # at 333 snapshots a 3-qubit part keeps head depth 1, the shared top
+        # level only, and a 12-qubit part draws its top 4 qubits in the head
+        for n, depth in ((3, 1), (12, 4)):
+            psi = haar_random_state(n, np.random.default_rng(10))
+            assert snapshots._head_depth(n, 333) == depth
+            variants = []
+            for rows in (1, 7, 64, 999):
+                monkeypatch.setattr(snapshots, "_BATCH_BYTES", rows * (16 << (n - depth)))
+                assert snapshots._default_batch_size(n - depth) == rows
+                variants.append(snapshots_from_state(psi, 333, seed=4))
+            assert all(v == variants[0] for v in variants[1:])
 
     def test_snapshots_are_counter_addressed(self):
         # row j depends only on (seed, j): a longer run extends a shorter one
@@ -192,22 +196,24 @@ class TestBuildApproximateState:
             assert np.array_equal(getattr(long, field)[:40], getattr(short, field))
 
     def test_default_batch_fits_budget(self):
-        # the half-size branch buffer of a default batch: (rows, 2^(N-1))
+        # the first explicit level of a default batch: (rows, 2^(n-D)) for a
+        # part of n qubits with head depth D >= 1
         budget = 128 << 20
-        for n in range(1, MAX_QUBITS + 1):
-            rows = snapshots._default_batch_size(n)
-            row_bytes = 16 << (n - 1)
+        for branch_qubits in range(MAX_QUBITS):
+            rows = snapshots._default_batch_size(branch_qubits)
+            row_bytes = 16 << branch_qubits
             assert 1 <= rows <= 1024
             assert rows * row_bytes <= budget or rows == 1
             assert rows == 1024 or (rows + 1) * row_bytes > budget
-        assert snapshots._default_batch_size(MAX_QUBITS) == 1
+        assert snapshots._default_batch_size(MAX_QUBITS - 1) == 1
 
     def test_acquisition_peak_follows_budget(self, monkeypatch):
         psi = run_circuit(random_prep_circuit(12, np.random.default_rng(12)))
         reference = snapshots_from_state(psi, 300, seed=5)
         budget = 1 << 20
         monkeypatch.setattr(snapshots, "_BATCH_BYTES", budget)
-        assert snapshots._default_batch_size(12) == 32
+        # head depth 4: 256 rows of 2^8 amplitudes
+        assert snapshots._default_batch_size(12 - snapshots._head_depth(12, 300)) == 256
         tracemalloc.start()
         try:
             small = snapshots_from_state(psi, 300, seed=5)
@@ -270,24 +276,49 @@ def run_circuit_bytes(n):
     return 2 * (16 << n)
 
 
-def batch_bytes(n, m):
-    """Bytes one default acquisition batch holds besides the state: its rows
-    of the 16*2^(N-1)-byte branch buffer, the next level's buffer of half
-    that size, and the 17*M*N bytes of snapshot arrays."""
-    return snapshots._default_batch_size(n) * (16 << (n - 1)) * 3 // 2 + 17 * m * n
+def gram_bytes(depth):
+    """Bytes of a part's head: its Gram matrices G^(1) ... G^(D), 16*4^d
+    bytes each."""
+    return sum(16 << 2 * d for d in range(1, depth + 1))
+
+
+def batch_bytes(part_qubits, depth, rows, n_qubits):
+    """Bytes one acquisition batch of N qubits holds at its peak, the larger
+    of two moments.  Drawing the uniforms holds 96 bytes per row and qubit,
+    the raw words, their shifted copy and the uniforms, plus NumPy's 64 KiB
+    casting buffer; building the angle tables later holds no more.  The
+    kernel holds, per row, 81 bytes per qubit of uniforms, angles and
+    rotation tables, the 32-byte pair of branch weights, and in the part
+    with the longest first branch level (n qubits, head depth D) the larger
+    of two buffers: the head's last quadratic form, 56*2^D bytes with its
+    2^D weights, and the first tail level, the 16*2^(n-D)-byte branch built
+    from the head and the next level's half of it.  At every depth of 2 or
+    more that the cost model picks for n >= 8 the tail is larger."""
+    buffers = max((16 << (part_qubits - depth)) * 3 // 2, 56 << depth if depth > 1 else 0)
+    return max(rows * 96 * n_qubits + (64 << 10), rows * (81 * n_qubits + 32 + buffers))
+
+
+def dense_bytes(n, m):
+    """Bytes acquiring M snapshots of a dense n-qubit state holds besides
+    the state: its head, one default batch and the 17*M*N bytes of snapshot
+    arrays."""
+    depth = snapshots._head_depth(n, m)
+    rows = min(m, snapshots._default_batch_size(n - depth))
+    return gram_bytes(depth) + batch_bytes(n, depth, rows, n) + 17 * m * n
 
 
 def product_bytes(state, m):
-    """Bytes acquiring M snapshots of a product state holds: its parts' 16*2^|C|
-    bytes each, one batch sized by the largest part (its branch buffers, as
-    in batch_bytes, and 104 bytes per row and qubit of uniforms, angles and
-    rotation tables) and the 17*M*N bytes of snapshot arrays."""
-    largest = max(part.n_qubits for _, part in state.parts)
-    rows = min(m, snapshots._default_batch_size(largest))
+    """Bytes acquiring M snapshots of a product state holds: its parts'
+    16*2^|C| bytes each and their heads, one batch sized by the part with
+    the longest first branch level, and the 17*M*N bytes of snapshot
+    arrays."""
+    sizes = [part.n_qubits for _, part in state.parts]
+    depths = [snapshots._head_depth(size, m) for size in sizes]
+    part_qubits, depth = max(zip(sizes, depths), key=lambda sd: sd[0] - sd[1])
+    rows = min(m, snapshots._default_batch_size(part_qubits - depth))
     return (
-        sum(16 << part.n_qubits for _, part in state.parts)
-        + rows * (16 << (largest - 1)) * 3 // 2
-        + 104 * rows * state.n_qubits
+        sum((16 << size) + gram_bytes(depth) for size, depth in zip(sizes, depths))
+        + batch_bytes(part_qubits, depth, rows, state.n_qubits)
         + 17 * m * state.n_qubits
     )
 
@@ -303,13 +334,21 @@ def traced_peak(fn, *args):
 
 class TestMemoryBudget:
     def test_dense_budget_up_to_max_qubits(self):
-        # run_circuit, then the state and one batch: at most 2 GiB, reached
-        # by run_circuit at N = 26, besides 17 bytes per qubit and snapshot
+        # run_circuit, then the state, its head and one batch at any head
+        # depth that some M can give: at most 2 GiB, reached by run_circuit
+        # at N = 26, besides 17 bytes per qubit and snapshot
         budget = 1 << 31
         for n in range(1, MAX_QUBITS + 1):
-            assert max(run_circuit_bytes(n), (16 << n) + batch_bytes(n, 0)) <= budget
+            for depth in range(1, snapshots._head_depth(n, 2**62) + 1):
+                rows = snapshots._default_batch_size(n - depth)
+                acquisition = (16 << n) + gram_bytes(depth) + batch_bytes(n, depth, rows, n)
+                assert max(run_circuit_bytes(n), acquisition) <= budget
+                if n >= 8 and depth > 1:
+                    assert 56 << depth < (16 << (n - depth)) * 3 // 2
         assert run_circuit_bytes(MAX_QUBITS) == budget
-        assert batch_bytes(MAX_QUBITS, 0) == 768 << 20
+        # depth 1, one row: the largest batch, 768 MiB of branch buffers
+        assert batch_bytes(MAX_QUBITS, 1, 1, MAX_QUBITS) >> 20 == 768
+        assert snapshots._head_depth(MAX_QUBITS, 2**62) == 9
 
     # no gate allocates, so only small objects come on top
     @pytest.mark.parametrize("n", range(12, 19))
@@ -317,13 +356,15 @@ class TestMemoryBudget:
         peak = traced_peak(run_circuit, random_prep_circuit(n, np.random.default_rng(n)))
         assert run_circuit_bytes(n) <= peak <= run_circuit_bytes(n) + (16 << 10)
 
-    # one full batch; the per-batch uniforms and angle arrays come on top
+    # one full batch of 1024 rows, head depths 4 to 6; the parts' Python
+    # objects and the einsum buffers come on top
     @pytest.mark.parametrize("n", range(12, 19))
     def test_acquisition_peak_matches_formula(self, n):
         psi = run_circuit(random_prep_circuit(n, np.random.default_rng(n)))
-        m = snapshots._default_batch_size(n)
+        m = snapshots._MAX_BATCH
+        assert snapshots._default_batch_size(n - snapshots._head_depth(n, m)) == m
         peak = traced_peak(snapshots_from_state, psi, m, n)
-        assert batch_bytes(n, m) <= peak <= 1.03 * batch_bytes(n, m)
+        assert dense_bytes(n, m) <= peak <= 1.03 * dense_bytes(n, m)
 
     # default circuits: components of at most 2 qubits, so 1024-row batches;
     # the parts' Python objects come on top
