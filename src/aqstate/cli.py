@@ -32,7 +32,7 @@ def _cmd_prepare(args) -> int:
 
 def _read_p_err(value_or_path: str, n_qubits: int) -> list[float]:
     """Per-qubit readout error rates: one number for every qubit, or a path
-    to a JSON list of numbers.  ``snapshots_from_state`` checks their range."""
+    to a JSON list of numbers.  Acquisition checks their count and range."""
     try:
         values = [float(value_or_path)] * n_qubits
     except ValueError:
@@ -40,8 +40,6 @@ def _read_p_err(value_or_path: str, n_qubits: int) -> list[float]:
             values = json.load(fh)
     if not isinstance(values, list):
         raise ValueError("a readout-error file must hold a JSON list of numbers")
-    if len(values) != n_qubits:
-        raise ValueError(f"need {n_qubits} per-qubit error rates, got {len(values)}")
     try:
         return [float(pauli._number("p_err entry", v)) for v in values]
     except OverflowError:  # an integer too large for a float
@@ -50,14 +48,11 @@ def _read_p_err(value_or_path: str, n_qubits: int) -> list[float]:
 
 def _cmd_snapshot(args) -> int:
     circuit = statevector.load_circuit(args.circuit)
-    # checks the qubit count and every component's size first
-    psi = statevector.ProductState.from_circuit(circuit)
-    # the debug dump is the dense state, within MAX_QUBITS
-    dense = statevector.run_circuit(circuit) if args.dump_state else None
     p_err = _read_p_err(args.readout_error, circuit.n_qubits)
-    # acquisition checks the rates and the count before any file is written
-    state = snapshots.snapshots_from_state(psi, args.shots, args.seed, p_err)
+    state = snapshots.build_approximate_state(circuit, args.shots, args.seed, p_err)
     if args.dump_state:
+        # the dense state, within MAX_QUBITS, checked before any file is written
+        dense = statevector.run_circuit(circuit)
         with open(args.dump_state, "w") as fh:
             json.dump([[a.real, a.imag] for a in dense.amps], fh)
             fh.write("\n")
@@ -199,7 +194,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

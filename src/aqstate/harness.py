@@ -30,11 +30,11 @@ from .statevector import (
     Circuit,
     Gate,
     ProductState,
+    _term_values,
     circuit_to_dict,
     exact_expectation,
     exact_expectation_factored,
     haar_random_state,
-    pauli_expectation_batch,
     random_prep_circuit,
 )
 from .snapshots import snapshots_from_state
@@ -329,7 +329,10 @@ def haar_mixed_term_check(
     dim = 1 << obs.n_qubits
     amps = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    values = pauli_expectation_batch(amps, mixed_term_strings(obs))
+    mixed = mixed_term_strings(obs)
+    values = np.full(n_samples, mixed.offset)
+    for coeff, row in zip(mixed.coeffs.tolist(), _term_values(amps, mixed.axes)):
+        values += coeff * row
     mean = float(values.mean())
     variance = float(values.var(ddof=1))
     centered = values - mean

@@ -37,6 +37,10 @@ __all__ = [
 
 # explicit Pauli expansions of factored observables stop at this many qubits
 EXPANSION_QUBIT_CAP = 12
+# factored seminorms expand to at most this many terms before merging: the
+# O(T^2) pair sum takes about 1.6 s at 2^14 terms on a 2-core VM, and 4x as
+# long per doubling
+EXPANSION_TERM_CAP = 1 << 14
 
 
 # axis of each label byte: I, X, Y, Z in either case; 4 marks any other byte
@@ -103,6 +107,18 @@ def _labels(axes: np.ndarray) -> list[str]:
     return [text[i : i + n] for i in range(0, len(text), n)]
 
 
+def _planes(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic bit-planes (x, z) of the rows of ``axes`` (T, N), each
+    packed into (T, ceil(N/64)) uint64 words with bit q for qubit q: X and Y
+    set x, Y and Z set z (Aaronson-Gottesman)."""
+    t, n = axes.shape
+    bits = np.zeros((2, t, 64 * -(-n // 64)), dtype=bool)
+    bits[0, :, :n] = (axes == 1) | (axes == 2)
+    bits[1, :, :n] = axes >= 2
+    x, z = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+    return x, z
+
+
 def _frozen(self, name, value):
     raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
 
@@ -151,9 +167,7 @@ class Observable:
     dropped and terms are sorted by support.  ``offset`` is the coefficient
     of the identity string; the other terms are the rows of ``axes``
     (T, N) uint8, axis indices 1..3 for X, Y, Z and 0 for I, with
-    coefficients ``coeffs`` (T,).  ``x``/``z`` are the symplectic bit-planes
-    of those rows (Aaronson-Gottesman), packed into (T, ceil(N/64)) uint64
-    words: X sets x, Z sets z, Y sets both.  ``terms`` gives the same terms
+    coefficients ``coeffs`` (T,).  ``terms`` gives the same terms
     as ``(coeff, PauliString)`` pairs, built on first use.  Instances and
     their arrays are immutable; instances are hashable.
     """
@@ -175,13 +189,9 @@ class Observable:
         if axes.size and not 0 <= axes.min() <= axes.max() <= 3:
             raise ValueError("Pauli axes must lie in 0..3")
         axes, coeffs, offset = _canonical_rows(axes.astype(np.uint8, copy=False), coeffs)
-        bits = np.zeros((2, len(axes), 64 * -(-n_qubits // 64)), dtype=bool)
-        bits[0, :, :n_qubits] = (axes == 1) | (axes == 2)  # X, Y
-        bits[1, :, :n_qubits] = axes >= 2  # Y, Z
-        x, z = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
-        for arr in (axes, coeffs, x, z):
+        for arr in (axes, coeffs):
             arr.setflags(write=False)
-        self.__dict__.update(n_qubits=n_qubits, axes=axes, coeffs=coeffs, offset=offset, x=x, z=z)
+        self.__dict__.update(n_qubits=n_qubits, axes=axes, coeffs=coeffs, offset=offset)
 
     @classmethod
     def from_rows(cls, n_qubits: int, axes, coeffs) -> "Observable":
@@ -233,7 +243,7 @@ class Observable:
         t, n = self.axes.shape
         coeffs = np.abs(self.coeffs)
         # word-major planes: the blocks below are (words, rows, later terms)
-        x, z = self.x.T, self.z.T
+        x, z = (plane.T for plane in _planes(self.axes))
         nonzero = x | z
         pow3 = 3.0 ** np.arange(n + 1)
         rows = max(1, _PAIR_BLOCK // max(t, 1))
@@ -456,8 +466,9 @@ def factored_seminorms(fobs: FactoredObservable) -> tuple[float, float]:
     """(seminorm, seminorm2) of the Pauli expansion of a factored observable.
 
     A single-term product form factorizes exactly per qubit at any width;
-    multi-term forms fall back to the explicit expansion (capped), since
-    coinciding strings from different terms must merge before squaring.
+    multi-term forms fall back to the explicit expansion, since coinciding
+    strings from different terms must merge before squaring.  It is refused
+    above ``EXPANSION_TERM_CAP`` terms, counted before merging.
     """
     if len(fobs.coeffs) == 1:
         (coeff,), (table,) = fobs.coeffs.tolist(), fobs.factors.tolist()
@@ -474,6 +485,11 @@ def factored_seminorms(fobs: FactoredObservable) -> tuple[float, float]:
         return (
             math.sqrt(c2 * (full - 2.0 * ident_row + ident_pair)),
             math.sqrt(c2 * (diag - ident_pair)),
+        )
+    n_terms = sum(map(math.prod, np.count_nonzero(fobs.factors, axis=2).tolist()))
+    if n_terms > EXPANSION_TERM_CAP:
+        raise ValueError(
+            f"refusing to expand {n_terms} Pauli terms (cap {EXPANSION_TERM_CAP})"
         )
     expanded = fobs.to_observable()
     return seminorm(expanded), seminorm2(expanded)

@@ -216,7 +216,7 @@ def _moments(halves: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _draw(bits: np.ndarray, q: int, moments: tuple, tables: tuple, last: bool):
     """Draw qubit q's bit in every row from its conditional moments and
-    return the (rows, 2) weights of (a0, a1) in the chosen branch, or None
+    return the (2, rows) weights of (a0, a1) in the chosen branch, or None
     after the part's last qubit.  ``tables`` holds the batch's cos(theta/2),
     sin(theta/2), e^(i phi) and outcome picks, one column per qubit.
 
@@ -233,11 +233,7 @@ def _draw(bits: np.ndarray, q: int, moments: tuple, tables: tuple, last: bool):
     bits[:, q] = take1
     if last:
         return None
-    return np.where(
-        take1[:, None],
-        np.stack([-s * phase, c + 0j], axis=1),
-        np.stack([c + 0j, s * phase.conj()], axis=1),
-    )
+    return np.stack([np.where(take1, -s * phase, c), np.where(take1, c, s * phase.conj())])
 
 
 def _head_branch(bits: np.ndarray, part: tuple, tables: tuple) -> np.ndarray | None:
@@ -262,7 +258,7 @@ def _head_branch(bits: np.ndarray, part: tuple, tables: tuple) -> np.ndarray | N
         coef = _draw(bits, qubits[n - 1 - d], moments, tables, last=d == n - 1)
         if coef is None:
             return None
-        w = coef.T if d == 0 else (w[:, None, :] * coef.T[None]).reshape(-1, rows)
+        w = coef if d == 0 else (w[:, None, :] * coef[None]).reshape(-1, rows)
     return np.einsum("br,bh->rh", w, head_rows).reshape(rows, 2, -1)
 
 
@@ -283,7 +279,7 @@ def _measure_part(bits: np.ndarray, part: tuple, tables: tuple) -> None:
         coef = _draw(bits, qubits[k], _moments(halves), tables, last=k == 0)
         if coef is None:
             break
-        halves = np.einsum("rk,rkh->rh", coef, halves).reshape(len(bits), 2, -1)
+        halves = np.einsum("kr,rkh->rh", coef, halves).reshape(len(bits), 2, -1)
 
 
 def _acquire_batch(

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .pauli import FactoredObservable, Observable, _integer, _number
+from .pauli import FactoredObservable, Observable, _integer, _number, _planes
 
 __all__ = [
     "MAX_QUBITS",
@@ -26,7 +26,6 @@ __all__ = [
     "random_prep_circuit",
     "exact_expectation",
     "exact_expectation_factored",
-    "pauli_expectation_batch",
     "haar_random_state",
     "circuit_to_dict",
     "circuit_from_dict",
@@ -38,10 +37,10 @@ __all__ = [
 # dense state, so also each part of a product state.
 MAX_QUBITS = 26
 
-# Caps the qubits of a product state, an experiment and a preparation
-# circuit.  An acquisition batch holds up to 96 bytes per row and qubit
-# besides its branch buffers (at most 1024 rows: 24 MiB at this cap), and
-# 3^r for a weight-r string stays finite.
+# Caps the qubits of a circuit, so of a product state, an experiment and a
+# preparation circuit.  An acquisition batch holds up to 96 bytes per row
+# and qubit besides its branch buffers (at most 1024 rows: 24 MiB at this
+# cap), and 3^r for a weight-r string stays finite.
 MAX_TOTAL_QUBITS = 256
 
 _NORM_TOL = 1e-10
@@ -130,6 +129,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _integer("n_qubits", self.n_qubits))
+        if not 1 <= self.n_qubits <= MAX_TOTAL_QUBITS:
+            raise ValueError(f"{self.n_qubits} qubits is outside 1..{MAX_TOTAL_QUBITS}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
             if any(q < 0 or q >= self.n_qubits for q in gate.qubits):
@@ -244,8 +245,6 @@ class ProductState:
         allocated.
         """
         n = circuit.n_qubits
-        if not 1 <= n <= MAX_TOTAL_QUBITS:
-            raise ValueError(f"{n} qubits is outside 1..{MAX_TOTAL_QUBITS}")
         root = list(range(n))
 
         def find(q: int) -> int:
@@ -318,35 +317,28 @@ def random_prep_circuit(
     return Circuit(n_qubits, tuple(gates))
 
 
-def _string_values(amps: np.ndarray, x_masks, z_masks):
-    """<P> over the states ``amps`` (batch, 2^n) of each Pauli string given
-    by its bit masks x and z (Y sets both), as one (batch,) array per string.
+def _term_values(amps: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """<P> over the states ``amps`` (batch, 2^n) of each row P of ``axes``
+    (T, n), as a (T, batch) array.
 
+    Each distinct row is evaluated once, and the identity gives exactly 1.
+    With the bit masks x and z of ``_planes`` (one word, as n <= MAX_QUBITS),
     P acts on basis states as P|b> = c(b)|b ^ x> with
     c(b) = i^{#Y} * (-1)^{popcount(b & z)}.
     """
+    x, z = (plane[:, 0] for plane in _planes(axes))
+    # one key per distinct row: n <= MAX_QUBITS < 32 bits per mask
+    keys, inverse = np.unique((x << np.uint64(32)) | z, return_inverse=True)
     idx = np.arange(amps.shape[-1], dtype=np.uint64)
-    for x, z in zip(x_masks, z_masks):
-        parity = np.bitwise_count(idx & np.uint64(z)) & 1
-        phase = (1j ** (x & z).bit_count()) * (1.0 - 2.0 * parity.astype(float))
-        permuted = amps[:, idx ^ np.uint64(x)]
-        yield np.einsum("sb,b,sb->s", permuted.conj(), phase, amps).real
-
-
-def pauli_expectation_batch(amps: np.ndarray, obs: Observable) -> np.ndarray:
-    """<psi|O|psi> for a batch of states, shape (batch, 2^N) -> (batch,).
-
-    Terms are added one by one in canonical order: the identity coefficient
-    first, then each row's, whose bit masks are read from the bit-planes
-    (one word at N <= MAX_QUBITS).
-    """
-    if obs.n_qubits != int(amps.shape[-1]).bit_length() - 1:
-        raise ValueError("observable and state qubit counts differ")
-    values = np.full(len(amps), obs.offset)
-    strings = _string_values(amps, obs.x[:, 0].tolist(), obs.z[:, 0].tolist())
-    for coeff, value in zip(obs.coeffs.tolist(), strings):
-        values += coeff * value
-    return values
+    values = np.ones((len(keys), len(amps)))
+    for k, key in enumerate(keys.tolist()):
+        x, z = divmod(key, 1 << 32)
+        if key:
+            parity = np.bitwise_count(idx & np.uint64(z)) & 1
+            phase = (1j ** (x & z).bit_count()) * (1.0 - 2.0 * parity.astype(float))
+            permuted = amps[:, idx ^ np.uint64(x)]
+            values[k] = np.einsum("sb,b,sb->s", permuted.conj(), phase, amps).real
+    return values[inverse.reshape(-1)]
 
 
 def exact_expectation(psi: Statevector | ProductState, obs: Observable) -> float:
@@ -361,17 +353,7 @@ def exact_expectation(psi: Statevector | ProductState, obs: Observable) -> float
         raise ValueError("observable and state qubit counts differ")
     values = np.ones(len(obs.coeffs))
     for qubits, part in psi.parts:
-        axes, width = obs.axes[:, qubits], np.uint64(len(qubits))
-        place = np.uint64(1) << np.arange(width, dtype=np.uint64)
-        x, z = ((axes == 1) | (axes == 2)) @ place, (axes >= 2) @ place
-        # each distinct restriction is evaluated once; key 0 is the identity
-        keys, inverse = np.unique((x << width) | z, return_inverse=True)
-        acting = keys != 0
-        xs, zs = np.divmod(keys[acting], np.uint64(1) << width)
-        local = np.ones(len(keys))
-        strings = _string_values(part.amps[None, :], xs.tolist(), zs.tolist())
-        local[acting] = [value[0] for value in strings]
-        values *= local[inverse]
+        values *= _term_values(part.amps[None], obs.axes[:, qubits])[:, 0]
     total = obs.offset
     for coeff, value in zip(obs.coeffs.tolist(), values.tolist()):
         total += coeff * value

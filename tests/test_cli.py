@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -372,9 +373,12 @@ class TestInputErrors:
         assert peak < 1 << 20
 
     def test_too_many_qubits_in_all(self, tmp_path, capsys):
-        circuit = json.dumps({"n_qubits": MAX_TOTAL_QUBITS + 1, "gates": []})
-        assert self.snapshot(tmp_path, circuit) == 2
-        assert f"outside 1..{MAX_TOTAL_QUBITS}" in capsys.readouterr().err
+        # refused when the circuit is read, before the rates are spread over
+        # its qubits
+        for n in (MAX_TOTAL_QUBITS + 1, 10**13, 10**20):
+            circuit = json.dumps({"n_qubits": n, "gates": []})
+            assert self.snapshot(tmp_path, circuit) == 2
+            assert f"outside 1..{MAX_TOTAL_QUBITS}" in capsys.readouterr().err
         out = tmp_path / "prepared.json"
         assert run_cli("prepare", "--qubits", MAX_TOTAL_QUBITS + 1, "--out", out) == 2
         assert "error:" in capsys.readouterr().err
@@ -403,6 +407,24 @@ class TestInputErrors:
         assert run_cli("experiment", "--config", cfg_path, "--out-prefix", prefix) == 2
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_factored_expansion_too_large(self, tmp_path, capsys):
+        # a projector plus one term with every axis on each of 9 qubits
+        # expands to 2^9 + 4^9 strings, whose pair sum would run for minutes
+        circuit_path, snaps, obs_path = (tmp_path / f for f in ("c.json", "s.aqst", "o.json"))
+        assert run_cli("prepare", "--qubits", 9, "--out", circuit_path) == 0
+        assert run_cli("snapshot", "--circuit", circuit_path, "--shots", 100,
+                       "--out", snaps) == 0
+        dense = {"coeff": 0.5, "factors": [[0.5, 0.1, 0.2, 0.3]] * 9}
+        terms = [{"coeff": 1.0, "factors": [[0.5, 0, 0, 0.5]] * 9}, dense]
+        obs_path.write_text(json.dumps({"n_qubits": 9, "terms": terms}))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run_cli("estimate", "--snapshots", snaps, "--observable", obs_path,
+                       "--factored") == 2
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: refusing to expand" in captured.err
 
     @pytest.mark.parametrize("epsilon", ["1e-300", "inf", "nan"])
     def test_bad_epsilon(self, tmp_path, capsys, epsilon):

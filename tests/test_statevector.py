@@ -20,6 +20,7 @@ from aqstate.statevector import (
     ProductState,
     Statevector,
     _apply_gate_inplace,
+    _term_values,
     circuit_from_dict,
     circuit_to_dict,
     exact_expectation,
@@ -306,6 +307,22 @@ class TestExactExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             exact_expectation(Statevector(np.eye(4)[0]), Observable.from_strings([(1.0, "X")]))
+
+    def test_term_values_of_a_batch(self):
+        # every row over a batch of states, duplicate rows and the identity
+        # included, is the oracle's value on one state at a time
+        rng = np.random.default_rng(29)
+        n = 4
+        rows = rng.integers(1, 4, (6, n)).astype(np.uint8)
+        rows[:, 0] = 0
+        rows = np.vstack([rows, rows[1], np.zeros(n, dtype=np.uint8), rows[3]])
+        states = [haar_random_state(n, rng) for _ in range(5)]
+        values = _term_values(np.stack([psi.amps for psi in states]), rows)
+        assert values.shape == (len(rows), len(states))
+        assert values[7].tolist() == [1.0] * len(states)
+        for row, row_values in zip(rows, values):
+            obs = Observable.from_rows(n, [row], [1.0])
+            assert row_values.tolist() == [exact_expectation(psi, obs) for psi in states]
 
 
 class TestFactoredExpectation:

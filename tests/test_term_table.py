@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aqstate import estimator
+from aqstate import estimator, pauli
 from aqstate.estimator import EstimateResult, estimate_observable, snapshot_values
 from aqstate.harness import random_observable
 from aqstate.pauli import (
@@ -111,7 +111,8 @@ def noisy_state(n, m, rng, seed):
 
 
 class TestTermTable:
-    # an Observable is its term table: axes, coeffs, offset and x/z planes
+    # an Observable is its term table: axes, coeffs and offset; _planes
+    # packs the rows' x/z bit masks
     def test_layout(self):
         obs = Observable.from_strings([(0.5, "XIZ"), (-0.25, "III"), (2.0, "IYY")])
         assert obs.axes.dtype == np.uint8 and obs.axes.shape == (2, 3)
@@ -119,9 +120,10 @@ class TestTermTable:
         assert obs.axes.tolist() == [[1, 0, 3], [0, 2, 2]]
         assert obs.coeffs.tolist() == [0.5, 2.0]
         assert obs.offset == -0.25
-        assert obs.x.dtype == np.uint64 and obs.x.shape == (2, 1)
-        assert obs.x[:, 0].tolist() == [0b001, 0b110]
-        assert obs.z[:, 0].tolist() == [0b100, 0b110]
+        x, z = pauli._planes(obs.axes)
+        assert x.dtype == z.dtype == np.uint64 and x.shape == z.shape == (2, 1)
+        assert x[:, 0].tolist() == [0b001, 0b110]
+        assert z[:, 0].tolist() == [0b100, 0b110]
         # rows in the order of terms: the identity first
         axes, coeffs = obs.rows()
         assert axes.tolist() == [[0, 0, 0], [1, 0, 3], [0, 2, 2]]
@@ -132,14 +134,16 @@ class TestTermTable:
         row = np.zeros(n, dtype=np.uint8)
         row[[0, 64, 129]] = 1, 2, 3  # X, Y, Z
         obs = Observable(n, ((1.0, PauliString(row)),))
-        assert obs.x.shape == (1, 3)
-        assert obs.x[0].tolist() == [1, 1, 0]
-        assert obs.z[0].tolist() == [0, 1, 1 << 1]
+        x, z = pauli._planes(obs.axes)
+        assert x.shape == (1, 3)
+        assert x[0].tolist() == [1, 1, 0]
+        assert z[0].tolist() == [0, 1, 1 << 1]
 
     def test_built_once_and_read_only(self):
         obs = Observable.from_strings([(1.0, "XY")])
-        for name in ("axes", "coeffs", "x", "z"):
+        for name in ("axes", "coeffs"):
             assert not getattr(obs, name).flags.writeable
+        assert not hasattr(obs, "x") and not hasattr(obs, "z")
         with pytest.raises(AttributeError):
             obs.offset = 1.0
         assert seminorm(obs) is seminorm(obs)  # cached with the observable
@@ -148,7 +152,7 @@ class TestTermTable:
 
     def test_empty(self):
         obs = Observable.from_strings([(3.0, "II")])
-        assert obs.axes.shape == (0, 2) and obs.x.shape == (0, 1)
+        assert obs.axes.shape == (0, 2) and pauli._planes(obs.axes)[0].shape == (0, 1)
         assert obs.offset == 3.0
         assert Observable(2).offset == 0.0
 
