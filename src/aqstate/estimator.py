@@ -70,6 +70,12 @@ class EstimateResult:
 _BLOCK_BYTES = 1 << 20
 
 
+def _long_rows(n: int, m: int) -> bool:
+    """Whether a random term (weight 3n/4) costs less multiplied in place, a fixed
+    cost plus 3n/4 + 1 NumPy calls, than in a gathered block: ns fitted to timings."""
+    return 1800 + (0.75 * n + 1) * (1000 + 0.6 * m) < 2000 + 1.1 * n * m
+
+
 def _weight_table(state: ApproximateState) -> np.ndarray:
     """Single-qubit estimator values, shape (N, 4, M): entry (q, a, j) is 1
     for a = I and 3*m*n_a for a = X, Y, Z on qubit q of snapshot j."""
@@ -84,12 +90,23 @@ def _weight_table(state: ApproximateState) -> np.ndarray:
 
 
 def _pauli_values(weights: np.ndarray, obs: Observable) -> np.ndarray:
-    m = weights.shape[2]
+    n, _, m = weights.shape
     values = np.full(m, obs.offset)
+    # ascending qubit order; skipping a qubit skips an exact factor of 1
+    if _long_rows(n, m):
+        table = list(weights.reshape(-1, m))  # row 4q + a is weights[q, a]
+        product = np.empty(m)
+        for axes, coeff in zip(obs.axes.tolist(), obs.coeffs.tolist()):
+            factors = [table[4 * q + a] for q, a in enumerate(axes) if a]
+            np.multiply(factors[0], factors[1] if len(factors) > 1 else 1.0, out=product)
+            for row in factors[2:]:
+                product *= row
+            product *= coeff
+            values += product
+        return values
     rows = max(1, _BLOCK_BYTES // (8 * m))
     for start in range(0, len(obs.coeffs), rows):
         axes = obs.axes[start : start + rows]
-        # ascending qubit order; skipping a qubit skips an exact factor of 1
         active = np.flatnonzero(axes.any(axis=0))
         block = weights[active[0]][axes[:, active[0]]]
         for q in active[1:]:

@@ -30,6 +30,7 @@ from .statevector import (
     Circuit,
     Gate,
     ProductState,
+    _exact_expectations,
     _term_values,
     circuit_to_dict,
     exact_expectation,
@@ -238,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             for _ in range(cfg.n_observables)
         ]
         seminorms = [(seminorm(obs), seminorm2(obs)) for obs in observables]
-        oracles = [exact_expectation(psi, obs) for obs in observables]
+        oracles = list(_exact_expectations(psi, observables))
         described = [{"kind": "pauli_sum", "n_terms": obs.n_terms} for obs in observables]
         band = "bound"
     else:

@@ -351,13 +351,21 @@ def exact_expectation(psi: Statevector | ProductState, obs: Observable) -> float
     """
     if obs.n_qubits != psi.n_qubits:
         raise ValueError("observable and state qubit counts differ")
-    values = np.ones(len(obs.coeffs))
+    return next(_exact_expectations(psi, [obs]))
+
+
+def _exact_expectations(psi: Statevector | ProductState, observables: list):
+    """Yield ``exact_expectation`` of each observable, all rows at once per part."""
+    axes = np.concatenate([obs.axes for obs in observables])
+    values = np.ones(len(axes))
     for qubits, part in psi.parts:
-        values *= _term_values(part.amps[None], obs.axes[:, qubits])[:, 0]
-    total = obs.offset
-    for coeff, value in zip(obs.coeffs.tolist(), values.tolist()):
-        total += coeff * value
-    return float(total)
+        values *= _term_values(part.amps[None], axes[:, qubits])[:, 0]
+    values = iter(values.tolist())
+    for obs in observables:
+        total = obs.offset
+        for coeff in obs.coeffs.tolist():
+            total += coeff * next(values)
+        yield float(total)
 
 
 def exact_expectation_factored(

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from aqstate import harness
 from aqstate.estimator import estimate_observable
 from aqstate.harness import (
     ExperimentConfig,
@@ -28,7 +29,13 @@ from aqstate.pauli import (
     seminorm2,
 )
 from aqstate.snapshots import ApproximateState
-from aqstate.statevector import MAX_TOTAL_QUBITS, run_circuit, circuit_from_dict
+from aqstate.statevector import (
+    MAX_TOTAL_QUBITS,
+    ProductState,
+    circuit_from_dict,
+    exact_expectation,
+    run_circuit,
+)
 
 
 class TestRandomObservable:
@@ -223,6 +230,33 @@ class TestRunExperiment:
         # alone bounds a 10-std miss, to 1 % per row
         for row in report.rows:
             assert abs(row.estimate - row.oracle) <= 10 * row.std_bound
+
+    @pytest.mark.parametrize("n", [4, 12, 40])
+    def test_oracles_equal_one_at_a_time(self, monkeypatch, n):
+        # the oracles are evaluated together, once per part of the state;
+        # each must equal exact_expectation of its own observable bit for
+        # bit, also when observables share strings
+        made = []
+
+        def sharing(n_qubits, n_terms, rng, normalization):
+            obs = random_observable(n_qubits, n_terms, rng, normalization)
+            if len(made) % 2:  # every other observable reuses its predecessor's rows
+                prev = made[-1]
+                obs = Observable.from_rows(n_qubits, np.concatenate([prev.axes, obs.axes]),
+                                           np.concatenate([-0.5 * prev.coeffs, obs.coeffs]))
+            made.append(obs)
+            return obs
+
+        monkeypatch.setattr(harness, "random_observable", sharing)
+        for seed in (1, 2, 3):
+            made.clear()
+            report = run_experiment(ExperimentConfig(n, 300, seed, n_observables=6,
+                                                     terms_per_observable=8))
+            psi = ProductState.from_circuit(circuit_from_dict(report.circuit))
+            assert len(made) == 6
+            assert [row.oracle for row in report.rows] == [
+                exact_expectation(psi, obs) for obs in made
+            ]
 
     def test_csv_shape(self, small_report):
         cfg, report = small_report

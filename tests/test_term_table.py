@@ -4,7 +4,8 @@ The reference functions below are test-only copies of the earlier per-term
 formulas: a compensated ``math.fsum`` average per term, and a Python loop
 over the rows of the pair sum.  The vectorized estimators must agree with
 the first to 1e-12 of the absolute term scale, and the seminorms must equal
-the second bit for bit.
+the second bit for bit.  Per-snapshot values must equal a term-by-term loop
+(``reference_pauli_values``) bit for bit.
 """
 
 import math
@@ -94,6 +95,28 @@ def reference_seminorms(obs):
         math.sqrt(float(np.sum(diag(coeffs))) + 2.0 * off),
         math.sqrt(float(np.sum(diag(signed)))),
         float(np.sum(np.sqrt(diag(signed)))),
+    )
+
+
+def reference_pauli_values(w, obs):
+    """Per-snapshot values: each term's product over its support in ascending
+    qubit order, times its coefficient, added term by term after the offset."""
+    values = np.full(w.shape[0], obs.offset)
+    for row, coeff in zip(obs.axes, obs.coeffs):
+        (qubits,) = np.nonzero(row)
+        product = w[:, qubits[0], row[qubits[0]] - 1].copy()
+        for q in qubits[1:]:
+            product *= w[:, q, row[q] - 1]
+        values += product * coeff
+    return values
+
+
+def random_snapshots(n, m, rng):
+    """Snapshots with uniformly random outcomes and directions."""
+    return ApproximateState(
+        rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, n)),
+        np.arccos(rng.uniform(-1, 1, size=(m, n))),
+        rng.uniform(0, 2 * math.pi, size=(m, n)),
     )
 
 
@@ -243,15 +266,34 @@ class TestBlocks:
             assert np.array_equal(values, reference)
 
 
+class TestLongRows:
+    # snapshot counts from the split on multiply each term in place over its
+    # own support; below it terms are gathered in blocks.  Both paths must
+    # give the reference's bits.
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_both_sides_of_the_split_are_bit_identical(self, n):
+        rng = np.random.default_rng(470 + n)
+        split = next(m for m in range(1, 10**5) if estimator._long_rows(n, m))
+        assert 1000 < split < 2000
+        for m in (1, 16, 300, split - 1, split, 10_000):
+            state = random_snapshots(n, m, rng)
+            w = reference_weights(state)
+            for n_terms in (1, 40, 500):
+                rows = rng.integers(0, 4, size=(n_terms + 1, n))
+                rows[-1] = 0  # an identity row: the offset
+                rows[n_terms // 2 : n_terms] = rows[: n_terms - n_terms // 2]  # duplicates
+                coeffs = rng.uniform(-1, 1, size=n_terms + 1)
+                obs = Observable.from_rows(n, rows, coeffs)
+                assert obs.offset != 0.0
+                (values,) = snapshot_values(state, [obs])
+                assert np.array_equal(values, reference_pauli_values(w, obs)), (m, n_terms)
+
+
 class TestEstimationMemory:
     def test_peak_does_not_grow_with_terms(self):
         rng = np.random.default_rng(500)
         n, m = 12, 10_000
-        state = ApproximateState(
-            rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, n)),
-            np.arccos(rng.uniform(-1, 1, size=(m, n))),
-            rng.uniform(0, 2 * math.pi, size=(m, n)),
-        )
+        state = random_snapshots(n, m, rng)
         peaks = {}
         for n_terms in (20, 2000):
             obs = random_observable(n, n_terms, rng, normalization="none")
@@ -260,3 +302,18 @@ class TestEstimationMemory:
             peaks[n_terms] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert abs(peaks[2000] - peaks[20]) <= 1 << 20, peaks
+
+    def test_long_rows_allocate_no_block(self):
+        # in place, the values take two M-length rows (the sum and one reused
+        # product) and the term table a few hundred bytes per term as Python
+        # lists; a gathered block alone would take _BLOCK_BYTES
+        rng = np.random.default_rng(501)
+        n, m, n_terms = 12, 10_000, 2000
+        assert estimator._long_rows(n, m)
+        weights = estimator._weight_table(random_snapshots(n, m, rng))
+        obs = random_observable(n, n_terms, rng, normalization="none")
+        tracemalloc.start()
+        estimator._pauli_values(weights, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 4 * 8 * m + 256 * n_terms < estimator._BLOCK_BYTES, peak
