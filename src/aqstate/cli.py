@@ -9,6 +9,7 @@ seminorms + shot budget), experiment (config -> report + curves CSV), verify
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,11 +31,11 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
-def _read_p_err(value_or_path: str, n_qubits: int) -> list[float]:
-    """Per-qubit readout error rates: one number for every qubit, or a path
-    to a JSON list of numbers.  Acquisition checks their count and range."""
+def _read_p_err(value_or_path: str) -> float | list[float]:
+    """Readout error rates: one number for every qubit, or a path to a JSON
+    list of per-qubit numbers.  Acquisition checks their count and range."""
     try:
-        values = [float(value_or_path)] * n_qubits
+        return float(value_or_path)
     except ValueError:
         with open(value_or_path) as fh:
             values = json.load(fh)
@@ -48,7 +49,7 @@ def _read_p_err(value_or_path: str, n_qubits: int) -> list[float]:
 
 def _cmd_snapshot(args) -> int:
     circuit = statevector.load_circuit(args.circuit)
-    p_err = _read_p_err(args.readout_error, circuit.n_qubits)
+    p_err = _read_p_err(args.readout_error)
     state = snapshots.build_approximate_state(circuit, args.shots, args.seed, p_err)
     if args.dump_state:
         # the dense state, within MAX_QUBITS, checked before any file is written
@@ -72,11 +73,8 @@ def _cmd_snapshot(args) -> int:
 def _cmd_estimate(args) -> int:
     state = snapshots.load_snapshots(args.snapshots)
     obs = pauli.load_observable(args.observable, factored=args.factored)
-    result = (
-        estimate_factored(state, obs)
-        if args.factored
-        else estimate_observable(state, obs)
-    )
+    estimate = estimate_factored if args.factored else estimate_observable
+    result = estimate(state, obs)
     print(
         json.dumps(
             {
@@ -135,6 +133,7 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache  # built once per process, however many times main is called
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqstate",

@@ -62,8 +62,12 @@ class EstimateResult:
         m = len(values)
         root_m = math.sqrt(m)
         spread = float(np.std(values, ddof=1)) / root_m if m > 1 else None
-        mean = float(np.sum(values)) / m
-        return cls(mean, seminorms[0] / root_m, seminorms[1] / root_m, m, spread)
+        return cls(_snapshot_mean(values), seminorms[0] / root_m, seminorms[1] / root_m, m, spread)
+
+
+def _snapshot_mean(values: np.ndarray) -> float:
+    """The estimate from per-snapshot values: their pairwise sum over their count."""
+    return float(np.sum(values)) / len(values)
 
 
 # terms whose per-snapshot products fill this many bytes are evaluated at once
@@ -119,7 +123,7 @@ def _pauli_values(weights: np.ndarray, obs: Observable) -> np.ndarray:
 
 def _factored_values(weights: np.ndarray, fobs: FactoredObservable) -> np.ndarray:
     values = np.zeros(weights.shape[2])
-    for coeff, table in fobs.terms:
+    for coeff, table in zip(fobs.coeffs.tolist(), fobs.factors):
         values += coeff * np.prod(np.einsum("kaj,ka->kj", weights, table), axis=0)
     return values
 

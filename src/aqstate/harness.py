@@ -41,6 +41,7 @@ from .statevector import (
 from .snapshots import snapshots_from_state
 from .estimator import (
     EstimateResult,
+    _snapshot_mean,
     estimate_observable,
     predict_attenuated,
     reconstruct_density,
@@ -254,12 +255,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     rows = []
     for values, pair, oracle in zip(snapshot_values(state, observables), seminorms, oracles):
-        # curve point k averages the first m_k per-snapshot values; the last
-        # checkpoint is M, so the last point is the final estimate
-        points = [EstimateResult.from_values(values[:m], pair) for m in checkpoints]
-        final = points[-1]
+        # curve point k is the estimate from the first m_k snapshots, the last from all M
+        final = EstimateResult.from_values(values, pair)
+        curve = tuple(_snapshot_mean(values[:m]) for m in checkpoints)
         rows.append(ObservableRow(oracle, final.value, final.std_bound, final.std_approx,
-                                  final.std_empirical, tuple(p.value for p in points)))
+                                  final.std_empirical, curve))
 
     fractions = {
         "bound": _coverage(rows, "std_bound"),

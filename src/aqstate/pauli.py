@@ -35,11 +35,9 @@ __all__ = [
     "load_observable",
 ]
 
-# explicit Pauli expansions of factored observables stop at this many qubits
-EXPANSION_QUBIT_CAP = 12
-# factored seminorms expand to at most this many terms before merging: the
-# O(T^2) pair sum takes about 1.6 s at 2^14 terms on a 2-core VM, and 4x as
-# long per doubling
+# explicit Pauli expansions of factored observables stop at this many terms,
+# counted before merging: the O(T^2) pair sum of a factored seminorm takes
+# about 1.6 s at 2^14 terms on a 2-core VM, and 4x as long per doubling
 EXPANSION_TERM_CAP = 1 << 14
 
 
@@ -328,14 +326,16 @@ class FactoredObservable:
 
         Each term expands qubit by qubit into the products of its factors'
         non-zero components, qubit 0 varying slowest; the expansions of all
-        terms are then merged in term order.
+        terms are then merged in term order.  Refused before anything is built
+        above ``EXPANSION_TERM_CAP`` terms, counted as sum_k prod_q nnz(factors[k, q]).
         """
-        if self.n_qubits > EXPANSION_QUBIT_CAP:
+        n_terms = sum(map(math.prod, np.count_nonzero(self.factors, axis=2).tolist()))
+        if n_terms > EXPANSION_TERM_CAP:
             raise ValueError(
-                f"refusing to expand {self.n_qubits} qubits (cap {EXPANSION_QUBIT_CAP})"
+                f"refusing to expand {n_terms} Pauli terms (cap {EXPANSION_TERM_CAP})"
             )
         all_axes, all_coeffs = [np.zeros((0, self.n_qubits), dtype=np.uint8)], [np.zeros(0)]
-        for coeff, table in self.terms:
+        for coeff, table in zip(self.coeffs.tolist(), self.factors):
             axes, coeffs = np.zeros((1, 0), dtype=np.uint8), np.array([coeff])
             for parts in table:
                 (nonzero,) = np.nonzero(parts)
@@ -467,8 +467,8 @@ def factored_seminorms(fobs: FactoredObservable) -> tuple[float, float]:
 
     A single-term product form factorizes exactly per qubit at any width;
     multi-term forms fall back to the explicit expansion, since coinciding
-    strings from different terms must merge before squaring.  It is refused
-    above ``EXPANSION_TERM_CAP`` terms, counted before merging.
+    strings from different terms must merge before squaring, and so to its
+    cap (see :meth:`FactoredObservable.to_observable`).
     """
     if len(fobs.coeffs) == 1:
         (coeff,), (table,) = fobs.coeffs.tolist(), fobs.factors.tolist()
@@ -485,11 +485,6 @@ def factored_seminorms(fobs: FactoredObservable) -> tuple[float, float]:
         return (
             math.sqrt(c2 * (full - 2.0 * ident_row + ident_pair)),
             math.sqrt(c2 * (diag - ident_pair)),
-        )
-    n_terms = sum(map(math.prod, np.count_nonzero(fobs.factors, axis=2).tolist()))
-    if n_terms > EXPANSION_TERM_CAP:
-        raise ValueError(
-            f"refusing to expand {n_terms} Pauli terms (cap {EXPANSION_TERM_CAP})"
         )
     expanded = fobs.to_observable()
     return seminorm(expanded), seminorm2(expanded)

@@ -378,7 +378,7 @@ def exact_expectation_factored(
         raise ValueError("observable and state qubit counts differ")
     scratch = np.empty(max(part.amps.size for _, part in psi.parts), dtype=complex)
     total = 0.0
-    for coeff, table in fobs.terms:
+    for coeff, table in zip(fobs.coeffs.tolist(), fobs.factors):
         value = 1.0
         for qubits, part in psi.parts:
             work = part.amps.copy()

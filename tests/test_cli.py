@@ -12,7 +12,13 @@ import pytest
 
 from aqstate import pauli
 from aqstate.cli import main
-from aqstate.pauli import Observable, projector_factored, save_observable, seminorm
+from aqstate.pauli import (
+    Observable,
+    projector_factored,
+    projector_seminorms,
+    save_observable,
+    seminorm,
+)
 from aqstate.snapshots import load_snapshots
 from aqstate.estimator import predict_attenuated
 from aqstate.statevector import MAX_TOTAL_QUBITS, ProductState, exact_expectation, load_circuit
@@ -426,6 +432,26 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and "error: refusing to expand" in captured.err
 
+    def test_factored_expansion_under_the_term_cap(self, tmp_path, capsys):
+        # a 13-qubit projector plus 0.5 I expands to 2^13 + 1 strings, under
+        # the term cap, so it is estimated whatever its qubit count
+        circuit_path, snaps, obs_path = (tmp_path / f for f in ("c.json", "s.aqst", "o.json"))
+        assert run_cli("prepare", "--qubits", 13, "--out", circuit_path) == 0
+        assert run_cli("snapshot", "--circuit", circuit_path, "--shots", 100,
+                       "--out", snaps) == 0
+        terms = [{"coeff": 1.0, "factors": [[0.5, 0, 0, 0.5]] * 13},
+                 {"coeff": 0.5, "factors": [[1, 0, 0, 0]] * 13}]
+        obs_path.write_text(json.dumps({"n_qubits": 13, "terms": terms}))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run_cli("estimate", "--snapshots", snaps, "--observable", obs_path,
+                       "--factored") == 0
+        assert time.perf_counter() - start < 5.0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["N"], result["M"]) == (13, 100)
+        # the identity adds nothing to the seminorm
+        assert result["std_bound"] * 10 == pytest.approx(projector_seminorms(13)[0], rel=1e-12)
+
     @pytest.mark.parametrize("epsilon", ["1e-300", "inf", "nan"])
     def test_bad_epsilon(self, tmp_path, capsys, epsilon):
         path = tmp_path / "obs.json"
@@ -526,3 +552,15 @@ class TestArgumentErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit):
             main(["prepare", "--bogus"])
+
+    def test_parser_is_reused_after_an_error(self, capsys):
+        # one parser serves every call in a process; a failed parse leaves
+        # nothing behind for the next call
+        argv = ["prepare", "--qubits", "5", "--seed", "3"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["prepare", "--qubits", "five"])
+        assert exc.value.code == 2
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first != ""

@@ -1,17 +1,23 @@
-"""Byte-level golden digests of acquisition and circuit simulation.
+"""Byte-level golden digests of acquisition, circuit simulation and the
+read path.
 
 Snapshot j is a pure function of (seed, j), so any rewrite of the sampling
 kernel or the gate kernels must reproduce these bytes exactly.  The digests
 are sha256 of ``serialize(...)`` and of ``run_circuit(...).amps.tobytes()``;
 comparing bytes (not ``np.array_equal``) also pins the sign of every zero.
+The read-path digests pin experiment reports and curves and the stdout of
+``estimate`` and ``seminorm``, so every printed bit of an estimate is fixed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
+from aqstate.cli import main
+from aqstate.harness import ExperimentConfig, run_experiment
 from aqstate.snapshots import serialize, snapshots_from_state
 from aqstate.statevector import (
     Circuit,
@@ -135,3 +141,63 @@ def test_product_state_bytes_match_dense():
                 assert serialize(snapshots_from_state(product, _M, seed, p_err=p)) == serialize(
                     snapshots_from_state(dense, _M, seed, p_err=p)
                 ), (circuit.n_qubits, seed, p)
+
+
+# M = 500 and 3000 lie either side of the N = 6 split of
+# ``estimator._long_rows`` (M = 1607), so both Pauli-value paths run
+READ_GOLDEN = {
+    "experiment random_pauli_sum M=500 json": "edbe4a8e88b39768",
+    "experiment random_pauli_sum M=500 csv": "b4e7d237557800d0",
+    "experiment random_pauli_sum M=3000 json": "70e47c2c88f3ddc7",
+    "experiment random_pauli_sum M=3000 csv": "f5af748689219e2d",
+    "experiment basis_projector M=500 json": "91cbc27a2481c356",
+    "experiment basis_projector M=500 csv": "92ca41391b3c385b",
+    "experiment basis_projector M=3000 json": "2d694ff7ef359e80",
+    "experiment basis_projector M=3000 csv": "f95a1c60d2e09d5c",
+    "estimate pauli_sum": "62bbed9f7a148069",
+    "estimate projector": "3d9e373dc02297e8",
+    "estimate two_term": "c92b949b0785dd43",
+    "seminorm pauli_sum": "23619773ff5cf0e1",
+}
+
+
+def compute_read_digests(tmp_path, capsys) -> dict[str, str]:
+    out = {}
+    for kind in ("random_pauli_sum", "basis_projector"):
+        for m in (500, 3000):
+            cfg = ExperimentConfig(n_qubits=6, n_snapshots=m, seed=11, observable_kind=kind)
+            report = run_experiment(cfg)
+            out[f"experiment {kind} M={m} json"] = _digest(report.to_json().encode())
+            out[f"experiment {kind} M={m} csv"] = _digest(report.curves_csv().encode())
+
+    def stdout(*argv) -> bytes:
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 0
+        return capsys.readouterr().out.encode()
+
+    circuit, snaps = tmp_path / "c.json", tmp_path / "s.aqst"
+    stdout("prepare", "--qubits", 8, "--seed", 4, "--out", circuit)
+    stdout("snapshot", "--circuit", circuit, "--shots", 3000, "--seed", 5,
+           "--readout-error", 0.05, "--out", snaps)
+    labels = ("XXIIIIII", "IZZIIIII", "IIIYIXZI", "ZIIIIIIZ")
+    pauli_sum = {"n_qubits": 8, "terms": [
+        {"coeff": 0.5 - 0.2 * i, "pauli": label} for i, label in enumerate(labels)]}
+    projector = {"n_qubits": 8, "terms": [
+        {"coeff": 1.0, "factors": [[0.5, 0, 0, 0.5 - (q % 3 == 0)] for q in range(8)]}]}
+    # a projector plus a product of mixed factors: a seminorm by expansion
+    two_term = {"n_qubits": 8, "terms": projector["terms"] + [
+        {"coeff": -0.3, "factors": [[0.4, 0.1 * (q % 2), 0.0, 0.2] for q in range(8)]}]}
+    for name, data in (("pauli_sum", pauli_sum), ("projector", projector),
+                       ("two_term", two_term)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        flags = () if name == "pauli_sum" else ("--factored",)
+        out[f"estimate {name}"] = _digest(
+            stdout("estimate", "--snapshots", snaps, "--observable", path, *flags))
+    out["seminorm pauli_sum"] = _digest(
+        stdout("seminorm", "--observable", tmp_path / "pauli_sum.json", "--epsilon", 0.02))
+    return out
+
+
+def test_read_path_digests(tmp_path, capsys):
+    assert compute_read_digests(tmp_path, capsys) == READ_GOLDEN

@@ -209,7 +209,7 @@ def test_any_readout_error_file_gives_a_noise_model_or_value_error(p_err_path, d
     # the rates reach acquisition, which checks their range
     p_err_path.write_text(json.dumps(data))
     try:
-        p_err = _read_p_err(str(p_err_path), n_qubits)
+        p_err = _read_p_err(str(p_err_path))
         state = snapshots_from_state(Statevector(np.eye(1 << n_qubits)[0]), 1, 0, p_err)
     except ValueError:
         return

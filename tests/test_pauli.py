@@ -383,8 +383,10 @@ class TestProjectors:
             assert closed[2] == pytest.approx(seminorm1(obs), rel=1e-13)
 
     def test_expansion_cap(self):
-        with pytest.raises(ValueError):
-            projector_factored([0] * 13).to_observable()
+        # the one guard counts terms, 2^N for a projector, not qubits
+        assert projector_factored([0] * 13).to_observable().n_terms == 8192
+        with pytest.raises(ValueError, match=r"refusing to expand 32768 Pauli terms \(cap 16384\)"):
+            projector_factored([0] * 15).to_observable()
 
 
 class TestFactoredSeminorms:
