@@ -154,35 +154,48 @@ def _head_depth(n_qubits: int, n_snapshots: int) -> int:
     """Head depth D of an n-qubit part: its top D qubits are drawn from
     shared Gram matrices, the rest from each row's branch.
 
-    D minimises a cost model in complex multiply-adds, fitted to timings of
-    this kernel.  Every depth builds each row's branch once from all 2^n
-    amplitudes; on top of that a row costs about 4 * 2^(n-D) in the tail
-    levels and 4 * 4^d in the head's quadratic form at depth d = 1 .. D-1.
-    The Gram matrix, shared by all M rows, costs about 2^(n+D) / 4, and
-    each head level a fixed 4096 per batch for its NumPy calls.  So D is 1,
-    the shared top level only, for parts of up to 4 qubits and for small
-    parts with few snapshots, and about n/3 for large M.  A head deeper
-    than n/2 + 1 costs more per row than the whole tail at D = 1.
+    D minimises a cost model in complex multiply-adds of the tail's einsums,
+    fitted to timings of this kernel.  Every depth builds each row's branch
+    once from all 2^n amplitudes; on top of that a row costs about
+    4 * 2^(n-D) in the tail levels.  The head's quadratic forms, 4 * 4^d
+    multiply-adds at depth d = 1 .. D-1, are matrix products at about a
+    tenth of that cost, (4^D - 4) / 8 in all.  The Gram matrix, shared by
+    all M rows, costs about 2^(n+D) / 128, and each head level a fixed 4096
+    per batch for its NumPy calls.  So D is 1, the shared top level only,
+    for parts of up to 2 qubits and for small parts with few snapshots, and
+    about (n + 4) / 3 for large M.  A head deeper than n/2 + 1 costs more
+    per row than the whole tail at D = 1.
     """
     batches = -(-n_snapshots // _MAX_BATCH)
 
-    def cost(depth: int) -> int:
-        row = 4 * 2 ** (n_qubits - depth) + 4 * (4**depth - 4) // 3
-        return n_snapshots * row + 2 ** (n_qubits + depth - 2) + 4096 * (depth - 1) * batches
+    def cost(depth: int) -> float:
+        row = 4 * 2 ** (n_qubits - depth) + (4**depth - 4) / 8
+        return n_snapshots * row + 2 ** (n_qubits + depth - 7) + 4096 * (depth - 1) * batches
 
     return min(range(1, n_qubits // 2 + 2), key=cost)
 
 
+# Columns of R per slice of the Gram matrix's imaginary part.
+_GRAM_COLUMNS = 1 << 10
+
+
 def _gram(amps: np.ndarray, depth: int) -> np.ndarray:
     """G[i, j] = <R_i, R_j> for R = amps reshaped to (2^depth, 2^(n-depth)),
-    from real dot products of the float view, as in ``_moments``: nothing
-    the size of the state is copied."""
-    f = amps.view(np.float64).reshape(1 << depth, -1)
-    re, im = f[:, 0::2], f[:, 1::2]
-    dot = "...h,...h->..."
-    cross = np.einsum(dot, re[:, None], im[None])
+    from real products of the float view f: the real part is f f^T, and the
+    imaginary part Re(R) Im(R)^T minus its transpose, summed over slices of
+    ``_GRAM_COLUMNS`` columns, so only the slices are copied, nothing the
+    size of the state.  At depth 1 they are einsums (see ``_product``)."""
+    r = amps.reshape(1 << depth, -1)
+    f = r.view(np.float64)
+    if depth == 1:
+        real, cross = np.einsum("ih,jh->ij", f, f), np.einsum("ih,jh->ij", r.real, r.imag)
+    else:
+        real, cross = f @ f.T, np.zeros((1 << depth, 1 << depth))
+        for start in range(0, r.shape[1], _GRAM_COLUMNS):
+            piece = r[:, start : start + _GRAM_COLUMNS]
+            cross += np.ascontiguousarray(piece.real) @ np.ascontiguousarray(piece.imag).T
     gram = np.empty((1 << depth, 1 << depth), dtype=complex)
-    gram.real = np.einsum(dot, f[:, None], f[None])
+    gram.real = real
     gram.imag = cross - cross.T
     return gram
 
@@ -233,7 +246,41 @@ def _draw(bits: np.ndarray, q: int, moments: tuple, tables: tuple, last: bool):
     bits[:, q] = take1
     if last:
         return None
-    return np.stack([np.where(take1, -s * phase, c), np.where(take1, c, s * phase.conj())])
+    sp = s * phase
+    return np.where(take1, (-sp, c), (c, sp.conj()))
+
+
+# OpenBLAS runs a complex matrix product of m*n*k < 2^16 multiply-adds on the
+# calling thread and splits a larger one over its threads too.  Those wait
+# for a core whenever another process holds one: with a busy second core,
+# dense N=12 acquisition took twice as long on split products as on one
+# thread, and no less time when idle.  Slices narrower than _MIN_SLICE
+# columns cost more than the threads save.  A contraction over 2, all that
+# the small parts of a product state need, gains nothing from BLAS, and its
+# first call costs the process about half a MiB of buffers.
+_ONE_THREAD = 1 << 15
+_MIN_SLICE = 8
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b, as one stacked matmul over slices of the columns of b
+    that BLAS runs on the calling thread, or as one plain matmul where such
+    slices would be narrower than ``_MIN_SLICE``; an einsum when b has two
+    rows."""
+    k, cols = b.shape
+    if k == 2:
+        return np.einsum("xk,kc->xc", a, b, out=out)
+    step = _ONE_THREAD // (len(a) * k)
+    if step < _MIN_SLICE or cols < 2 * step:
+        return np.matmul(a, b, out=out)
+    full = cols - cols % step
+    np.matmul(
+        a,
+        b[:, :full].reshape(k, -1, step).transpose(1, 0, 2),
+        out=out[:, :full].reshape(len(a), -1, step).transpose(1, 0, 2),
+    )
+    np.matmul(a, b[:, full:], out=out[:, full:])
+    return out
 
 
 def _head_branch(bits: np.ndarray, part: tuple, tables: tuple) -> np.ndarray | None:
@@ -244,7 +291,9 @@ def _head_branch(bits: np.ndarray, part: tuple, tables: tuple) -> np.ndarray | N
     At depth d a row's branch is sum_b w_b R_b, where w is the Kronecker
     product of the row's chosen weight pairs, so the qubit's moments are
     quadratic forms of w in the shared Gram matrix and no amplitude is
-    touched.  w is (2^d, rows), so the rows run innermost.
+    touched.  w is (2^d, rows), so the rows run innermost.  The first half
+    of each quadratic form and the final branch sum_b w_b R_b are matrix
+    products; the second half is a per-row einsum.
     """
     qubits, head_rows, grams = part
     rows, n = len(bits), len(qubits)
@@ -252,14 +301,18 @@ def _head_branch(bits: np.ndarray, part: tuple, tables: tuple) -> np.ndarray | N
         if d == 0:  # the top qubit's 2x2 matrix, the same for every row
             m = g.reshape(2, 2, 1)
         else:
-            t = np.einsum("bx,br->xr", g.reshape(len(w), -1), w.conj())
-            m = np.einsum("acdr,cr->adr", t.reshape(2, len(w), 2, -1), w)
+            gw = np.empty((4 * len(w), rows), dtype=complex)
+            _product(g.reshape(len(w), -1).T, w.conj(), gw)
+            m = np.einsum("acdr,cr->adr", gw.reshape(2, len(w), 2, -1), w)
+            del gw
         moments = (m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag)
         coef = _draw(bits, qubits[n - 1 - d], moments, tables, last=d == n - 1)
         if coef is None:
             return None
         w = coef if d == 0 else (w[:, None, :] * coef[None]).reshape(-1, rows)
-    return np.einsum("br,bh->rh", w, head_rows).reshape(rows, 2, -1)
+    branch = np.empty((rows, head_rows.shape[1]), dtype=complex)
+    _product(head_rows.T, w, branch.T)
+    return branch.reshape(rows, 2, -1)
 
 
 def _measure_part(bits: np.ndarray, part: tuple, tables: tuple) -> None:
@@ -268,10 +321,10 @@ def _measure_part(bits: np.ndarray, part: tuple, tables: tuple) -> None:
     batch's ``tables``, its amplitudes reshaped to (2^D, 2^(n-D)) and the
     Gram matrices of ``_head`` for its head of depth D.
 
-    The head builds each row's branch once from all rows of R; below it,
-    each level builds only the chosen half of the branch.  These are
-    einsums, not matmuls: BLAS threads the large products and then runs
-    twice as slow whenever another process holds a core.
+    The head builds each row's branch once from all rows of R, by BLAS
+    matrix products (see ``_product``); below it, each level builds only
+    the chosen half of the branch with einsums, whose per-row shapes BLAS
+    would not speed up.
     """
     qubits, _, grams = part
     halves = _head_branch(bits, part, tables)

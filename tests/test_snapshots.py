@@ -176,8 +176,10 @@ class TestBuildApproximateState:
 
     def test_batch_size_invariance(self, monkeypatch):
         # at 333 snapshots a 3-qubit part keeps head depth 1, the shared top
-        # level only, and a 12-qubit part draws its top 4 qubits in the head
-        for n, depth in ((3, 1), (12, 4)):
+        # level only, a 12-qubit part draws its top 5 qubits in the head and
+        # a 16-qubit part its top 7; the batches of 1, 7, 64 and 999 rows
+        # split the head's matrix products into different slices
+        for n, depth in ((3, 1), (12, 5), (16, 7)):
             psi = haar_random_state(n, np.random.default_rng(10))
             assert snapshots._head_depth(n, 333) == depth
             variants = []
@@ -186,6 +188,15 @@ class TestBuildApproximateState:
                 assert snapshots._default_batch_size(n - depth) == rows
                 variants.append(snapshots_from_state(psi, 333, seed=4))
             assert all(v == variants[0] for v in variants[1:])
+
+    def test_gram_matches_matrix_product(self, monkeypatch):
+        # summed over slices of 3 columns, the last one shorter, the Gram
+        # matrix equals R* R^T
+        monkeypatch.setattr(snapshots, "_GRAM_COLUMNS", 3)
+        amps = haar_random_state(10, np.random.default_rng(16)).amps
+        for depth in (1, 4, 6):
+            r = amps.reshape(2**depth, -1)
+            assert np.abs(snapshots._gram(amps, depth) - r.conj() @ r.T).max() < 1e-14
 
     def test_snapshots_are_counter_addressed(self):
         # row j depends only on (seed, j): a longer run extends a shorter one
@@ -212,8 +223,8 @@ class TestBuildApproximateState:
         reference = snapshots_from_state(psi, 300, seed=5)
         budget = 1 << 20
         monkeypatch.setattr(snapshots, "_BATCH_BYTES", budget)
-        # head depth 4: 256 rows of 2^8 amplitudes
-        assert snapshots._default_batch_size(12 - snapshots._head_depth(12, 300)) == 256
+        # head depth 5: 512 rows of 2^7 amplitudes
+        assert snapshots._default_batch_size(12 - snapshots._head_depth(12, 300)) == 512
         tracemalloc.start()
         try:
             small = snapshots_from_state(psi, 300, seed=5)
@@ -290,11 +301,14 @@ def batch_bytes(part_qubits, depth, rows, n_qubits):
     kernel holds, per row, 81 bytes per qubit of uniforms, angles and
     rotation tables, the 32-byte pair of branch weights, and in the part
     with the longest first branch level (n qubits, head depth D) the larger
-    of two buffers: the head's last quadratic form, 56*2^D bytes with its
-    2^D weights, and the first tail level, the 16*2^(n-D)-byte branch built
-    from the head and the next level's half of it.  At every depth of 2 or
-    more that the cost model picks for n >= 8 the tail is larger."""
-    buffers = max((16 << (part_qubits - depth)) * 3 // 2, 56 << depth if depth > 1 else 0)
+    of two buffers: the head's last quadratic form, 48*2^D bytes for its
+    2^(D-1) weights, their conjugates and its 4*2^(D-1) matrix products, and
+    the first tail level, the 16*2^(n-D)-byte branch built from the head and
+    the next level's half of it.  The branch and the 2^D weights it is built
+    from never hold more than the larger of the two.  At every depth of 2 or
+    more that the cost model picks for n >= 11 the tail is at least as
+    large."""
+    buffers = max((16 << (part_qubits - depth)) * 3 // 2, 48 << depth if depth > 1 else 0)
     return max(rows * 96 * n_qubits + (64 << 10), rows * (81 * n_qubits + 32 + buffers))
 
 
@@ -343,12 +357,12 @@ class TestMemoryBudget:
                 rows = snapshots._default_batch_size(n - depth)
                 acquisition = (16 << n) + gram_bytes(depth) + batch_bytes(n, depth, rows, n)
                 assert max(run_circuit_bytes(n), acquisition) <= budget
-                if n >= 8 and depth > 1:
-                    assert 56 << depth < (16 << (n - depth)) * 3 // 2
+                if n >= 11 and depth > 1:
+                    assert 48 << depth <= (16 << (n - depth)) * 3 // 2
         assert run_circuit_bytes(MAX_QUBITS) == budget
         # depth 1, one row: the largest batch, 768 MiB of branch buffers
         assert batch_bytes(MAX_QUBITS, 1, 1, MAX_QUBITS) >> 20 == 768
-        assert snapshots._head_depth(MAX_QUBITS, 2**62) == 9
+        assert snapshots._head_depth(MAX_QUBITS, 2**62) == 10
 
     # no gate allocates, so only small objects come on top
     @pytest.mark.parametrize("n", range(12, 19))
