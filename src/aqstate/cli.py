@@ -37,8 +37,7 @@ def _read_p_err(value_or_path: str) -> float | list[float]:
     try:
         return float(value_or_path)
     except ValueError:
-        with open(value_or_path) as fh:
-            values = json.load(fh)
+        values = pauli._read_json(value_or_path)
     if not isinstance(values, list):
         raise ValueError("a readout-error file must hold a JSON list of numbers")
     try:
@@ -106,8 +105,7 @@ def _cmd_seminorm(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config) as fh:
-        cfg = harness.ExperimentConfig.from_dict(json.load(fh))
+    cfg = harness.ExperimentConfig.from_dict(pauli._read_json(args.config))
     report = harness.run_experiment(cfg)
     prefix = args.out_prefix
     with open(prefix + ".json", "w") as fh:

@@ -74,10 +74,10 @@ def _snapshot_mean(values: np.ndarray) -> float:
 _BLOCK_BYTES = 1 << 20
 
 
-def _long_rows(n: int, m: int) -> bool:
-    """Whether a random term (weight 3n/4) costs less multiplied in place, a fixed
-    cost plus 3n/4 + 1 NumPy calls, than in a gathered block: ns fitted to timings."""
-    return 1800 + (0.75 * n + 1) * (1000 + 0.6 * m) < 2000 + 1.1 * n * m
+def _long_rows(n: int, m: int, weight: float) -> bool:
+    """Whether terms of mean weight ``weight`` cost less multiplied in place, a fixed
+    cost plus weight + 1 NumPy calls, than in a gathered block: ns fitted to timings."""
+    return 1800 + (weight + 1) * (1000 + 0.6 * m) < 2000 + 1.1 * n * m
 
 
 def _weight_table(state: ApproximateState) -> np.ndarray:
@@ -97,7 +97,7 @@ def _pauli_values(weights: np.ndarray, obs: Observable) -> np.ndarray:
     n, _, m = weights.shape
     values = np.full(m, obs.offset)
     # ascending qubit order; skipping a qubit skips an exact factor of 1
-    if _long_rows(n, m):
+    if _long_rows(n, m, np.count_nonzero(obs.axes) / max(1, len(obs.coeffs))):
         table = list(weights.reshape(-1, m))  # row 4q + a is weights[q, a]
         product = np.empty(m)
         for axes, coeff in zip(obs.axes.tolist(), obs.coeffs.tolist()):

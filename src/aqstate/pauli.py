@@ -238,12 +238,13 @@ class Observable:
     @functools.cached_property
     def _seminorm(self) -> float:
         """See :func:`seminorm`; computed once per observable."""
-        t, n = self.axes.shape
+        t = len(self.axes)
         coeffs = np.abs(self.coeffs)
         # word-major planes: the blocks below are (words, rows, later terms)
         x, z = (plane.T for plane in _planes(self.axes))
         nonzero = x | z
-        pow3 = 3.0 ** np.arange(n + 1)
+        # r is at most the largest term weight, which unlike n bounds the table
+        pow3 = 3.0 ** np.arange(np.count_nonzero(self.axes, axis=1).max(initial=0) + 1)
         rows = max(1, _PAIR_BLOCK // max(t, 1))
         off = 0.0
         for start in range(0, t - 1, rows):
@@ -549,7 +550,16 @@ def save_observable(obs: Observable | FactoredObservable, path) -> None:
         fh.write("\n")
 
 
-def load_observable(path, factored: bool = False) -> Observable | FactoredObservable:
+def _read_json(path):
+    """The JSON value in the file at ``path``, the one reader of every JSON
+    input; ValueError for a file nested too deeply for the parser."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_observable(path, factored: bool = False) -> Observable | FactoredObservable:
+    data = _read_json(path)
     return factored_from_dict(data) if factored else observable_from_dict(data)

@@ -20,7 +20,7 @@ import struct
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 from .statevector import Circuit, ProductState, Statevector
 
@@ -129,11 +129,10 @@ def _snapshot_uniforms(seed: int, start: int, count: int, n_qubits: int) -> np.n
 
     Row j is a pure function of (seed, start + j): each snapshot owns a fixed
     range of Philox counter blocks keyed by the seed.  Its 4N uniforms (phi,
-    cos theta, per-qubit outcome picks, flips) fill exactly N blocks of 4 words.
+    cos theta, per-qubit outcome picks, flips) fill exactly N blocks of 4
+    words: ``random`` makes each double from one word w, (w >> 11) * 2^-53.
     """
-    bits = Philox(key=seed, counter=start * n_qubits).random_raw(count * n_qubits * 4)
-    words = bits.reshape(count, n_qubits * 4)
-    return (words >> np.uint64(11)) * (2.0**-53)
+    return Generator(Philox(key=seed, counter=start * n_qubits)).random((count, 4 * n_qubits))
 
 
 # The first explicit level of one batch, (rows, 2^(n-D)) complex doubles for
@@ -283,17 +282,20 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_branch(bits: np.ndarray, part: tuple, tables: tuple) -> np.ndarray | None:
-    """Draw the top D qubits of ``part`` from its Gram matrices and return
-    each row's branch split on the next qubit, (rows, 2, 2^(n-D-1)), or None
-    when the head holds every qubit.
+def _measure_part(bits: np.ndarray, part: tuple, tables: tuple) -> None:
+    """Draw the bits of one part of the state from its highest qubit down.
+    ``part`` is ``(qubits, head_rows, grams)``: the part's columns of the
+    batch's ``tables``, its amplitudes reshaped to R, (2^D, 2^(n-D)), and
+    the Gram matrices of ``_head`` for its head of depth D.
 
-    At depth d a row's branch is sum_b w_b R_b, where w is the Kronecker
-    product of the row's chosen weight pairs, so the qubit's moments are
-    quadratic forms of w in the shared Gram matrix and no amplitude is
-    touched.  w is (2^d, rows), so the rows run innermost.  The first half
-    of each quadratic form and the final branch sum_b w_b R_b are matrix
-    products; the second half is a per-row einsum.
+    At head depth d a row's branch is sum_b w_b R_b, where w (2^d, rows)
+    is the Kronecker product of the row's chosen weight pairs, so the
+    qubit's moments are quadratic forms of w in a Gram matrix and no
+    amplitude is touched.  The handoff builds that branch once per row;
+    each tail level then builds only the chosen half of it.  The first half
+    of each quadratic form and the handoff are BLAS matrix products (see
+    ``_product``); the rest are einsums, whose per-row shapes BLAS would
+    not speed up.
     """
     qubits, head_rows, grams = part
     rows, n = len(bits), len(qubits)
@@ -307,32 +309,17 @@ def _head_branch(bits: np.ndarray, part: tuple, tables: tuple) -> np.ndarray | N
             del gw
         moments = (m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag)
         coef = _draw(bits, qubits[n - 1 - d], moments, tables, last=d == n - 1)
-        if coef is None:
-            return None
+        if d == n - 1:  # the head holds every qubit
+            return
         w = coef if d == 0 else (w[:, None, :] * coef[None]).reshape(-1, rows)
-    branch = np.empty((rows, head_rows.shape[1]), dtype=complex)
-    _product(head_rows.T, w, branch.T)
-    return branch.reshape(rows, 2, -1)
-
-
-def _measure_part(bits: np.ndarray, part: tuple, tables: tuple) -> None:
-    """Draw the bits of one part of the state from its highest qubit down.
-    ``part`` is ``(qubits, head_rows, grams)``: the part's columns of the
-    batch's ``tables``, its amplitudes reshaped to (2^D, 2^(n-D)) and the
-    Gram matrices of ``_head`` for its head of depth D.
-
-    The head builds each row's branch once from all rows of R, by BLAS
-    matrix products (see ``_product``); below it, each level builds only
-    the chosen half of the branch with einsums, whose per-row shapes BLAS
-    would not speed up.
-    """
-    qubits, _, grams = part
-    halves = _head_branch(bits, part, tables)
-    for k in range(len(qubits) - 1 - len(grams), -1, -1):
+    halves = np.empty((rows, head_rows.shape[1]), dtype=complex)
+    _product(head_rows.T, w, halves.T)
+    del m, moments, w  # the head's buffers, before the tail's first level
+    halves = halves.reshape(rows, 2, -1)
+    for k in range(n - 1 - len(grams), -1, -1):
         coef = _draw(bits, qubits[k], _moments(halves), tables, last=k == 0)
-        if coef is None:
-            break
-        halves = np.einsum("kr,rkh->rh", coef, halves).reshape(len(bits), 2, -1)
+        if k:
+            halves = np.einsum("kr,rkh->rh", coef, halves).reshape(rows, 2, -1)
 
 
 def _acquire_batch(
@@ -398,11 +385,8 @@ def snapshots_from_state(
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     n = psi.n_qubits
     p_err = _flip_probabilities(p_err, n)
-    heads = [
-        (qubits, part.amps, _head_depth(part.n_qubits, n_snapshots))
-        for qubits, part in psi.parts
-    ]
-    batch_size = _default_batch_size(max(len(qubits) - depth for qubits, _, depth in heads))
+    depths = [_head_depth(part.n_qubits, n_snapshots) for _, part in psi.parts]
+    batch_size = _default_batch_size(max(len(q) - d for (q, _), d in zip(psi.parts, depths)))
     try:
         outcomes = np.empty((n_snapshots, n), dtype=np.int8)
         thetas = np.empty((n_snapshots, n))
@@ -415,8 +399,8 @@ def snapshots_from_state(
 
     # Every row starts from the same parts, so their Gram matrices are shared.
     parts = [
-        (qubits, amps.reshape(1 << depth, -1), _head(amps, depth))
-        for qubits, amps, depth in heads
+        (qubits, part.amps.reshape(1 << depth, -1), _head(part.amps, depth))
+        for (qubits, part), depth in zip(psi.parts, depths)
     ]
 
     for start in range(0, n_snapshots, batch_size):

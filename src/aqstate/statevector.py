@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .pauli import FactoredObservable, Observable, _integer, _number, _planes
+from .pauli import FactoredObservable, Observable, _integer, _number, _planes, _read_json
 
 __all__ = [
     "MAX_QUBITS",
@@ -317,6 +317,10 @@ def random_prep_circuit(
     return Circuit(n_qubits, tuple(gates))
 
 
+# basis states per slice of the oracle's sums
+_ORACLE_SLICE = 1 << 16
+
+
 def _term_values(amps: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """<P> over the states ``amps`` (batch, 2^n) of each row P of ``axes``
     (T, n), as a (T, batch) array.
@@ -324,20 +328,24 @@ def _term_values(amps: np.ndarray, axes: np.ndarray) -> np.ndarray:
     Each distinct row is evaluated once, and the identity gives exactly 1.
     With the bit masks x and z of ``_planes`` (one word, as n <= MAX_QUBITS),
     P acts on basis states as P|b> = c(b)|b ^ x> with
-    c(b) = i^{#Y} * (-1)^{popcount(b & z)}.
+    c(b) = i^{#Y} * (-1)^{popcount(b & z)}.  Rows are summed over slices of
+    ``_ORACLE_SLICE`` basis states, so only one slice's buffers are held.
     """
     x, z = (plane[:, 0] for plane in _planes(axes))
     # one key per distinct row: n <= MAX_QUBITS < 32 bits per mask
     keys, inverse = np.unique((x << np.uint64(32)) | z, return_inverse=True)
-    idx = np.arange(amps.shape[-1], dtype=np.uint64)
     values = np.ones((len(keys), len(amps)))
-    for k, key in enumerate(keys.tolist()):
-        x, z = divmod(key, 1 << 32)
-        if key:
-            parity = np.bitwise_count(idx & np.uint64(z)) & 1
-            phase = (1j ** (x & z).bit_count()) * (1.0 - 2.0 * parity.astype(float))
-            permuted = amps[:, idx ^ np.uint64(x)]
-            values[k] = np.einsum("sb,b,sb->s", permuted.conj(), phase, amps).real
+    for start in range(0, amps.shape[-1], _ORACLE_SLICE):
+        block = amps[:, start : start + _ORACLE_SLICE]
+        idx = np.arange(start, start + block.shape[-1], dtype=np.uint64)
+        for k, key in enumerate(keys.tolist()):
+            x, z = divmod(key, 1 << 32)
+            if key:
+                parity = np.bitwise_count(idx & np.uint64(z)) & 1
+                phase = (1j ** (x & z).bit_count()) * (1.0 - 2.0 * parity.astype(float))
+                permuted = amps[:, idx ^ np.uint64(x)]
+                total = np.einsum("sb,b,sb->s", permuted.conj(), phase, block).real
+                values[k] = values[k] + total if start else total
     return values[inverse.reshape(-1)]
 
 
@@ -434,5 +442,4 @@ def save_circuit(circuit: Circuit, path) -> None:
 
 
 def load_circuit(path) -> Circuit:
-    with open(path) as fh:
-        return circuit_from_dict(json.load(fh))
+    return circuit_from_dict(_read_json(path))

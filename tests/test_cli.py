@@ -506,6 +506,28 @@ class TestInputErrors:
         assert self.snapshot(tmp_path, '{"n_qubits": 3, "gates": [%s]}' % gates, path) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "snapshot --circuit DEEP --shots 10 --out OUT",
+        "snapshot --circuit CIRC --shots 10 --readout-error DEEP --out OUT",
+        "estimate --snapshots SNAPS --observable DEEP",
+        "estimate --snapshots SNAPS --observable DEEP --factored",
+        "seminorm --observable DEEP",
+        "experiment --config DEEP --out-prefix OUT",
+    ])
+    def test_deeply_nested_json(self, tmp_path, capsys, argv):
+        # 10^4 nested lists exceed the JSON parser's recursion limit
+        files = {name: tmp_path / name for name in ("CIRC", "SNAPS", "DEEP", "OUT")}
+        files["CIRC"].write_text('{"n_qubits": 2, "gates": []}')
+        assert run_cli("snapshot", "--circuit", files["CIRC"], "--shots", 10,
+                       "--out", files["SNAPS"]) == 0
+        files["DEEP"].write_text("[" * 10**4 + "]" * 10**4)
+        capsys.readouterr()
+        assert run_cli(*(files.get(arg, arg) for arg in argv.split())) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {files['DEEP']}: JSON nested too deeply\n"
+        assert not any(tmp_path.glob("OUT*"))
+
     # integer fields take only integers, number fields only numbers: none of
     # these is rounded, parsed from a string or read as 0 or 1
     @pytest.mark.parametrize("circuit", [

@@ -1,17 +1,22 @@
 """Property tests of the input parsers.
 
 Any JSON value fed to the observable, circuit, readout-error and
-experiment-config loaders gives an object or a clean ``ValueError``; any
-bytes fed to ``deserialize`` give a state or a ``SnapshotFormatError`` (huge
-sizes only as claims, never allocated).  Random labels in either case, with
+experiment-config loaders gives an object or a clean ``ValueError``, and
+so does a file nested too deeply to parse; any bytes fed to ``deserialize``
+give a state or a ``SnapshotFormatError`` (huge sizes only as claims, never
+allocated); any ``aqstate`` command line exits 0 or 2, never with a
+traceback.  Random labels in either case, with
 duplicate, zero and identity terms, give the terms of the earlier dictionary
 canonicalization (copied below as ``reference_terms``), and the seminorms,
 shot budget and estimates of the earlier formulas copied into
 test_term_table.py.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -21,7 +26,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from aqstate.cli import _read_p_err
+from aqstate.cli import _read_p_err, main
 from aqstate.estimator import estimate_observable
 from aqstate.harness import NORMALIZATIONS, OBSERVABLE_KINDS, ExperimentConfig
 from aqstate.pauli import (
@@ -29,6 +34,7 @@ from aqstate.pauli import (
     Observable,
     PauliString,
     factored_from_dict,
+    load_observable,
     observable_from_dict,
     seminorm,
     seminorm1,
@@ -50,6 +56,7 @@ from aqstate.statevector import (
     Statevector,
     circuit_from_dict,
     haar_random_state,
+    load_circuit,
 )
 from test_term_table import (
     reference_estimate,
@@ -289,3 +296,137 @@ def test_parsed_terms_match_dict_canonicalization(data):
     # times the terms
     floor = math.ulp(0.0) * M * len(terms)
     assert abs(result.value - reference_estimate(state, reference)) <= 1e-12 * scale + floor
+
+
+# Whole command lines: every subcommand but verify, which takes seconds a
+# call, each flag dropped, given once or given twice, its value valid or
+# junk, over the input files it names, which each example writes afresh
+# with valid, random or 10^4-deep JSON or valid or random snapshot bytes.
+# Counts allocate a few MiB at most or more than a 64-bit process can map: a
+# count between would be allocated lazily, and so for real.  Relative paths
+# resolve in a temporary directory, and junk holds no "/", so nothing is
+# written outside it.
+DEEP = "[" * 10**4 + "]" * 10**4
+ARGV_STATE = serialize(snapshots_from_state(haar_random_state(3, np.random.default_rng(1)), 20, 2))
+
+
+def often(valid, other):
+    """``valid`` three times in four, ``other`` otherwise."""
+    return st.sampled_from([valid, valid, valid, other]).flatmap(lambda strategy: strategy)
+
+
+junk = st.text(st.characters(exclude_characters="/"), max_size=6) | st.sampled_from(
+    ["", "-1", "0", "1.5", "nan", "inf", "1e-300", "1e400", "--out", "-h"]
+)
+huge = st.integers(10**15, 2**70)
+counts = often(st.integers(-2, 300), huge)
+small_counts = often(st.integers(-1, 4), huge)
+junk_fields = st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+small_configs = st.fixed_dictionaries(
+    {"n_qubits": often(st.integers(-1, 5), junk_fields),
+     "n_snapshots": often(counts, junk_fields),
+     "seed": often(st.integers(-1, 3), junk_fields)},
+    optional={
+        "n_observables": often(small_counts, junk_fields),
+        "terms_per_observable": often(small_counts, junk_fields),
+        "p_err": often(st.floats(0, 1), junk_fields),
+        "observable_kind": often(st.sampled_from(OBSERVABLE_KINDS), junk_fields),
+        "normalization": often(st.sampled_from(NORMALIZATIONS), junk_fields),
+    },
+)
+ARGV_FILES = {
+    "circuit.json": often(
+        st.just('{"n_qubits": 3, "gates": [{"kind": "H", "q": 0}, '
+                '{"kind": "XY", "q1": 0, "q2": 2, "alpha": 0.3}]}'),
+        st.just(DEEP) | (json_values | near_circuits).map(json.dumps),
+    ),
+    "observable.json": often(
+        st.sampled_from([
+            '{"n_qubits": 3, "terms": [{"coeff": 0.5, "pauli": "XIZ"}, '
+            '{"coeff": 1, "pauli": "III"}]}',
+            '{"n_qubits": 3, "terms": [{"coeff": 1, "factors": [[0.5, 0, 0, 0.5], '
+            '[1, 0, 0, 0], [0.5, 0.1, 0.2, -0.5]]}]}',
+        ]),
+        st.just(DEEP) | (json_values | near_observables | near_factored).map(json.dumps),
+    ),
+    "readout.json": often(
+        st.just("[0.1, 0, 0.2]"),
+        st.just(DEEP) | (json_values | st.lists(numbers, max_size=4)).map(json.dumps),
+    ),
+    "config.json": often(
+        small_configs.map(json.dumps), st.just(DEEP) | json_values.map(json.dumps)
+    ),
+    "state.aqst": often(st.just(ARGV_STATE), st.binary(max_size=64) | st.builds(
+        lambda at, byte: ARGV_STATE[:at] + bytes([byte]) + ARGV_STATE[at + 1 :],
+        st.integers(0, len(ARGV_STATE) - 1), st.integers(0, 255),
+    )),
+}
+paths = st.sampled_from([*ARGV_FILES, "missing.json", ".", "no/such"]) | junk
+seeds = often(st.integers(-2, 2**64 + 2), junk)
+ARGV_FLAGS = {
+    "prepare": [("--qubits", often(counts, junk)), ("--seed", seeds), ("--out", paths),
+                ("--allow-overlapping-pairs", None)],
+    "snapshot": [("--circuit", often(st.just("circuit.json"), paths)),
+                 ("--shots", often(counts, junk)), ("--seed", seeds),
+                 ("--readout-error", often(st.sampled_from(["0", "0.05", "readout.json"]), paths)),
+                 ("--out", paths), ("--json", None), ("--dump-state", paths)],
+    "estimate": [("--snapshots", often(st.just("state.aqst"), paths)),
+                 ("--observable", often(st.just("observable.json"), paths)),
+                 ("--factored", None)],
+    "seminorm": [("--observable", often(st.just("observable.json"), paths)),
+                 ("--epsilon", often(st.floats().map(repr), junk))],
+    "experiment": [("--config", often(st.just("config.json"), paths)),
+                   ("--out-prefix", paths)],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command line, and the content of each input file that it names."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    pairs = []
+    for flag, values in ARGV_FLAGS[command]:
+        for _ in range(draw(st.sampled_from([1, 1, 1, 1, 1, 1, 0, 2]))):
+            pairs.append([flag] if values is None else [flag, str(draw(values))])
+    argv = [command] + [arg for pair in draw(st.permutations(pairs)) for arg in pair]
+    if draw(st.integers(0, 7)) == 7:
+        argv.append(draw(junk))
+    files = {name: draw(content) for name, content in ARGV_FILES.items() if name in argv}
+    return argv, files
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+def test_deeply_nested_file_is_a_value_error(argv_dir):
+    path = argv_dir / "deep.json"
+    path.write_text(DEEP)
+    for load in (load_circuit, load_observable, _read_p_err):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load(str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+# an empty observable on 10^13 qubits: its seminorm once sized a table by n
+@example((["seminorm", "--observable", "observable.json"],
+          {"observable.json": '{"n_qubits": 10000000000000, "terms": []}'}))
+def test_any_command_line_exits_0_or_2(argv_dir, command_line):
+    argv, files = command_line
+    for name, content in files.items():
+        path = argv_dir / name
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(argv_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # from argparse: a usage error, or --help
+                rc = exc.code
+    finally:
+        os.chdir(cwd)
+    assert rc in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

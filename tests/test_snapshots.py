@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from aqstate import snapshots
 from aqstate.snapshots import (
@@ -206,6 +207,16 @@ class TestBuildApproximateState:
         for field in ("outcomes", "thetas", "phis"):
             assert np.array_equal(getattr(long, field)[:40], getattr(short, field))
 
+    @pytest.mark.parametrize("seed", [0, 2**63 + 12345])
+    def test_uniforms_are_philox_words_to_doubles(self, seed):
+        # one double per Philox word, (w >> 11) * 2^-53, snapshot j's 4N
+        # words from counter block j * N on
+        for start, count, n in ((0, 16, 22), (0, 1000, 4), (5, 3, 1), (1000, 24, 12), (3, 2, 256)):
+            words = Philox(key=seed, counter=start * n).random_raw(count * 4 * n)
+            expected = (words.reshape(count, 4 * n) >> np.uint64(11)) * 2.0**-53
+            got = snapshots._snapshot_uniforms(seed, start, count, n)
+            assert got.dtype == np.float64 and np.array_equal(got, expected)
+
     def test_default_batch_fits_budget(self):
         # the first explicit level of a default batch: (rows, 2^(n-D)) for a
         # part of n qubits with head depth D >= 1
@@ -295,21 +306,22 @@ def gram_bytes(depth):
 
 def batch_bytes(part_qubits, depth, rows, n_qubits):
     """Bytes one acquisition batch of N qubits holds at its peak, the larger
-    of two moments.  Drawing the uniforms holds 96 bytes per row and qubit,
-    the raw words, their shifted copy and the uniforms, plus NumPy's 64 KiB
-    casting buffer; building the angle tables later holds no more.  The
-    kernel holds, per row, 81 bytes per qubit of uniforms, angles and
-    rotation tables, the 32-byte pair of branch weights, and in the part
-    with the longest first branch level (n qubits, head depth D) the larger
-    of two buffers: the head's last quadratic form, 48*2^D bytes for its
-    2^(D-1) weights, their conjugates and its 4*2^(D-1) matrix products, and
-    the first tail level, the 16*2^(n-D)-byte branch built from the head and
-    the next level's half of it.  The branch and the 2^D weights it is built
-    from never hold more than the larger of the two.  At every depth of 2 or
-    more that the cost model picks for n >= 11 the tail is at least as
-    large."""
+    of two moments.  Building the angle tables holds 96 bytes per row and
+    qubit: 32 of uniforms, drawn straight as doubles, 8 each of phi, theta,
+    cos(theta/2) and sin(theta/2), and 16 each of e^(i phi) and the i*phi
+    it is taken from.  The kernel holds, per row, 81 bytes per qubit of
+    uniforms, angles and rotation tables (the same without i*phi, plus the
+    drawn bit), the 32-byte pair of branch weights, and in the part with
+    the longest first branch level (n qubits, head depth D) the larger of
+    two buffers: the head's last quadratic form, 48*2^D bytes for its
+    2^(D-1) weights, their conjugates and its 4*2^(D-1) matrix products,
+    and the first tail level, the 16*2^(n-D)-byte branch built from the
+    head and the next level's half of it.  The branch and the 2^D weights
+    it is built from never hold more than the larger of the two.  At every
+    depth of 2 or more that the cost model picks for n >= 11 the tail is at
+    least as large."""
     buffers = max((16 << (part_qubits - depth)) * 3 // 2, 48 << depth if depth > 1 else 0)
-    return max(rows * 96 * n_qubits + (64 << 10), rows * (81 * n_qubits + 32 + buffers))
+    return max(rows * 96 * n_qubits, rows * (81 * n_qubits + 32 + buffers))
 
 
 def dense_bytes(n, m):

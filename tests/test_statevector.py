@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from aqstate import statevector
 from aqstate.pauli import (
     FactoredObservable,
     Observable,
@@ -281,7 +282,7 @@ class TestExactExpectation:
             psi, Observable.from_strings([(1.0, "IIII")])
         ) == pytest.approx(1.0, abs=1e-12)
 
-    def test_against_dense_oracle(self):
+    def test_against_dense_oracle(self, monkeypatch):
         rng = np.random.default_rng(19)
         for _ in range(25):
             n = int(rng.integers(1, 6))
@@ -292,7 +293,10 @@ class TestExactExpectation:
                 coeffs.append(float(rng.uniform(-1, 1)))
             obs = Observable.from_rows(n, rows, coeffs)
             expected = np.vdot(psi.amps, dense_observable(obs) @ psi.amps).real
-            assert exact_expectation(psi, obs) == pytest.approx(expected, abs=1e-10)
+            # one slice for every state here, then slices of 1 and 8 basis states
+            for slice_states in (1 << 16, 1, 8):
+                monkeypatch.setattr(statevector, "_ORACLE_SLICE", slice_states)
+                assert exact_expectation(psi, obs) == pytest.approx(expected, abs=1e-10)
 
     def test_linearity(self):
         rng = np.random.default_rng(25)
@@ -307,6 +311,21 @@ class TestExactExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             exact_expectation(Statevector(np.eye(4)[0]), Observable.from_strings([(1.0, "X")]))
+
+    def test_peak_is_one_slice(self):
+        # a dense 20-qubit state, 16 MiB: the oracle holds one slice of 2^16
+        # basis states, its index, phases and gathered amplitudes, under 128
+        # bytes a basis state, whatever the state's size
+        rng = np.random.default_rng(31)
+        psi = haar_random_state(20, rng)
+        obs = Observable.from_rows(20, rng.integers(0, 4, size=(3, 20)), [0.5, -0.25, 1.0])
+        tracemalloc.start()
+        try:
+            exact_expectation(psi, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 16, peak
 
     def test_term_values_of_a_batch(self):
         # every row over a batch of states, duplicate rows and the identity

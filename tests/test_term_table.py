@@ -269,24 +269,34 @@ class TestBlocks:
 class TestLongRows:
     # snapshot counts from the split on multiply each term in place over its
     # own support; below it terms are gathered in blocks.  Both paths must
-    # give the reference's bits.
+    # give the reference's bits, for random terms (weight 3n/4) and for
+    # terms of weight 1-2, whose split lies lower.
     @pytest.mark.parametrize("n", [6, 12])
     def test_both_sides_of_the_split_are_bit_identical(self, n):
         rng = np.random.default_rng(470 + n)
-        split = next(m for m in range(1, 10**5) if estimator._long_rows(n, m))
+        split = next(m for m in range(1, 10**5) if estimator._long_rows(n, m, 0.75 * n))
         assert 1000 < split < 2000
-        for m in (1, 16, 300, split - 1, split, 10_000):
-            state = random_snapshots(n, m, rng)
-            w = reference_weights(state)
-            for n_terms in (1, 40, 500):
-                rows = rng.integers(0, 4, size=(n_terms + 1, n))
-                rows[-1] = 0  # an identity row: the offset
-                rows[n_terms // 2 : n_terms] = rows[: n_terms - n_terms // 2]  # duplicates
-                coeffs = rng.uniform(-1, 1, size=n_terms + 1)
-                obs = Observable.from_rows(n, rows, coeffs)
-                assert obs.offset != 0.0
-                (values,) = snapshot_values(state, [obs])
-                assert np.array_equal(values, reference_pauli_values(w, obs)), (m, n_terms)
+        low_split = next(m for m in range(1, 10**5) if estimator._long_rows(n, m, 1.5))
+        assert low_split < split // 2
+        for low_weight, near in ((False, split), (True, low_split)):
+            for m in (1, 16, 300, near - 1, near, 10_000):
+                state = random_snapshots(n, m, rng)
+                w = reference_weights(state)
+                for n_terms in (1, 40, 500):
+                    if low_weight:  # one or two qubits per term
+                        rows = np.zeros((n_terms + 1, n), dtype=int)
+                        for row in rows[:n_terms]:
+                            support = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+                            row[support] = rng.integers(1, 4, size=len(support))
+                    else:
+                        rows = rng.integers(0, 4, size=(n_terms + 1, n))
+                    rows[-1] = 0  # an identity row: the offset
+                    rows[n_terms // 2 : n_terms] = rows[: n_terms - n_terms // 2]  # duplicates
+                    coeffs = rng.uniform(-1, 1, size=n_terms + 1)
+                    obs = Observable.from_rows(n, rows, coeffs)
+                    assert obs.offset != 0.0
+                    (values,) = snapshot_values(state, [obs])
+                    assert np.array_equal(values, reference_pauli_values(w, obs)), (m, n_terms)
 
 
 class TestEstimationMemory:
@@ -303,13 +313,31 @@ class TestEstimationMemory:
             tracemalloc.stop()
         assert abs(peaks[2000] - peaks[20]) <= 1 << 20, peaks
 
+    def test_low_weight_rows_allocate_no_block(self):
+        # terms of weight 1-2 on 22 qubits go in place from about M = 100 on,
+        # where random terms of weight 3n/4 stay in blocks below M = 1263
+        rng = np.random.default_rng(502)
+        n, m, n_terms = 22, 1000, 200
+        axes = np.zeros((n_terms, n), dtype=int)
+        for row in axes:
+            support = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+            row[support] = rng.integers(1, 4, size=len(support))
+        obs = Observable.from_rows(n, axes, rng.uniform(-1, 1, n_terms))
+        assert not estimator._long_rows(n, m, 0.75 * n)
+        weights = estimator._weight_table(random_snapshots(n, m, rng))
+        tracemalloc.start()
+        estimator._pauli_values(weights, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 4 * 8 * m + 256 * n_terms < estimator._BLOCK_BYTES, peak
+
     def test_long_rows_allocate_no_block(self):
         # in place, the values take two M-length rows (the sum and one reused
         # product) and the term table a few hundred bytes per term as Python
         # lists; a gathered block alone would take _BLOCK_BYTES
         rng = np.random.default_rng(501)
         n, m, n_terms = 12, 10_000, 2000
-        assert estimator._long_rows(n, m)
+        assert estimator._long_rows(n, m, 0.75 * n)
         weights = estimator._weight_table(random_snapshots(n, m, rng))
         obs = random_observable(n, n_terms, rng, normalization="none")
         tracemalloc.start()
