@@ -141,32 +141,65 @@ class Circuit:
         return hashlib.sha256(blob).hexdigest()
 
 
-# The kernels copy the halves they read into ``scratch``, a complex buffer as
-# long as the state, and do their arithmetic there: NumPy runs a ufunc on a
-# strided view through two 128 KiB buffers, a plain copy through none.  Each
-# product keeps the scalar first and each sum its operands, up to order, as
-# in u00*a0 + u01*a1; IEEE addition commutes, so the bits, signed zeros
-# included, are those of that expression.
+# The kernels walk the two parts of the state a gate reads (a single-qubit
+# gate's halves, XY's odd-parity quarters) in blocks of at most ``_BLOCK``
+# amplitudes each, so every pass over a block stays in cache (2^14 complex
+# doubles, 256 KiB per part).  A block copies what it reads into
+# ``scratch``, a complex buffer of ``_scratch_size`` values, and does its
+# arithmetic there: NumPy runs a ufunc on a strided view through two
+# 128 KiB buffers, a plain copy through none.  Each product keeps the
+# scalar first and each sum its operands, up to order, as in
+# u00*a0 + u01*a1; IEEE addition commutes, so the bits, signed zeros
+# included, are those of that expression whatever the blocking.  That holds
+# for blocks of two or more amplitudes: NumPy's in-place product of a single
+# complex element rounds differently from its loop, so ``_BLOCK`` stays a
+# power of two and only a one-amplitude half is a one-amplitude block.
+_BLOCK = 1 << 14
+
+
+def _scratch_size(size: int) -> int:
+    """Complex values of scratch that any gate on ``size`` amplitudes needs."""
+    return min(size, 4 * _BLOCK)
+
+
+def _blocks(*views: np.ndarray):
+    """Yield matching sub-views of ``views``, which share one shape, of at
+    most ``_BLOCK`` elements each.  The cut goes along the outermost axis
+    whose inner run fits in a block; the axes outside it are walked one
+    index at a time."""
+    shape = views[0].shape
+    if views[0].size <= _BLOCK:
+        yield views
+        return
+    axis, inner = len(shape) - 1, 1
+    while inner * shape[axis] <= _BLOCK:
+        inner *= shape[axis]
+        axis -= 1
+    step = _BLOCK // inner
+    for outer in np.ndindex(shape[:axis]):
+        for start in range(0, shape[axis], step):
+            index = outer + (slice(start, start + step),)
+            yield tuple(view[index] for view in views)
 
 
 def _apply_single_inplace(
     amps: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndarray
 ) -> None:
     view = amps.reshape(-1, 2, 1 << qubit)
-    a0, a1 = view[:, 0, :], view[:, 1, :]
-    new, term = scratch.reshape(2, *a0.shape)
-    new[...] = a0
-    np.multiply(u[0, 0], new, out=new)
-    term[...] = a1
-    np.multiply(u[0, 1], term, out=term)
-    new += term
-    term[...] = a0
-    np.multiply(u[1, 0], term, out=term)
-    a0[...] = new
-    new[...] = a1
-    np.multiply(u[1, 1], new, out=new)
-    new += term
-    a1[...] = new
+    for a0, a1 in _blocks(view[:, 0, :], view[:, 1, :]):
+        new, term = scratch[: 2 * a0.size].reshape(2, *a0.shape)
+        new[...] = a0
+        np.multiply(u[0, 0], new, out=new)
+        term[...] = a1
+        np.multiply(u[0, 1], term, out=term)
+        new += term
+        term[...] = a0
+        np.multiply(u[1, 0], term, out=term)
+        a0[...] = new
+        new[...] = a1
+        np.multiply(u[1, 1], new, out=new)
+        new += term
+        a1[...] = new
 
 
 def _apply_xy_inplace(
@@ -177,19 +210,20 @@ def _apply_xy_inplace(
     view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
     hi_only, lo_only = view[:, 1, :, 0, :], view[:, 0, :, 1, :]
     # sel: bit q1 set and bit q2 clear; swapped: the reverse
-    sel, swapped = (hi_only, lo_only) if q1 == hi else (lo_only, hi_only)
+    pair = (hi_only, lo_only) if q1 == hi else (lo_only, hi_only)
     c, s = math.cos(2.0 * alpha), math.sin(2.0 * alpha)
-    va, vb, new, term = scratch.reshape(4, *sel.shape)
-    va[...] = sel
-    vb[...] = swapped
-    np.multiply(c, va, out=new)
-    np.multiply(1j * s, vb, out=term)
-    new -= term
-    sel[...] = new
-    np.multiply(-1j * s, va, out=new)
-    np.multiply(c, vb, out=term)
-    new += term
-    swapped[...] = new
+    for sel, swapped in _blocks(*pair):
+        va, vb, new, term = scratch[: 4 * sel.size].reshape(4, *sel.shape)
+        va[...] = sel
+        vb[...] = swapped
+        np.multiply(c, va, out=new)
+        np.multiply(1j * s, vb, out=term)
+        new -= term
+        sel[...] = new
+        np.multiply(-1j * s, va, out=new)
+        np.multiply(c, vb, out=term)
+        new += term
+        swapped[...] = new
 
 
 def _apply_gate_inplace(amps: np.ndarray, gate: Gate, scratch: np.ndarray) -> None:
@@ -201,13 +235,13 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, scratch: np.ndarray) -> No
 
 def run_circuit(circuit: Circuit) -> Statevector:
     """Apply all gates in order to the dense state, starting from |0...0>.
-    Holds twice the state: its amplitudes and one scratch buffer that every
-    gate reuses."""
+    Holds the state and one scratch buffer of at most 4 * 2^14 complex
+    values (1 MiB) that every gate reuses."""
     if not 1 <= circuit.n_qubits <= MAX_QUBITS:
         raise ValueError(f"{circuit.n_qubits} qubits is outside 1..{MAX_QUBITS}")
     amps = np.zeros(1 << circuit.n_qubits, dtype=complex)
     amps[0] = 1.0
-    scratch = np.empty_like(amps)
+    scratch = np.empty(_scratch_size(amps.size), dtype=complex)
     for gate in circuit.gates:
         _apply_gate_inplace(amps, gate, scratch)
     return Statevector(amps, copy=False)
@@ -384,7 +418,9 @@ def exact_expectation_factored(
     Each term's value is the product of its values on the parts of the state."""
     if fobs.n_qubits != psi.n_qubits:
         raise ValueError("observable and state qubit counts differ")
-    scratch = np.empty(max(part.amps.size for _, part in psi.parts), dtype=complex)
+    scratch = np.empty(
+        _scratch_size(max(part.amps.size for _, part in psi.parts)), dtype=complex
+    )
     total = 0.0
     for coeff, table in zip(fobs.coeffs.tolist(), fobs.factors):
         value = 1.0
@@ -392,7 +428,7 @@ def exact_expectation_factored(
             work = part.amps.copy()
             for qubit, (a0, ax, ay, az) in enumerate(table[list(qubits)].tolist()):
                 block = np.array([[a0 + az, ax - 1j * ay], [ax + 1j * ay, a0 - az]])
-                _apply_single_inplace(work, qubit, block, scratch[: work.size])
+                _apply_single_inplace(work, qubit, block, scratch)
             value *= float(np.vdot(part.amps, work).real)
         total += coeff * value
     return total

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from aqstate import snapshots
+from aqstate import snapshots, statevector
 from aqstate.snapshots import (
     ApproximateState,
     SnapshotFormatError,
@@ -27,12 +27,13 @@ from aqstate.statevector import (
     Gate,
     ProductState,
     Statevector,
+    exact_expectation_factored,
     haar_random_state,
     random_prep_circuit,
     run_circuit,
 )
 from aqstate.estimator import reconstruct_density, snapshot_values
-from aqstate.pauli import Observable
+from aqstate.pauli import Observable, projector_factored
 from test_estimator import Z_DIR, handmade_state
 
 
@@ -294,8 +295,9 @@ class TestBuildApproximateState:
 # The dense memory budget, computed without allocating.
 def run_circuit_bytes(n):
     """Bytes run_circuit holds: the 16*2^N-byte state and one scratch
-    buffer of the same size, which every gate reuses."""
-    return 2 * (16 << n)
+    buffer, which every gate reuses, of four blocks of complex values or the
+    state's length if that is less (1 MiB from N = 16)."""
+    return (16 << n) + 16 * min(2**n, 4 * statevector._BLOCK)
 
 
 def gram_bytes(depth):
@@ -361,25 +363,39 @@ def traced_peak(fn, *args):
 class TestMemoryBudget:
     def test_dense_budget_up_to_max_qubits(self):
         # run_circuit, then the state, its head and one batch at any head
-        # depth that some M can give: at most 2 GiB, reached by run_circuit
-        # at N = 26, besides 17 bytes per qubit and snapshot
+        # depth that some M can give: at most 2 GiB besides 17 bytes per
+        # qubit and snapshot
         budget = 1 << 31
+        peaks = {}
         for n in range(1, MAX_QUBITS + 1):
+            peaks[n, "run_circuit"] = run_circuit_bytes(n)
             for depth in range(1, snapshots._head_depth(n, 2**62) + 1):
                 rows = snapshots._default_batch_size(n - depth)
-                acquisition = (16 << n) + gram_bytes(depth) + batch_bytes(n, depth, rows, n)
-                assert max(run_circuit_bytes(n), acquisition) <= budget
+                peaks[n, depth] = (16 << n) + gram_bytes(depth) + batch_bytes(n, depth, rows, n)
                 if n >= 11 and depth > 1:
                     assert 48 << depth <= (16 << (n - depth)) * 3 // 2
-        assert run_circuit_bytes(MAX_QUBITS) == budget
-        # depth 1, one row: the largest batch, 768 MiB of branch buffers
+        assert max(peaks.values()) <= budget
+        # the largest is acquisition at N = 26, head depth 1, one row: the
+        # 1 GiB state and 768 MiB of branch buffers; run_circuit holds the
+        # state and 1 MiB
+        assert max(peaks, key=peaks.get) == (MAX_QUBITS, 1)
         assert batch_bytes(MAX_QUBITS, 1, 1, MAX_QUBITS) >> 20 == 768
+        assert peaks[MAX_QUBITS, "run_circuit"] >> 20 == 1025
         assert snapshots._head_depth(MAX_QUBITS, 2**62) == 10
 
     # no gate allocates, so only small objects come on top
     @pytest.mark.parametrize("n", range(12, 19))
     def test_run_circuit_peak_matches_formula(self, n):
         peak = traced_peak(run_circuit, random_prep_circuit(n, np.random.default_rng(n)))
+        assert run_circuit_bytes(n) <= peak <= run_circuit_bytes(n) + (16 << 10)
+
+    # a dense 4 MiB part: the oracle holds one working copy of it and the
+    # same scratch buffer as run_circuit, so with the part itself about twice
+    # the state in all, not three times
+    def test_factored_oracle_peak_is_one_copy(self):
+        n = 18
+        psi = haar_random_state(n, np.random.default_rng(n))
+        peak = traced_peak(exact_expectation_factored, psi, projector_factored([0, 1] * (n // 2)))
         assert run_circuit_bytes(n) <= peak <= run_circuit_bytes(n) + (16 << 10)
 
     # one full batch of 1024 rows, head depths 4 to 6; the parts' Python

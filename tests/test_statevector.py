@@ -190,6 +190,58 @@ class TestXYGate:
             Gate("XY", (0, 1), alpha)
 
 
+class TestBlocking:
+    # Every gate of a state the golden digests pin fits in one block, so
+    # here the blocks shrink.  Block sizes 2, 6 (uneven last blocks) and 8
+    # never cut a one-amplitude block: NumPy's in-place product of a single
+    # complex element rounds differently from its loop over two or more.
+    @pytest.mark.parametrize("block", [2, 6, 8])
+    def test_bytes_match_one_block(self, monkeypatch, block):
+        n = 9
+        rng = np.random.default_rng(block)
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        for plane in (amps.real, amps.imag):
+            plane[rng.random(1 << n) < 0.2] = 0.0
+            plane[rng.random(1 << n) < 0.2] = -0.0
+        # every gate kind on every qubit, a general 2x2 map (as the factored
+        # oracle applies) on every qubit, and XY on every ordered pair
+        u = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        kinds = statevector.SINGLE_QUBIT_KINDS
+        gates = [Gate(kind, (q,)) for kind in kinds for q in range(n)]
+        gates += [Gate("XY", (a, b), 0.3 + 0.1 * a + 0.01 * b)
+                  for a in range(n) for b in range(n) if a != b]
+
+        def run():
+            scratch = np.empty(statevector._scratch_size(amps.size), dtype=complex)
+            out = {}
+            for gate in gates:
+                work = amps.copy()
+                _apply_gate_inplace(work, gate, scratch)
+                out[gate] = work.tobytes()
+            for q in range(n):
+                work = amps.copy()
+                statevector._apply_single_inplace(work, q, u, scratch)
+                out[q] = work.tobytes()
+            return out
+
+        expected = run()
+        monkeypatch.setattr(statevector, "_BLOCK", block)
+        blocks = statevector._blocks
+        cuts = set()
+
+        def recording_blocks(*views):
+            for pieces in blocks(*views):
+                cuts.add((views[0].ndim, pieces[0].ndim))
+                yield pieces
+
+        monkeypatch.setattr(statevector, "_blocks", recording_blocks)
+        got = run()
+        assert [key for key in expected if got[key] != expected[key]] == []
+        # halves (outer, inner) cut on either axis; XY's quarters
+        # (outer, middle, inner) on any of three
+        assert cuts == {(2, 2), (2, 1), (3, 3), (3, 2), (3, 1)}
+
+
 class TestCircuits:
     def test_norm_preserved_through_random_circuit(self):
         rng = np.random.default_rng(21)
