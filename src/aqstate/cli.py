@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -97,6 +98,8 @@ def _cmd_seminorm(args) -> int:
         "seminorm2": pauli.seminorm2(obs),
         "seminorm1": pauli.seminorm1(obs),
     }
+    if not all(map(math.isfinite, out.values())):
+        raise ValueError("the seminorms are not finite: coefficients too large")
     if args.epsilon is not None:
         out["epsilon"] = args.epsilon
         out["shot_budget"] = pauli.shot_budget(obs, args.epsilon)

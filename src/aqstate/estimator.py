@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ class EstimateResult:
     std_empirical: float | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.value, self.std_bound, self.std_empirical or 0.0))):
+            raise ValueError("the estimate or its error scale is not finite: coefficients too large")
         if self.std_approx > self.std_bound + 1e-12:
             raise ValueError("std_approx cannot exceed std_bound")
 
@@ -80,16 +83,48 @@ def _long_rows(n: int, m: int, weight: float) -> bool:
     return 1800 + (weight + 1) * (1000 + 0.6 * m) < 2000 + 1.1 * n * m
 
 
+# snapshots per chunk of the weight table: about 1 ms of trig at N = 12
+_CHUNK = 1024
+
+
+def _table_rows(table: np.ndarray, state: ApproximateState, rows: slice) -> None:
+    scale = 3.0 * state.outcomes[rows]
+    sin_t = np.sin(state.thetas[rows])
+    table[:, 1, rows] = (np.cos(state.phis[rows]) * sin_t * scale).T
+    table[:, 2, rows] = (np.sin(state.phis[rows]) * sin_t * scale).T
+    table[:, 3, rows] = (np.cos(state.thetas[rows]) * scale).T
+
+
 def _weight_table(state: ApproximateState) -> np.ndarray:
     """Single-qubit estimator values, shape (N, 4, M): entry (q, a, j) is 1
-    for a = I and 3*m*n_a for a = X, Y, Z on qubit q of snapshot j."""
-    scale = 3.0 * state.outcomes
-    sin_t = np.sin(state.thetas)
+    for a = I and 3*m*n_a for a = X, Y, Z on qubit q of snapshot j.  The caller
+    and a helper thread joined before return take chunks from one iterator, so
+    a helper without a core delays the caller by at most one chunk; a table of
+    one chunk starts no thread.  Entries are elementwise: any split, same bits."""
     table = np.empty((state.n_qubits, 4, state.n_snapshots))
     table[:, 0] = 1.0
-    table[:, 1] = (np.cos(state.phis) * sin_t * scale).T
-    table[:, 2] = (np.sin(state.phis) * sin_t * scale).T
-    table[:, 3] = (np.cos(state.thetas) * scale).T
+    lock, starts, errors = threading.Lock(), iter(range(0, state.n_snapshots, _CHUNK)), []
+
+    def fill():
+        try:
+            while True:
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                _table_rows(table, state, slice(start, start + _CHUNK))
+        except BaseException as exc:  # raised in the caller once both are done
+            errors.append(exc)
+
+    if state.n_snapshots <= _CHUNK:
+        fill()
+    else:
+        helper = threading.Thread(target=fill)
+        helper.start()
+        fill()
+        helper.join()
+    if errors:
+        raise errors[0]
     return table
 
 
@@ -130,8 +165,10 @@ def _factored_values(weights: np.ndarray, fobs: FactoredObservable) -> np.ndarra
 
 def snapshot_values(state: ApproximateState, observables: list) -> list[np.ndarray]:
     """Per-snapshot estimator values, shape (M,), of each Pauli-sum or
-    factored observable; the weight table is built once for all of them.
-    The estimate from the first m snapshots is the mean of the first m values.
+    factored observable; the weight table is built once for all of them, by
+    this thread and, beyond one chunk of snapshots, one helper thread that
+    ends before the call returns.  The estimate from the first m snapshots is
+    the mean of the first m values.
     """
     for n in {obs.n_qubits for obs in observables} - {state.n_qubits}:
         raise ValueError(f"observable acts on {n} qubits, snapshots on {state.n_qubits}")

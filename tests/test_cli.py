@@ -528,6 +528,30 @@ class TestInputErrors:
         assert captured.err == f"error: {files['DEEP']}: JSON nested too deeply\n"
         assert not any(tmp_path.glob("OUT*"))
 
+    # coefficients whose products or squares overflow a float: the value,
+    # bound or seminorms would be NaN or inf, which JSON cannot hold
+    @pytest.mark.parametrize("terms, argv", [
+        ([{"coeff": 1e308, "pauli": "XXXX"}, {"coeff": -1e308, "pauli": "ZZZZ"}],
+         "estimate --snapshots SNAPS --observable OBS"),
+        ([{"coeff": 1e308, "pauli": "XXXX"}, {"coeff": -1e308, "pauli": "ZZZZ"}],
+         "seminorm --observable OBS"),
+        ([{"coeff": 1e308, "factors": [[0.5, 0, 0, 0.5]] * 4}],
+         "estimate --snapshots SNAPS --observable OBS --factored"),
+    ], ids=["estimate", "seminorm", "factored"])
+    def test_non_finite_result(self, tmp_path, capsys, terms, argv):
+        files = {name: tmp_path / name for name in ("CIRC", "SNAPS", "OBS")}
+        files["CIRC"].write_text('{"n_qubits": 4, "gates": []}')
+        assert run_cli("snapshot", "--circuit", files["CIRC"], "--shots", 100,
+                       "--out", files["SNAPS"]) == 0
+        files["OBS"].write_text(json.dumps({"n_qubits": 4, "terms": terms}))
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert run_cli(*(files.get(arg, arg) for arg in argv.split())) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not finite" in captured.err
+        assert captured.err.count("\n") == 1
+
     # integer fields take only integers, number fields only numbers: none of
     # these is rounded, parsed from a string or read as 0 or 1
     @pytest.mark.parametrize("circuit", [

@@ -9,6 +9,9 @@ the second bit for bit.  Per-snapshot values must equal a term-by-term loop
 """
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -264,6 +267,120 @@ class TestBlocks:
             monkeypatch.setattr(estimator, "_BLOCK_BYTES", block_bytes)
             (values,) = snapshot_values(state, [obs])
             assert np.array_equal(values, reference)
+
+
+def reference_table(state):
+    """The weight table from whole-array expressions, in one thread."""
+    table = np.empty((state.n_qubits, 4, state.n_snapshots))
+    table[:, 0] = 1.0
+    table[:, 1:] = reference_weights(state).transpose(1, 2, 0)
+    return table
+
+
+class TestChunkedTable:
+    # the caller and one helper fill the table in chunks of _CHUNK snapshots
+
+    def chunk_starts(self, monkeypatch, chunk):
+        """Patch the chunk size; record the thread and start of each chunk filled."""
+        monkeypatch.setattr(estimator, "_CHUNK", chunk)
+        filled, fill = [], estimator._table_rows
+
+        def recorded(table, state, rows):
+            filled.append((threading.current_thread(), rows.start))
+            fill(table, state, rows)
+
+        monkeypatch.setattr(estimator, "_table_rows", recorded)
+        return filled
+
+    @pytest.mark.parametrize("chunk", [3, 7, estimator._CHUNK])
+    def test_bytes_match_serial_reference(self, monkeypatch, chunk):
+        rng = np.random.default_rng(460)
+        filled = self.chunk_starts(monkeypatch, chunk)
+        for m in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            state = random_snapshots(5, m, rng)
+            filled.clear()
+            table = estimator._weight_table(state)
+            assert table.tobytes() == reference_table(state).tobytes()
+            assert sorted(start for _, start in filled) == list(range(0, state.n_snapshots, chunk))
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise RuntimeError("thread started")
+
+        monkeypatch.setattr(estimator, "_CHUNK", 7)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        rng = np.random.default_rng(461)
+        for m in (1, 6, 7):
+            estimator._weight_table(random_snapshots(4, m, rng))
+        with pytest.raises(RuntimeError, match="thread started"):
+            estimator._weight_table(random_snapshots(4, 8, rng))
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        state = random_snapshots(12, 4 * estimator._CHUNK + 1, np.random.default_rng(462))
+        table = estimator._weight_table(state)
+        assert threading.active_count() == before
+        assert table.tobytes() == reference_table(state).tobytes()
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        # the caller's first chunk waits until the helper has raised in its own
+        monkeypatch.setattr(estimator, "_CHUNK", 5)
+        caller, helper_failed, fill = threading.current_thread(), threading.Event(), estimator._table_rows
+
+        def failing_on_helper(table, state, rows):
+            if threading.current_thread() is not caller:
+                helper_failed.set()
+                raise RuntimeError("chunk failed on the helper")
+            assert helper_failed.wait(10)
+            fill(table, state, rows)
+
+        monkeypatch.setattr(estimator, "_table_rows", failing_on_helper)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="failed on the helper"):
+            estimator._weight_table(random_snapshots(3, 40, np.random.default_rng(463)))
+        assert threading.active_count() == before
+
+    def test_caller_fills_every_chunk_of_a_late_helper(self, monkeypatch):
+        # a helper that gets no core until the caller is done takes no chunk
+        class LateThread(threading.Thread):
+            def run(self):
+                time.sleep(0.2)
+                super().run()
+
+        filled = self.chunk_starts(monkeypatch, 4)
+        monkeypatch.setattr(threading, "Thread", LateThread)
+        state = random_snapshots(3, 4 * 10 + 1, np.random.default_rng(464))
+        began = time.perf_counter()
+        table = estimator._weight_table(state)
+        assert time.perf_counter() - began < 10
+        assert [start for _, start in filled] == list(range(0, 41, 4))
+        assert {thread for thread, _ in filled} == {threading.current_thread()}
+        assert table.tobytes() == reference_table(state).tobytes()
+
+    def test_concurrent_calls_fill_each_chunk_once(self, monkeypatch):
+        # three callers and their helpers on two cores, switching threads
+        # every microsecond: a chunk lost or taken twice shows in the starts
+        filled = self.chunk_starts(monkeypatch, 3)
+        states = [random_snapshots(4, 200, np.random.default_rng(465 + k)) for k in range(3)]
+        tables = [None] * 3
+
+        def build(k):
+            tables[k] = estimator._weight_table(states[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=build, args=(k,)) for k in range(3)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(start for _, start in filled) == sorted(list(range(0, 200, 3)) * 3)
+        for state, table in zip(states, tables):
+            assert table.tobytes() == reference_table(state).tobytes()
 
 
 class TestLongRows:
