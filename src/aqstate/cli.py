@@ -193,7 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow ends as a non-finite result, which the commands report
+        # on one error line; NumPy's warnings would print lines before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

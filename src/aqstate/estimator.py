@@ -114,6 +114,9 @@ def _weight_table(state: ApproximateState) -> np.ndarray:
                     return
                 _table_rows(table, state, slice(start, start + _CHUNK))
         except BaseException as exc:  # raised in the caller once both are done
+            with lock:  # the other thread stops after its current chunk
+                for _ in starts:
+                    pass
             errors.append(exc)
 
     if state.n_snapshots <= _CHUNK:

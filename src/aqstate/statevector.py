@@ -363,23 +363,47 @@ def _term_values(amps: np.ndarray, axes: np.ndarray) -> np.ndarray:
     With the bit masks x and z of ``_planes`` (one word, as n <= MAX_QUBITS),
     P acts on basis states as P|b> = c(b)|b ^ x> with
     c(b) = i^{#Y} * (-1)^{popcount(b & z)}.  Rows are summed over slices of
-    ``_ORACLE_SLICE`` basis states, so only one slice's buffers are held.
+    ``_ORACLE_SLICE`` basis states in ascending order.  The partners of the
+    slice at ``start`` are the slice at ``start ^ (x & ~(size - 1))`` with
+    the bits of ``x & (size - 1)`` flipped, a reversed view of its axes that
+    is conjugated into one reused buffer; c(b) over a slice is one of two
+    phase arrays per row, as popcount(start & z) is even or odd.
     """
     x, z = (plane[:, 0] for plane in _planes(axes))
     # one key per distinct row: n <= MAX_QUBITS < 32 bits per mask
     keys, inverse = np.unique((x << np.uint64(32)) | z, return_inverse=True)
     values = np.ones((len(keys), len(amps)))
-    for start in range(0, amps.shape[-1], _ORACLE_SLICE):
-        block = amps[:, start : start + _ORACLE_SLICE]
-        idx = np.arange(start, start + block.shape[-1], dtype=np.uint64)
-        for k, key in enumerate(keys.tolist()):
-            x, z = divmod(key, 1 << 32)
-            if key:
-                parity = np.bitwise_count(idx & np.uint64(z)) & 1
-                phase = (1j ** (x & z).bit_count()) * (1.0 - 2.0 * parity.astype(float))
-                permuted = amps[:, idx ^ np.uint64(x)]
-                total = np.einsum("sb,b,sb->s", permuted.conj(), phase, block).real
-                values[k] = values[k] + total if start else total
+    size = min(amps.shape[-1], _ORACLE_SLICE)
+    bits = size.bit_length() - 1
+    idx = np.arange(size, dtype=np.uint32)
+    # axis 2 + j of ``slices`` (batch, slice, 2, ..., 2) holds bit bits - 1 - j
+    slices = amps.reshape((len(amps), -1) + (2,) * bits)
+    buf = np.empty((len(amps), size), dtype=complex)
+    flipped = buf.reshape(slices.shape[:1] + slices.shape[2:])
+    sign = np.empty(size)
+    phases = np.empty((2, size), dtype=complex)
+    for k, key in enumerate(keys.tolist()):
+        x, z = divmod(key, 1 << 32)
+        if not key:
+            continue
+        flips = tuple([
+            slice(None, None, -1) if x >> bit & 1 else slice(None)
+            for bit in range(bits - 1, -1, -1)
+        ])
+        # c(b) = i^{#Y} * (1.0 - 2.0 * parity) on a slice whose start has an
+        # even popcount(start & z), then on one whose start has an odd one
+        i_y = 1j ** (x & z).bit_count()
+        np.multiply(2.0, np.bitwise_count(idx & z) & 1, out=sign)
+        np.subtract(1.0, sign, out=sign)
+        np.multiply(i_y, sign, out=phases[0])
+        if z >> bits:
+            np.multiply(i_y, np.negative(sign, out=sign), out=phases[1])
+        for start in range(0, amps.shape[-1], size):
+            np.conjugate(slices[(slice(None), (start ^ x) >> bits) + flips], out=flipped)
+            block = amps[:, start : start + size]
+            phase = phases[(start & z).bit_count() & 1]
+            total = np.einsum("sb,b,sb->s", buf, phase, block).real
+            values[k] = values[k] + total if start else total
     return values[inverse.reshape(-1)]
 
 

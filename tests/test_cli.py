@@ -3,13 +3,18 @@
 import functools
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aqstate
 from aqstate import pauli
 from aqstate.cli import main
 from aqstate.pauli import (
@@ -530,7 +535,7 @@ class TestInputErrors:
 
     # coefficients whose products or squares overflow a float: the value,
     # bound or seminorms would be NaN or inf, which JSON cannot hold
-    @pytest.mark.parametrize("terms, argv", [
+    non_finite = pytest.mark.parametrize("terms, argv", [
         ([{"coeff": 1e308, "pauli": "XXXX"}, {"coeff": -1e308, "pauli": "ZZZZ"}],
          "estimate --snapshots SNAPS --observable OBS"),
         ([{"coeff": 1e308, "pauli": "XXXX"}, {"coeff": -1e308, "pauli": "ZZZZ"}],
@@ -538,19 +543,42 @@ class TestInputErrors:
         ([{"coeff": 1e308, "factors": [[0.5, 0, 0, 0.5]] * 4}],
          "estimate --snapshots SNAPS --observable OBS --factored"),
     ], ids=["estimate", "seminorm", "factored"])
-    def test_non_finite_result(self, tmp_path, capsys, terms, argv):
+
+    @staticmethod
+    def non_finite_argv(tmp_path, terms, argv):
+        """Write a 4-qubit snapshot file and the observable; return ``argv``
+        with SNAPS and OBS replaced by their paths."""
         files = {name: tmp_path / name for name in ("CIRC", "SNAPS", "OBS")}
         files["CIRC"].write_text('{"n_qubits": 4, "gates": []}')
         assert run_cli("snapshot", "--circuit", files["CIRC"], "--shots", 100,
                        "--out", files["SNAPS"]) == 0
         files["OBS"].write_text(json.dumps({"n_qubits": 4, "terms": terms}))
+        return [str(files.get(arg, arg)) for arg in argv.split()]
+
+    @non_finite
+    def test_non_finite_result(self, tmp_path, capsys, terms, argv):
+        argv = self.non_finite_argv(tmp_path, terms, argv)
         capsys.readouterr()
         with np.errstate(all="ignore"):
-            assert run_cli(*(files.get(arg, arg) for arg in argv.split())) == 2
+            assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "not finite" in captured.err
         assert captured.err.count("\n") == 1
+
+    @non_finite
+    def test_non_finite_result_in_a_process(self, tmp_path, terms, argv):
+        # a process of its own prints whatever NumPy warns on stderr, which
+        # pytest would collect apart: the error line is all it prints
+        argv = self.non_finite_argv(tmp_path, terms, argv)
+        src = str(Path(aqstate.__file__).parents[1])
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "aqstate.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
 
     # integer fields take only integers, number fields only numbers: none of
     # these is rounded, parsed from a string or read as 0 or 1

@@ -11,6 +11,7 @@ from aqstate import statevector
 from aqstate.pauli import (
     FactoredObservable,
     Observable,
+    _planes,
     observable_to_dict,
     projector_factored,
 )
@@ -365,9 +366,10 @@ class TestExactExpectation:
             exact_expectation(Statevector(np.eye(4)[0]), Observable.from_strings([(1.0, "X")]))
 
     def test_peak_is_one_slice(self):
-        # a dense 20-qubit state, 16 MiB: the oracle holds one slice of 2^16
-        # basis states, its index, phases and gathered amplitudes, under 128
-        # bytes a basis state, whatever the state's size
+        # a dense 20-qubit state, 16 MiB: the oracle holds, for a slice of
+        # 2^16 basis states, its index, one buffer of conjugated partner
+        # amplitudes, a sign array and two phase arrays, under 128 bytes a
+        # basis state, whatever the state's size
         rng = np.random.default_rng(31)
         psi = haar_random_state(20, rng)
         obs = Observable.from_rows(20, rng.integers(0, 4, size=(3, 20)), [0.5, -0.25, 1.0])
@@ -394,6 +396,67 @@ class TestExactExpectation:
         for row, row_values in zip(rows, values):
             obs = Observable.from_rows(n, [row], [1.0])
             assert row_values.tolist() == [exact_expectation(psi, obs) for psi in states]
+
+
+def gathered_term_values(amps, axes):
+    """The oracle as an index gather: for each slice of ``_ORACLE_SLICE``
+    basis states and each distinct row, the partner amplitudes are fetched
+    by index and the phases rebuilt from the slice's index array."""
+    x, z = (plane[:, 0] for plane in _planes(axes))
+    keys, inverse = np.unique((x << np.uint64(32)) | z, return_inverse=True)
+    values = np.ones((len(keys), len(amps)))
+    for start in range(0, amps.shape[-1], statevector._ORACLE_SLICE):
+        block = amps[:, start : start + statevector._ORACLE_SLICE]
+        idx = np.arange(start, start + block.shape[-1], dtype=np.uint64)
+        for k, key in enumerate(keys.tolist()):
+            x, z = divmod(key, 1 << 32)
+            if key:
+                parity = np.bitwise_count(idx & np.uint64(z)) & 1
+                phase = (1j ** (x & z).bit_count()) * (1.0 - 2.0 * parity.astype(float))
+                permuted = amps[:, idx ^ np.uint64(x)]
+                total = np.einsum("sb,b,sb->s", permuted.conj(), phase, block).real
+                values[k] = values[k] + total if start else total
+    return values[inverse.reshape(-1)]
+
+
+def oracle_rows(n, rng):
+    """Identity, X-only, Z-only, Y-bearing and mixed rows, two of them twice;
+    the last qubit carries X, Y or Z in some row, so partners and signs
+    reach across slices."""
+    rows = [
+        np.zeros(n, dtype=np.uint8),
+        np.full(n, 1, dtype=np.uint8),
+        np.where(rng.random(n) < 0.5, 3, 0),
+        np.where(np.arange(n) == n - 1, 2, 0),
+        np.where(np.arange(n) % 2 == 0, 1, 0),
+        np.where(np.arange(n) == n - 1, 3, 1),
+    ]
+    rows += list(rng.integers(0, 4, (4, n)))
+    rows += [rows[2], rows[7]]
+    return np.array(rows, dtype=np.uint8)
+
+
+class TestOracleBytes:
+    # the bit-flipped views give the index gather's bytes, signed zeros
+    # included, for every row kind, batch and slice size
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_matches_the_index_gather(self, monkeypatch, n):
+        rng = np.random.default_rng(600 + n)
+        rows = oracle_rows(n, rng)
+        for batch in (1, 3):
+            amps = rng.standard_normal((batch, 1 << n)) + 1j * rng.standard_normal((batch, 1 << n))
+            amps[:, ::5] = 0.0
+            amps[:, 1::7] = -0.0
+            amps[:, 2::11] = complex(-0.0, 0.5)
+            amps[:, 3::13] = complex(0.5, -0.0)
+            # a slice of one or eight basis states only while there are at
+            # most 2^10 slices: the gather loop walks them one at a time
+            for slice_states in (1, 8, 1 << 16):
+                if (1 << n) // slice_states > 1 << 10:
+                    continue
+                monkeypatch.setattr(statevector, "_ORACLE_SLICE", slice_states)
+                got = _term_values(amps, rows)
+                assert got.tobytes() == gathered_term_values(amps, rows).tobytes()
 
 
 class TestFactoredExpectation:

@@ -340,6 +340,32 @@ class TestChunkedTable:
             estimator._weight_table(random_snapshots(3, 40, np.random.default_rng(463)))
         assert threading.active_count() == before
 
+    def test_caller_error_stops_the_helper(self, monkeypatch):
+        # the caller fails on its first chunk once the helper has filled one;
+        # the helper then starts at most the chunk it may have taken before
+        # the caller drained the starts, not the rest of the table
+        monkeypatch.setattr(estimator, "_CHUNK", 5)
+        caller, fill = threading.current_thread(), estimator._table_rows
+        helper_filled, caller_failed, late = threading.Event(), threading.Event(), []
+
+        def failing_on_caller(table, state, rows):
+            if threading.current_thread() is caller:
+                assert helper_filled.wait(10)
+                caller_failed.set()
+                raise RuntimeError("chunk failed on the caller")
+            if caller_failed.is_set():
+                late.append(rows.start)
+            fill(table, state, rows)
+            helper_filled.set()
+            time.sleep(1e-3)  # lets the caller take a chunk
+
+        monkeypatch.setattr(estimator, "_table_rows", failing_on_caller)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="failed on the caller"):
+            estimator._weight_table(random_snapshots(3, 400, np.random.default_rng(466)))
+        assert threading.active_count() == before
+        assert len(late) <= 1, late
+
     def test_caller_fills_every_chunk_of_a_late_helper(self, monkeypatch):
         # a helper that gets no core until the caller is done takes no chunk
         class LateThread(threading.Thread):
