@@ -73,16 +73,6 @@ def _snapshot_mean(values: np.ndarray) -> float:
     return float(np.sum(values)) / len(values)
 
 
-# terms whose per-snapshot products fill this many bytes are evaluated at once
-_BLOCK_BYTES = 1 << 20
-
-
-def _long_rows(n: int, m: int, weight: float) -> bool:
-    """Whether terms of mean weight ``weight`` cost less multiplied in place, a fixed
-    cost plus weight + 1 NumPy calls, than in a gathered block: ns fitted to timings."""
-    return 1800 + (weight + 1) * (1000 + 0.6 * m) < 2000 + 1.1 * n * m
-
-
 # snapshots per chunk of the weight table: about 1 ms of trig at N = 12
 _CHUNK = 1024
 
@@ -132,30 +122,18 @@ def _weight_table(state: ApproximateState) -> np.ndarray:
 
 
 def _pauli_values(weights: np.ndarray, obs: Observable) -> np.ndarray:
-    n, _, m = weights.shape
+    m = weights.shape[2]
     values = np.full(m, obs.offset)
-    # ascending qubit order; skipping a qubit skips an exact factor of 1
-    if _long_rows(n, m, np.count_nonzero(obs.axes) / max(1, len(obs.coeffs))):
-        table = list(weights.reshape(-1, m))  # row 4q + a is weights[q, a]
-        product = np.empty(m)
-        for axes, coeff in zip(obs.axes.tolist(), obs.coeffs.tolist()):
-            factors = [table[4 * q + a] for q, a in enumerate(axes) if a]
-            np.multiply(factors[0], factors[1] if len(factors) > 1 else 1.0, out=product)
-            for row in factors[2:]:
-                product *= row
-            product *= coeff
-            values += product
-        return values
-    rows = max(1, _BLOCK_BYTES // (8 * m))
-    for start in range(0, len(obs.coeffs), rows):
-        axes = obs.axes[start : start + rows]
-        active = np.flatnonzero(axes.any(axis=0))
-        block = weights[active[0]][axes[:, active[0]]]
-        for q in active[1:]:
-            block *= weights[q][axes[:, q]]
-        block *= obs.coeffs[start : start + rows, None]
-        for row in block:  # term by term: the sum does not depend on the blocks
-            values += row
+    # term by term, in ascending qubit order; skipping a qubit skips an exact factor of 1
+    table = list(weights.reshape(-1, m))  # row 4q + a is weights[q, a]
+    product = np.empty(m)
+    for axes, coeff in zip(obs.axes.tolist(), obs.coeffs.tolist()):
+        factors = [table[4 * q + a] for q, a in enumerate(axes) if a]
+        np.multiply(factors[0], factors[1] if len(factors) > 1 else 1.0, out=product)
+        for row in factors[2:]:
+            product *= row
+        product *= coeff
+        values += product
     return values
 
 

@@ -124,6 +124,8 @@ def random_observable(
 ) -> Observable:
     """Random Pauli sum: each qubit's axis uniform over {I,X,Y,Z}, each
     coefficient uniform on (0, 1], then rescaled per ``normalization``."""
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
     axes = rng.integers(0, 4, size=(n_terms, n_qubits))
     coeffs = 1.0 - rng.random(n_terms)
     obs = Observable.from_rows(n_qubits, axes, coeffs)

@@ -433,7 +433,10 @@ def shot_budget(obs: Observable, epsilon: float) -> int:
 
 def normalize_to_unit_seminorm(obs: Observable, which: str = "seminorm") -> Observable:
     """Rescale so the chosen seminorm ("seminorm" or "seminorm2") equals 1."""
-    norm = {"seminorm": seminorm, "seminorm2": seminorm2}[which](obs)
+    norms = {"seminorm": seminorm, "seminorm2": seminorm2}
+    if which not in norms:
+        raise ValueError(f"normalization must be one of {tuple(norms)}, got {which!r}")
+    norm = norms[which](obs)
     if norm == 0.0:
         raise ValueError("cannot normalize an observable with zero seminorm")
     return obs.scaled(1.0 / norm)

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .pauli import _integer
 from .statevector import Circuit, ProductState, Statevector
 
 __all__ = [
@@ -59,6 +60,15 @@ def _flip_probabilities(p_err, n_qubits: int) -> np.ndarray:
     return p
 
 
+def _seed(seed) -> int:
+    """``seed`` as an int in [0, 2^64), the range of the stored u64; else
+    ValueError."""
+    seed = _integer("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 class ApproximateState:
     """M snapshots of an N-qubit state: three numbers per qubit per snapshot.
 
@@ -91,6 +101,7 @@ class ApproximateState:
         if not np.all(np.isfinite(phis)):
             raise ValueError("phis must be finite")
         n = outcomes.shape[1]
+        seed = _seed(seed)
         p = _flip_probabilities(p_err, n)
         for arr in (outcomes, thetas, phis, p):
             arr.setflags(write=False)
@@ -99,7 +110,7 @@ class ApproximateState:
         self.thetas = thetas
         self.phis = phis
         self.p_err = p
-        self.seed = int(seed)
+        self.seed = seed
 
     @property
     def n_snapshots(self) -> int:
@@ -381,8 +392,7 @@ def snapshots_from_state(
     """
     if n_snapshots < 1:
         raise ValueError("n_snapshots must be at least 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    seed = _seed(seed)
     n = psi.n_qubits
     p_err = _flip_probabilities(p_err, n)
     depths = [_head_depth(part.n_qubits, n_snapshots) for _, part in psi.parts]

@@ -143,9 +143,8 @@ def test_product_state_bytes_match_dense():
                 ), (circuit.n_qubits, seed, p)
 
 
-# M = 500 and 3000 lie either side of the N = 6 split of
-# ``estimator._long_rows`` (M = 1333 to 1933 for these terms' mean weights
-# of 4 to 5), so both Pauli-value paths run
+# M = 500 and 3000: one weight-table chunk and several; both run the one
+# Pauli-value path, each term multiplied in place
 READ_GOLDEN = {
     "experiment random_pauli_sum M=500 json": "edbe4a8e88b39768",
     "experiment random_pauli_sum M=500 csv": "b4e7d237557800d0",

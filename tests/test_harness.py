@@ -53,6 +53,10 @@ class TestRandomObservable:
         raw = random_observable(4, 10, rng, "none")
         assert all(0.0 < c <= 1.0 for c, _ in raw.terms)
 
+    def test_unknown_normalization_rejected(self):
+        with pytest.raises(ValueError, match="'seminorm', 'seminorm2', 'none'.*'bogus'"):
+            random_observable(4, 10, np.random.default_rng(2), "bogus")
+
     def test_mean_weight(self):
         # uniform axis choice gives expected weight 3N/4
         rng = np.random.default_rng(3)

@@ -325,6 +325,10 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normalize_to_unit_seminorm(Observable.from_strings([(1.0, "II")]))
 
+    def test_unknown_normalization_rejected(self):
+        with pytest.raises(ValueError, match="'seminorm', 'seminorm2'.*'bogus'"):
+            normalize_to_unit_seminorm(Observable.from_strings([(1.0, "X")]), "bogus")
+
 
 class TestProjectors:
     def test_factored_single_bit(self):

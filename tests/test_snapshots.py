@@ -490,6 +490,24 @@ class TestApproximateState:
                 np.zeros((2, 2), dtype=np.int8), np.zeros((2, 2)), np.zeros((2, 2))
             )
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None])
+    def test_rejects_seeds_outside_u64(self, seed):
+        # the stored seed is a u64: both entry points check it
+        state = random_state_record(np.random.default_rng(26), n_snapshots=3, n_qubits=2)
+        with pytest.raises(ValueError, match="seed"):
+            ApproximateState(state.outcomes, state.thetas, state.phis, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            snapshots_from_state(Statevector(np.eye(4)[0]), 3, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(5)])
+    def test_u64_seeds_round_trip(self, seed):
+        state = random_state_record(np.random.default_rng(27), n_snapshots=3, n_qubits=2)
+        state = ApproximateState(state.outcomes, state.thetas, state.phis, seed=seed)
+        assert type(state.seed) is int and state.seed == seed
+        assert deserialize(serialize(state)) == state
+        acquired = snapshots_from_state(Statevector(np.eye(4)[0]), 3, seed)
+        assert acquired.seed == seed and deserialize(serialize(acquired)) == acquired
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -131,6 +131,15 @@ def signed_observable(n, n_terms, rng, identity=0.0):
     return Observable.from_rows(n, np.vstack([rows, np.zeros((1, n), dtype=int)]), coeffs)
 
 
+def low_weight_rows(n, n_terms, rng):
+    """Pauli rows with one or two random non-identity axes each."""
+    rows = np.zeros((n_terms, n), dtype=int)
+    for row in rows:
+        support = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+        row[support] = rng.integers(1, 4, size=len(support))
+    return rows
+
+
 def noisy_state(n, m, rng, seed):
     psi = haar_random_state(n, rng) if n <= 8 else run_circuit(random_prep_circuit(n, rng))
     return snapshots_from_state(psi, m, seed, 0.05)
@@ -253,20 +262,6 @@ class TestSeminormsAreBitIdentical:
                 terms.append((float(rng.uniform(-1, 1)), PauliString(row)))
             obs = Observable(n, tuple(terms))
             assert (seminorm(obs), seminorm2(obs), seminorm1(obs)) == reference_seminorms(obs)
-
-
-class TestBlocks:
-    def test_values_do_not_depend_on_block_size(self, monkeypatch):
-        # terms are summed one by one, so a prefix state (whose blocks hold
-        # more terms) gives the same values as the full state
-        rng = np.random.default_rng(450)
-        state = noisy_state(6, 300, rng, seed=4)
-        obs = signed_observable(6, 50, rng, identity=0.3)
-        (reference,) = snapshot_values(state, [obs])
-        for block_bytes in (1, 8 * 300 * 3, 8 * 300 * 7):
-            monkeypatch.setattr(estimator, "_BLOCK_BYTES", block_bytes)
-            (values,) = snapshot_values(state, [obs])
-            assert np.array_equal(values, reference)
 
 
 def reference_table(state):
@@ -409,28 +404,20 @@ class TestChunkedTable:
             assert table.tobytes() == reference_table(state).tobytes()
 
 
-class TestLongRows:
-    # snapshot counts from the split on multiply each term in place over its
-    # own support; below it terms are gathered in blocks.  Both paths must
-    # give the reference's bits, for random terms (weight 3n/4) and for
-    # terms of weight 1-2, whose split lies lower.
+class TestPauliValues:
+    # every term is multiplied in place over its own support, for any M:
+    # random terms (weight 3n/4) and terms of weight 1-2 give the reference's
+    # bits, with an identity row (the offset) and duplicate rows
     @pytest.mark.parametrize("n", [6, 12])
-    def test_both_sides_of_the_split_are_bit_identical(self, n):
+    def test_bit_identical_to_reference(self, n):
         rng = np.random.default_rng(470 + n)
-        split = next(m for m in range(1, 10**5) if estimator._long_rows(n, m, 0.75 * n))
-        assert 1000 < split < 2000
-        low_split = next(m for m in range(1, 10**5) if estimator._long_rows(n, m, 1.5))
-        assert low_split < split // 2
-        for low_weight, near in ((False, split), (True, low_split)):
-            for m in (1, 16, 300, near - 1, near, 10_000):
+        for low_weight in (False, True):
+            for m in (1, 16, 300, 1000, 10_000):
                 state = random_snapshots(n, m, rng)
                 w = reference_weights(state)
                 for n_terms in (1, 40, 500):
-                    if low_weight:  # one or two qubits per term
-                        rows = np.zeros((n_terms + 1, n), dtype=int)
-                        for row in rows[:n_terms]:
-                            support = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
-                            row[support] = rng.integers(1, 4, size=len(support))
+                    if low_weight:
+                        rows = np.vstack([low_weight_rows(n, n_terms, rng), np.zeros(n, dtype=int)])
                     else:
                         rows = rng.integers(0, 4, size=(n_terms + 1, n))
                     rows[-1] = 0  # an identity row: the offset
@@ -456,35 +443,23 @@ class TestEstimationMemory:
             tracemalloc.stop()
         assert abs(peaks[2000] - peaks[20]) <= 1 << 20, peaks
 
-    def test_low_weight_rows_allocate_no_block(self):
-        # terms of weight 1-2 on 22 qubits go in place from about M = 100 on,
-        # where random terms of weight 3n/4 stay in blocks below M = 1263
-        rng = np.random.default_rng(502)
-        n, m, n_terms = 22, 1000, 200
-        axes = np.zeros((n_terms, n), dtype=int)
-        for row in axes:
-            support = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
-            row[support] = rng.integers(1, 4, size=len(support))
-        obs = Observable.from_rows(n, axes, rng.uniform(-1, 1, n_terms))
-        assert not estimator._long_rows(n, m, 0.75 * n)
+    @pytest.mark.parametrize(
+        "n, m, n_terms, low_weight, seed",
+        [(12, 10_000, 2000, False, 501), (22, 1000, 200, True, 502), (12, 16, 2000, False, 503)],
+        ids=["n12-m10000-random", "n22-m1000-weight1to2", "n12-m16-random"],
+    )
+    def test_values_take_two_rows_and_the_term_lists(self, n, m, n_terms, low_weight, seed):
+        # the sum and one reused product take two M-length rows, and the
+        # term table a few hundred bytes per term as Python lists
+        rng = np.random.default_rng(seed)
+        if low_weight:
+            rows = low_weight_rows(n, n_terms, rng)
+            obs = Observable.from_rows(n, rows, rng.uniform(-1, 1, n_terms))
+        else:
+            obs = random_observable(n, n_terms, rng, normalization="none")
         weights = estimator._weight_table(random_snapshots(n, m, rng))
         tracemalloc.start()
         estimator._pauli_values(weights, obs)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak <= 4 * 8 * m + 256 * n_terms < estimator._BLOCK_BYTES, peak
-
-    def test_long_rows_allocate_no_block(self):
-        # in place, the values take two M-length rows (the sum and one reused
-        # product) and the term table a few hundred bytes per term as Python
-        # lists; a gathered block alone would take _BLOCK_BYTES
-        rng = np.random.default_rng(501)
-        n, m, n_terms = 12, 10_000, 2000
-        assert estimator._long_rows(n, m, 0.75 * n)
-        weights = estimator._weight_table(random_snapshots(n, m, rng))
-        obs = random_observable(n, n_terms, rng, normalization="none")
-        tracemalloc.start()
-        estimator._pauli_values(weights, obs)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak <= 4 * 8 * m + 256 * n_terms < estimator._BLOCK_BYTES, peak
+        assert peak <= 4 * 8 * m + 256 * n_terms, peak
