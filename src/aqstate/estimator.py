@@ -20,11 +20,12 @@ import numpy as np
 from .pauli import (
     FactoredObservable,
     Observable,
+    _number,
     factored_seminorms,
     seminorm,
     seminorm2,
 )
-from .snapshots import ApproximateState
+from .snapshots import ApproximateState, _flip_probabilities
 from .statevector import _SINGLE_QUBIT_MATRICES
 
 __all__ = [
@@ -211,6 +212,7 @@ def predict_attenuated(
     order with the identity first, is attenuated by (1 - 2*p_err)^weight."""
     if len(exact_terms) != obs.n_terms:
         raise ValueError("need one exact expectation per observable term")
+    _flip_probabilities(_number("p_err", p_err), 1)
     damp = 1.0 - 2.0 * p_err
     axes, coeffs = obs.rows()
     weights = np.count_nonzero(axes, axis=1).tolist()

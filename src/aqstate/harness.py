@@ -38,7 +38,7 @@ from .statevector import (
     haar_random_state,
     random_prep_circuit,
 )
-from .snapshots import snapshots_from_state
+from .snapshots import _flip_probabilities, snapshots_from_state
 from .estimator import (
     EstimateResult,
     _snapshot_mean,
@@ -92,17 +92,16 @@ class ExperimentConfig:
     normalization: str = "seminorm"
 
     def __post_init__(self):
-        for name in ("n_qubits", "n_snapshots", "seed", "n_observables", "terms_per_observable"):
+        for name, low, high in (
+            ("n_qubits", 2, MAX_TOTAL_QUBITS),
+            ("n_snapshots", 1, None),
+            ("seed", 0, None),
+            ("n_observables", 1, None),
+            ("terms_per_observable", 1, None),
+        ):
             # a NumPy integer would not serialize
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not 2 <= self.n_qubits <= MAX_TOTAL_QUBITS:
-            raise ValueError(f"n_qubits must lie in 2..{MAX_TOTAL_QUBITS}")
-        if self.n_snapshots < 1 or self.n_observables < 1 or self.terms_per_observable < 1:
-            raise ValueError("counts must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if not 0.0 <= _number("p_err", self.p_err) < 1.0:
-            raise ValueError("p_err must lie in [0, 1)")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low, high))
+        _flip_probabilities(_number("p_err", self.p_err), 1)
         if self.observable_kind not in OBSERVABLE_KINDS:
             raise ValueError(f"observable_kind must be one of {OBSERVABLE_KINDS}")
         if self.normalization not in NORMALIZATIONS:
@@ -327,8 +326,7 @@ def haar_mixed_term_check(
     """
     if obs.n_qubits > HAAR_QUBIT_CAP:
         raise ValueError(f"haar check capped at {HAAR_QUBIT_CAP} qubits")
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
+    n_samples = _integer("n_samples", n_samples, 2)
     dim = 1 << obs.n_qubits
     amps = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
@@ -374,11 +372,8 @@ def noise_attenuation_study(
     Uses the |+...+> state with X^(x r) monomials so every oracle value is
     1 up to rounding and the observed ratio reads off the attenuation directly.
     """
-    if n_qubits > 10:
-        raise ValueError("attenuation study capped at 10 qubits")
-    max_weight = n_qubits if max_weight is None else max_weight
-    if not 1 <= max_weight <= n_qubits:
-        raise ValueError("max_weight out of range")
+    n_qubits = _integer("n_qubits", n_qubits, 1, 10)
+    max_weight = _integer("max_weight", n_qubits if max_weight is None else max_weight, 1, n_qubits)
     psi = ProductState.from_circuit(
         Circuit(n_qubits, tuple(Gate("H", (q,)) for q in range(n_qubits)))
     )

@@ -48,12 +48,17 @@ _LABEL_AXES[list(b"IXYZ")] = _LABEL_AXES[list(b"ixyz")] = range(4)
 _AXIS_BYTES = np.frombuffer(b"IXYZ", dtype=np.uint8)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int if it is a Python or NumPy integer, not a bool;
-    else ValueError."""
+def _integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int if it is a Python or NumPy integer, not a bool,
+    and at least ``low`` and at most ``high`` where given; else ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low or high is not None and value > high:
+        if high is None:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+        raise ValueError(f"{name} {value} is outside {low}..{high}")
+    return value
 
 
 def _number(name: str, value):
@@ -76,16 +81,9 @@ def _numeric(name: str, values, kinds: str = "iuf") -> np.ndarray:
     return values
 
 
-def _qubit_count(n_qubits: int) -> int:
-    n_qubits = _integer("n_qubits", n_qubits)
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be positive")
-    return n_qubits
-
-
 def _label_axes(labels: Sequence[str], n_qubits: int) -> np.ndarray:
     """(T, N) uint8 axes of T labels of N characters, one lookup per byte."""
-    n_qubits = _qubit_count(n_qubits)
+    n_qubits = _integer("n_qubits", n_qubits, 1)
     if not all(isinstance(label, str) for label in labels):
         raise ValueError("pauli labels must be strings")
     if any(len(label) != n_qubits for label in labels):
@@ -175,11 +173,11 @@ class Observable:
         if any(string.n_qubits != n_qubits for _, string in terms):
             raise ValueError("all strings must share the observable's qubit count")
         axes = np.array([string.axes for _, string in terms], dtype=np.uint8)
-        axes = axes.reshape(len(terms), _qubit_count(n_qubits))
+        axes = axes.reshape(len(terms), _integer("n_qubits", n_qubits, 1))
         self._init(n_qubits, axes, [c for c, _ in terms])
 
     def _init(self, n_qubits: int, axes, coeffs) -> None:
-        n_qubits = _qubit_count(n_qubits)
+        n_qubits = _integer("n_qubits", n_qubits, 1)
         axes = _numeric("Pauli axes", axes, "iu")
         coeffs = _numeric("observable coefficients", coeffs).astype(np.float64)
         if axes.ndim != 2 or axes.shape[1] != n_qubits or coeffs.shape != axes.shape[:1]:
@@ -295,7 +293,7 @@ class FactoredObservable:
     """
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[float, Sequence[Sequence[float]]]]):
-        n_qubits = _qubit_count(n_qubits)
+        n_qubits = _integer("n_qubits", n_qubits, 1)
         terms = tuple(terms)
         coeffs = _numeric("observable coefficients", [c for c, _ in terms])
         try:
@@ -445,7 +443,7 @@ def normalize_to_unit_seminorm(obs: Observable, which: str = "seminorm") -> Obse
 def projector_factored(bits: Sequence[int]) -> FactoredObservable:
     """Computational-basis projector |x><x| as a tensor product of
     (I + Z)/2 for bit 0 and (I - Z)/2 for bit 1."""
-    table = [[0.5, 0.0, 0.0, 0.5 if bit == 0 else -0.5] for bit in bits]
+    table = [[0.5, 0.0, 0.0, 0.5 if _integer("bit", bit, 0, 1) == 0 else -0.5] for bit in bits]
     if not table:
         raise ValueError("empty bitstring")
     return FactoredObservable(len(table), ((1.0, table),))

@@ -60,15 +60,6 @@ def _flip_probabilities(p_err, n_qubits: int) -> np.ndarray:
     return p
 
 
-def _seed(seed) -> int:
-    """``seed`` as an int in [0, 2^64), the range of the stored u64; else
-    ValueError."""
-    seed = _integer("seed", seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return seed
-
-
 class ApproximateState:
     """M snapshots of an N-qubit state: three numbers per qubit per snapshot.
 
@@ -101,7 +92,8 @@ class ApproximateState:
         if not np.all(np.isfinite(phis)):
             raise ValueError("phis must be finite")
         n = outcomes.shape[1]
-        seed = _seed(seed)
+        # the file stores the seed as an unsigned 64-bit integer
+        seed = _integer("seed", seed, 0, 2**64 - 1)
         p = _flip_probabilities(p_err, n)
         for arr in (outcomes, thetas, phis, p):
             arr.setflags(write=False)
@@ -390,9 +382,8 @@ def snapshots_from_state(
     single row where one row alone is larger; the result does not depend
     on the batch size.
     """
-    if n_snapshots < 1:
-        raise ValueError("n_snapshots must be at least 1")
-    seed = _seed(seed)
+    n_snapshots = _integer("n_snapshots", n_snapshots, 1)
+    seed = _integer("seed", seed, 0, 2**64 - 1)
     n = psi.n_qubits
     p_err = _flip_probabilities(p_err, n)
     depths = [_head_depth(part.n_qubits, n_snapshots) for _, part in psi.parts]

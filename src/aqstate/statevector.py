@@ -72,8 +72,8 @@ class Statevector:
     def __init__(self, amps: np.ndarray, *, copy: bool = True):
         size = np.size(amps)
         n = int(size).bit_length() - 1
-        if 1 << n != size:
-            raise ValueError(f"amplitude count {size} is not a power of two")
+        if size < 2 or 1 << n != size:
+            raise ValueError(f"amplitude count {size} is not 2^n for some n >= 1")
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
         amps = np.array(amps, dtype=complex, copy=copy).reshape(-1)
@@ -128,13 +128,12 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", _integer("n_qubits", self.n_qubits))
-        if not 1 <= self.n_qubits <= MAX_TOTAL_QUBITS:
-            raise ValueError(f"{self.n_qubits} qubits is outside 1..{MAX_TOTAL_QUBITS}")
+        n = _integer("n_qubits", self.n_qubits, 1, MAX_TOTAL_QUBITS)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
-            if any(q < 0 or q >= self.n_qubits for q in gate.qubits):
-                raise ValueError(f"gate {gate} targets outside {self.n_qubits} qubits")
+            for q in gate.qubits:
+                _integer("gate qubit", q, 0, n - 1)
 
     def content_hash(self) -> str:
         blob = json.dumps(circuit_to_dict(self), sort_keys=True).encode()
@@ -237,9 +236,7 @@ def run_circuit(circuit: Circuit) -> Statevector:
     """Apply all gates in order to the dense state, starting from |0...0>.
     Holds the state and one scratch buffer of at most 4 * 2^14 complex
     values (1 MiB) that every gate reuses."""
-    if not 1 <= circuit.n_qubits <= MAX_QUBITS:
-        raise ValueError(f"{circuit.n_qubits} qubits is outside 1..{MAX_QUBITS}")
-    amps = np.zeros(1 << circuit.n_qubits, dtype=complex)
+    amps = np.zeros(1 << _integer("n_qubits", circuit.n_qubits, 1, MAX_QUBITS), dtype=complex)
     amps[0] = 1.0
     scratch = np.empty(_scratch_size(amps.size), dtype=complex)
     for gate in circuit.gates:
@@ -328,8 +325,7 @@ def random_prep_circuit(
     random qubits.  Layer 2: floor(N/4) XY(alpha) gates on random qubit pairs
     (disjoint by default) with alpha uniform on [0, 2*pi).
     """
-    if not 2 <= n_qubits <= MAX_TOTAL_QUBITS:
-        raise ValueError(f"need 2..{MAX_TOTAL_QUBITS} qubits, got {n_qubits}")
+    n_qubits = _integer("n_qubits", n_qubits, 2, MAX_TOTAL_QUBITS)
     n_single = n_qubits // 2
     n_pairs = n_qubits // 4
     gates = []
@@ -460,7 +456,7 @@ def exact_expectation_factored(
 
 def haar_random_state(n_qubits: int, rng: np.random.Generator) -> Statevector:
     """Pure state drawn from the unitarily invariant distribution."""
-    dim = 1 << n_qubits
+    dim = 1 << _integer("n_qubits", n_qubits, 1, MAX_QUBITS)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return Statevector(amps / np.linalg.norm(amps), copy=False)
 

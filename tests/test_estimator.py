@@ -312,6 +312,11 @@ class TestNoisePredictions:
         with pytest.raises(ValueError):
             predict_attenuated(obs, [1.0, 2.0], 0.1)
 
+    @pytest.mark.parametrize("p", [math.nan, -0.1, 1.0, "0.1"])
+    def test_rate_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="p_err"):
+            predict_attenuated(monomial("X"), [1.0], p)
+
     def test_noisy_estimate_matches_prediction(self):
         n, m, p = 3, 50_000, 0.08
         rng = np.random.default_rng(31)

@@ -312,6 +312,12 @@ class TestHaarMixedTermCheck:
         with pytest.raises(ValueError):
             haar_mixed_term_check(100, obs, rng)
 
+    def test_fractional_sample_count(self):
+        rng = np.random.default_rng(30)
+        obs = random_observable(2, 3, rng, normalization="none")
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            haar_mixed_term_check(2.5, obs, rng)
+
 
 class TestNoiseAttenuation:
     def test_noiseless_ratios(self):
@@ -320,6 +326,10 @@ class TestNoiseAttenuation:
         for row in rows:
             assert row.attenuation == 1.0
             assert abs(row.estimate - row.oracle) <= 3 * row.std_bound
+
+    def test_fractional_max_weight(self):
+        with pytest.raises(ValueError, match="max_weight must be an integer"):
+            noise_attenuation_study(2, 100, 0.0, seed=3, max_weight=1.5)
 
     def test_five_percent_weight_one(self):
         row = noise_attenuation_study(4, 50_000, 0.05, seed=5)[0]

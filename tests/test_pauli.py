@@ -340,6 +340,11 @@ class TestProjectors:
         proj = projector_factored([1, 1])
         assert proj.factors.tolist() == [[[0.5, 0.0, 0.0, -0.5]] * 2]
 
+    @pytest.mark.parametrize("bit", [2, "a"])
+    def test_bits_other_than_zero_and_one_rejected(self, bit):
+        with pytest.raises(ValueError, match="bit"):
+            projector_factored([bit])
+
     def test_expansion_one_qubit(self):
         obs = projector_factored([0]).to_observable()
         assert term_labels(obs) == {"I": 0.5, "Z": 0.5}

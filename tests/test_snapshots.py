@@ -254,6 +254,11 @@ class TestBuildApproximateState:
         with pytest.raises(ValueError):
             build_approximate_state(Circuit(2, ()), 0, seed=0)
 
+    @pytest.mark.parametrize("n_snapshots", [1.5, 2.0, True, "3"])
+    def test_non_integer_snapshot_count_rejected(self, n_snapshots):
+        with pytest.raises(ValueError, match="n_snapshots must be an integer"):
+            snapshots_from_state(Statevector(np.eye(4)[0]), n_snapshots, 0)
+
     def test_flip_rate_matches_noise(self):
         # |0> measured along z flips with probability p_err exactly
         p = 0.17

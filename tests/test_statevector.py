@@ -96,6 +96,11 @@ class TestStatevector:
         with pytest.raises(ValueError, match="normalized"):
             Statevector(np.array([math.nan, 0.0]))
 
+    def test_rejects_one_amplitude(self):
+        # 2^0 amplitudes would be a state of no qubits
+        with pytest.raises(ValueError, match="amplitude count 1 "):
+            Statevector(np.array([1.0]))
+
 
 class TestSingleQubitGates:
     def test_h_on_zero(self):
@@ -286,6 +291,10 @@ class TestCircuits:
     def test_too_few_qubits(self):
         with pytest.raises(ValueError):
             random_prep_circuit(1, np.random.default_rng(0))
+
+    def test_fractional_qubit_count(self):
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            random_prep_circuit(3.5, np.random.default_rng(0))
 
     def test_circuit_validates_targets(self):
         with pytest.raises(ValueError):
@@ -551,11 +560,24 @@ class TestProductState:
             ProductState(n, [(qubits, Statevector(np.eye(1 << k)[0])) for qubits, k in parts])
 
 
+class NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
 class TestHaarStates:
     def test_normalized(self):
         rng = np.random.default_rng(51)
         for n in (1, 3, 6):
             assert np.linalg.norm(haar_random_state(n, rng).amps) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, MAX_QUBITS + 1])
+    def test_bad_qubit_count_rejected_before_drawing(self, n):
+        # checked before 2^n normals are drawn: 2^27 of them need GiBs
+        with pytest.raises(ValueError, match="n_qubits"):
+            haar_random_state(n, NoDraws())
 
     def test_z_mean_vanishes(self):
         rng = np.random.default_rng(53)
