@@ -185,22 +185,21 @@ def reconstruct_density(state: ApproximateState) -> np.ndarray:
     expectation is the true density operator.
 
     Snapshot j's kernel on qubit q is 1/2 sum_a w[q, a, j] sigma_a over the
-    weight table, so the average is 2^-N times the sum over Pauli strings of
-    the mean weight product times the string.  Exists only to verify the
-    tomographic identity at tiny N; estimation never needs it.
+    weight table, so the average is 2^-N times the sum over the 4^N Pauli
+    strings of each string's estimate times the string.  Exists only to
+    verify the tomographic identity at tiny N; estimation never needs it.
     """
     n = state.n_qubits
     if n > DENSITY_QUBIT_CAP:
         raise ValueError(f"density reconstruction capped at {DENSITY_QUBIT_CAP} qubits")
-    weights = _weight_table(state)
     # qubit 0 is the least-significant index bit, so it is the rightmost
-    # factor: axis k of ``means`` is qubit n-1-k
-    operands = [arg for q in range(n) for arg in (weights[q], [q, n])]
-    means = np.einsum(*operands, list(reversed(range(n)))) / state.n_snapshots
+    # factor: entry k of ``index`` is the axis on qubit n-1-k
+    indices = list(np.ndindex((4,) * n))
+    strings = [Observable.from_rows(n, [index[::-1]], [1.0]) for index in indices]
     sigma = [np.eye(2)] + [_SINGLE_QUBIT_MATRICES[axis] for axis in "XYZ"]
     total = sum(
-        means[index] * functools.reduce(np.kron, [sigma[a] for a in index])
-        for index in np.ndindex(means.shape)
+        _snapshot_mean(values) * functools.reduce(np.kron, [sigma[a] for a in index])
+        for index, values in zip(indices, snapshot_values(state, strings))
     )
     return total / 2**n
 

@@ -42,7 +42,6 @@ from .snapshots import _flip_probabilities, snapshots_from_state
 from .estimator import (
     EstimateResult,
     _snapshot_mean,
-    estimate_observable,
     predict_attenuated,
     reconstruct_density,
     snapshot_values,
@@ -379,11 +378,15 @@ def noise_attenuation_study(
     )
     state = snapshots_from_state(psi, n_snapshots, seed, p_err)
     damp = 1.0 - 2.0 * p_err
+    monomials = [
+        Observable.from_strings([(1.0, "X" * r + "I" * (n_qubits - r))])
+        for r in range(1, max_weight + 1)
+    ]
     rows = []
-    for r in range(1, max_weight + 1):
-        obs = Observable.from_strings([(1.0, "X" * r + "I" * (n_qubits - r))])
+    # one weight table for every weight
+    for r, (obs, values) in enumerate(zip(monomials, snapshot_values(state, monomials)), 1):
         oracle = exact_expectation(psi, obs)
-        result = estimate_observable(state, obs)
+        result = EstimateResult.from_values(values, (seminorm(obs), seminorm2(obs)))
         predicted = predict_attenuated(obs, [oracle], p_err)
         rows.append(
             NoiseAttenuationRow(

@@ -121,8 +121,9 @@ def _frozen(self, name, value):
 
 class PauliString:
     """One term row: ``axes``, a read-only (N,) uint8 array of axis indices
-    0..3 (I, X, Y, Z) on qubits 0..N-1.  Instances are immutable and
-    hashable."""
+    0..3 (I, X, Y, Z) on qubits 0..N-1.  Instances are immutable.  Only the
+    benchmark reads these, through ``Observable.terms``; they go with the
+    term views (ROADMAP item 7)."""
 
     def __init__(self, axes):
         axes = np.array(axes, dtype=np.uint8)
@@ -142,17 +143,6 @@ class PauliString:
         """Number of qubits on which the monomial acts non-trivially."""
         return int(np.count_nonzero(self.axes))
 
-    def __eq__(self, other):
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        return np.array_equal(self.axes, other.axes)
-
-    def __hash__(self):
-        return hash(self.axes.tobytes())
-
-    def __repr__(self):
-        return f"PauliString({_labels(self.axes[None])[0]!r})"
-
 
 class Observable:
     """Real-weighted sum of Pauli strings on a fixed qubit count, stored as
@@ -163,9 +153,9 @@ class Observable:
     dropped and terms are sorted by support.  ``offset`` is the coefficient
     of the identity string; the other terms are the rows of ``axes``
     (T, N) uint8, axis indices 1..3 for X, Y, Z and 0 for I, with
-    coefficients ``coeffs`` (T,).  ``terms`` gives the same terms
-    as ``(coeff, PauliString)`` pairs, built on first use.  Instances and
-    their arrays are immutable; instances are hashable.
+    coefficients ``coeffs`` (T,).  Instances and their arrays are
+    immutable; instances are hashable.  The term-pair constructor and
+    ``terms`` serve only the benchmark and go with ROADMAP item 7.
     """
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliString]] = ()):
@@ -215,8 +205,8 @@ class Observable:
 
     @functools.cached_property
     def terms(self) -> tuple[tuple[float, PauliString], ...]:
-        """``(coeff, PauliString)`` pairs in canonical order, the identity
-        first; built on first use."""
+        """``(coeff, PauliString)`` pairs in the order of :meth:`rows`, built
+        on first use; read only by the benchmark (ROADMAP item 7)."""
         axes, coeffs = self.rows()
         return tuple(zip(coeffs.tolist(), map(PauliString, axes)))
 
@@ -226,8 +216,8 @@ class Observable:
         return len(self.coeffs) + (self.offset != 0.0)
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every term as a row of axes with its coefficient, in the order of
-        ``terms``: the identity first (an all-zero row), if present."""
+        """Every term as a row of axes with its coefficient, in canonical
+        order: the identity first (an all-zero row), if present."""
         if not self.offset:
             return self.axes, self.coeffs
         identity = np.zeros((1, self.n_qubits), dtype=np.uint8)
@@ -317,7 +307,8 @@ class FactoredObservable:
 
     @property
     def terms(self) -> tuple[tuple[float, np.ndarray], ...]:
-        """``(coeff, factors)`` pairs, one per term, with its (N, 4) table."""
+        """``(coeff, factors)`` pairs, one per term, with its (N, 4) table;
+        read only by the benchmark (ROADMAP item 7)."""
         return tuple(zip(self.coeffs.tolist(), self.factors))
 
     def to_observable(self) -> Observable:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .pauli import _integer
+from .pauli import _integer, _numeric
 from .statevector import Circuit, ProductState, Statevector
 
 __all__ = [
@@ -50,7 +50,7 @@ class SnapshotFormatError(ValueError):
 def _flip_probabilities(p_err, n_qubits: int) -> np.ndarray:
     """Per-qubit readout flip probabilities from one float or one value per
     qubit, each in [0, 1)."""
-    p = np.asarray(p_err, dtype=np.float64)
+    p = _numeric("p_err", p_err).astype(np.float64, copy=False)
     if p.ndim == 0:
         p = np.full(n_qubits, p)
     if p.shape != (n_qubits,):
@@ -78,15 +78,16 @@ class ApproximateState:
         p_err: float | Sequence[float] = 0.0,
         seed: int = 0,
     ):
-        outcomes = np.asarray(outcomes, dtype=np.int8)
-        thetas = np.asarray(thetas, dtype=np.float64)
-        phis = np.asarray(phis, dtype=np.float64)
+        outcomes = _numeric("outcomes", outcomes)
+        thetas = _numeric("thetas", thetas).astype(np.float64, copy=False)
+        phis = _numeric("phis", phis).astype(np.float64, copy=False)
         if outcomes.ndim != 2 or outcomes.shape != thetas.shape or outcomes.shape != phis.shape:
             raise ValueError("outcomes/thetas/phis must share shape (M, N)")
         if outcomes.shape[0] < 1 or outcomes.shape[1] < 1:
             raise ValueError("need at least one snapshot of at least one qubit")
         if not np.all(np.abs(outcomes) == 1):
             raise ValueError("outcomes must be -1 or +1")
+        outcomes = outcomes.astype(np.int8, copy=False)
         if not np.all((thetas >= 0.0) & (thetas <= math.pi)):
             raise ValueError("thetas must lie in [0, pi]")
         if not np.all(np.isfinite(phis)):

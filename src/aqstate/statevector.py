@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .pauli import FactoredObservable, Observable, _integer, _number, _planes, _read_json
+from .pauli import (
+    FactoredObservable, Observable, _integer, _number, _numeric, _planes, _read_json
+)
 
 __all__ = [
     "MAX_QUBITS",
@@ -76,6 +78,7 @@ class Statevector:
             raise ValueError(f"amplitude count {size} is not 2^n for some n >= 1")
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
+        amps = _numeric("amplitudes", amps, "iufc")
         amps = np.array(amps, dtype=complex, copy=copy).reshape(-1)
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails too

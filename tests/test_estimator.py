@@ -1,10 +1,12 @@
 """Estimator function tests against exact oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from aqstate import estimator
 from aqstate.estimator import (
     EstimateResult,
     estimate_factored,
@@ -13,7 +15,7 @@ from aqstate.estimator import (
     reconstruct_density,
     snapshot_values,
 )
-from aqstate.harness import check_second_moments
+from aqstate.harness import check_second_moments, noise_attenuation_study
 from aqstate.pauli import (
     FactoredObservable,
     Observable,
@@ -156,7 +158,10 @@ class TestEstimateObservable:
         state = snapshots_from_state(psi, 300, seed=9)
         a = Observable.from_strings([(0.8, "XZI"), (0.1, "IIY")])
         b = Observable.from_strings([(0.5, "ZZZ")])
-        combined = Observable(3, a.scaled(2.0).terms + b.scaled(-3.0).terms)
+        (axes_a, coeffs_a), (axes_b, coeffs_b) = a.scaled(2.0).rows(), b.scaled(-3.0).rows()
+        combined = Observable.from_rows(
+            3, np.concatenate([axes_a, axes_b]), np.concatenate([coeffs_a, coeffs_b])
+        )
         lhs = estimate_observable(state, combined).value
         rhs = 2.0 * estimate_observable(state, a).value - 3.0 * estimate_observable(state, b).value
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -263,6 +268,22 @@ class TestReconstructDensity:
             reconstruct_density(state)
 
 
+class TestWeightTable:
+    def test_read_only_through_snapshot_values(self, monkeypatch):
+        # the density and the noise study take their values from one
+        # snapshot_values call each, the study for all its weights at once
+        callers, build = [], estimator._weight_table
+
+        def traced(state):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return build(state)
+
+        monkeypatch.setattr(estimator, "_weight_table", traced)
+        reconstruct_density(handmade_state([[1, -1]], [[Z_DIR, X_DIR]]))
+        assert len(noise_attenuation_study(3, 200, 0.05, seed=4)) == 3
+        assert callers == ["snapshot_values"] * 2
+
+
 class TestSecondMoments:
     def test_pauli_products_average_to_three_delta(self):
         assert check_second_moments(200_000, 0.05, seed=27, snapshot_seed=27).passed
@@ -302,7 +323,7 @@ class TestNoisePredictions:
         obs = Observable.from_strings([(2.0, "II"), (0.5, "XI"), (0.25, "ZZ")])
         # canonical order sorts the identity first
         values = [1.0, 0.3, -0.7]
-        identity_index = [i for i, (_, p) in enumerate(obs.terms) if p.weight == 0][0]
+        identity_index = np.flatnonzero(~obs.rows()[0].any(axis=1))[0]
         assert predict_attenuated(obs, values, 0.5) == pytest.approx(
             2.0 * values[identity_index]
         )
@@ -324,7 +345,7 @@ class TestNoisePredictions:
         state = snapshots_from_state(psi, m, seed=31, p_err=p)
         obs = random_signed_observable(n, 6, rng)
         exact_terms = [
-            exact_expectation(psi, Observable(n, ((1.0, s),))) for _, s in obs.terms
+            exact_expectation(psi, Observable.from_rows(n, [s], [1.0])) for s in obs.rows()[0]
         ]
         predicted = predict_attenuated(obs, exact_terms, p)
         estimate = estimate_observable(state, obs)

@@ -18,7 +18,6 @@ import json
 import math
 import os
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from aqstate.harness import NORMALIZATIONS, OBSERVABLE_KINDS, ExperimentConfig
 from aqstate.pauli import (
     FactoredObservable,
     Observable,
-    PauliString,
     factored_from_dict,
     load_observable,
     observable_from_dict,
@@ -70,20 +68,19 @@ M = 300
 
 
 def reference_terms(data):
-    """(coeff, PauliString) pairs as the dictionary canonicalization gave
-    them: coefficients summed per support in input order from 0.0, exact
-    zeros dropped, sorted by support."""
+    """Term rows (T, N) and their coefficients (T,) as the dictionary
+    canonicalization gave them: coefficients summed per support in input
+    order from 0.0, exact zeros dropped, sorted by support."""
     merged = {}
     for term in data["terms"]:
         support = tuple(
             (q, "IXYZ".index(c.upper())) for q, c in enumerate(term["pauli"]) if c.upper() != "I"
         )
         merged[support] = merged.get(support, 0.0) + float(term["coeff"])
-    return tuple(
-        (merged[key], PauliString(support_row(key, data["n_qubits"])))
-        for key in sorted(merged)
-        if merged[key] != 0.0
-    )
+    keys = [key for key in sorted(merged) if merged[key] != 0.0]
+    rows = [support_row(key, data["n_qubits"]) for key in keys]
+    axes = np.array(rows, dtype=np.uint8).reshape(len(keys), data["n_qubits"])
+    return axes, np.array([merged[key] for key in keys])
 
 
 def support_row(support, n_qubits):
@@ -274,28 +271,28 @@ SUBNORMAL = 2.2250738585e-313
                                    {"coeff": SUBNORMAL, "pauli": "IZI"}]})
 def test_parsed_terms_match_dict_canonicalization(data):
     obs = observable_from_dict(data)
-    terms = reference_terms(data)
-    assert obs.terms == terms
-    reference = SimpleNamespace(n_qubits=obs.n_qubits, terms=terms)
+    axes, coeffs = reference_terms(data)
+    obs_axes, obs_coeffs = obs.rows()
+    assert obs_axes.tolist() == axes.tolist() and obs_coeffs.tolist() == coeffs.tolist()
 
-    norms = reference_seminorms(reference)
+    norms = reference_seminorms(axes, coeffs)
     assert (seminorm(obs), seminorm2(obs), seminorm1(obs)) == norms
     assert shot_budget(obs, 0.01) == max(1, math.ceil((norms[0] / 0.01) ** 2))
 
     state = STATES[obs.n_qubits]
     result = estimate_observable(state, obs)
-    assert result == estimate_observable(state, Observable(obs.n_qubits, terms))
+    assert result == estimate_observable(state, Observable.from_rows(obs.n_qubits, axes, coeffs))
     assert (result.std_bound, result.std_approx) == (norms[0] / math.sqrt(M), norms[1] / math.sqrt(M))
     w = reference_weights(state)
     scale = sum(
-        abs(c) * float(np.mean(np.abs(reference_string_values(w, s)))) if s.weight else abs(c)
-        for c, s in terms
+        abs(c) * float(np.mean(np.abs(reference_string_values(w, s)))) if s.any() else abs(c)
+        for s, c in zip(axes, coeffs.tolist())
     )
     # 1e-12 * scale underflows to 0 for subnormal coefficients, where the two
     # sums may still differ by a subnormal step per summed value: M snapshots
     # times the terms
-    floor = math.ulp(0.0) * M * len(terms)
-    assert abs(result.value - reference_estimate(state, reference)) <= 1e-12 * scale + floor
+    floor = math.ulp(0.0) * M * len(coeffs)
+    assert abs(result.value - reference_estimate(state, axes, coeffs)) <= 1e-12 * scale + floor
 
 
 # Whole command lines: every subcommand but verify, which takes seconds a

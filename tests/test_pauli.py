@@ -10,7 +10,6 @@ from aqstate.harness import check_seminorm_hierarchy
 from aqstate.pauli import (
     FactoredObservable,
     Observable,
-    PauliString,
     factored_from_dict,
     factored_seminorms,
     load_observable,
@@ -60,39 +59,61 @@ def random_signed_observable(n_qubits, n_terms, rng):
 class TestPauliString:
     # a Pauli string is one term row: axes 0..3 for I, X, Y, Z
     def test_label_round_trip(self):
-        p = PauliString([1, 0, 3, 2])
-        assert p.n_qubits == 4
-        assert repr(p) == "PauliString('XIZY')"
-        obs = Observable(4, ((1.0, p),))
+        obs = Observable.from_rows(4, [[1, 0, 3, 2]], [1.0])
+        assert obs.n_qubits == 4
+        assert repr(obs) == "Observable(1*XIZY)"
         assert term_labels(obs) == {"XIZY": 1.0}
         assert obs == Observable.from_strings([(1.0, "XIZY")])
-        assert obs.terms == ((1.0, p),)
-
-    def test_weight_examples(self):
-        assert PauliString([1, 0, 3]).weight == 2
-        assert PauliString([0, 0]).weight == 0
-        assert PauliString([1, 2, 3]).weight == 3
+        axes, coeffs = obs.rows()
+        assert axes.tolist() == [[1, 0, 3, 2]] and coeffs.tolist() == [1.0]
 
     def test_out_of_range_qubit(self):
         # a row wider than the observable acts on a qubit it does not have
         with pytest.raises(ValueError):
-            Observable(2, ((1.0, PauliString([0, 0, 1])),))
+            Observable.from_rows(2, [[0, 0, 1]], [1.0])
 
     @pytest.mark.parametrize("row", [[], [[1, 0]], [0, 4]])
     def test_bad_rows_rejected(self, row):
         with pytest.raises(ValueError):
-            PauliString(row)
+            Observable.from_rows(2, [row], [1.0])
 
     def test_read_only_row(self):
-        p = PauliString(np.array([1, 0]))
-        assert p.axes.dtype == np.uint8 and not p.axes.flags.writeable
+        obs = Observable.from_rows(2, np.array([[1, 0]]), [1.0])
+        assert obs.axes.dtype == np.uint8 and not obs.axes.flags.writeable
         with pytest.raises(AttributeError):
-            p.axes = np.zeros(2, dtype=np.uint8)
+            obs.axes = np.zeros((1, 2), dtype=np.uint8)
 
-    def test_hashable(self):
-        assert PauliString([1, 0]) == PauliString(np.array([1, 0], dtype=np.uint8))
-        assert len({PauliString([1, 0]), PauliString((1, 0))}) == 1
-        assert PauliString([1, 0]) != PauliString([1, 0, 0])
+
+class TestBenchSurface:
+    # what the benchmark reads of the term views, and nothing more; these go
+    # with the views (ROADMAP item 7)
+    def test_terms_follow_rows(self):
+        obs = Observable.from_strings([(0.5, "XIZ"), (-1.0, "III"), (2.0, "IYI")])
+        axes, coeffs = obs.rows()
+        assert [type(c) for c, _ in obs.terms] == [float] * 3
+        assert [c for c, _ in obs.terms] == coeffs.tolist() == [-1.0, 0.5, 2.0]
+        assert [s.axes.tolist() for _, s in obs.terms] == axes.tolist()
+        assert obs.terms[0][1].weight == 0
+        assert obs.terms is obs.terms
+
+    def test_string_fields(self):
+        obs = Observable.from_rows(3, [[1, 0, 3], [0, 0, 0], [1, 2, 3]], [1.0, 1.0, 1.0])
+        strings = [s for _, s in obs.terms]
+        assert [s.weight for s in strings] == [0, 3, 2]  # I, XYZ, XIZ
+        assert [s.n_qubits for s in strings] == [3, 3, 3]
+        for s in strings:
+            assert s.axes.dtype == np.uint8 and not s.axes.flags.writeable
+            with pytest.raises(AttributeError):
+                s.axes = np.zeros(3, dtype=np.uint8)
+
+    def test_one_string_observable(self):
+        for _, s in Observable.from_strings([(0.5, "XIZY"), (0.25, "IZII")]).terms:
+            assert Observable(4, ((1.0, s),)) == Observable.from_rows(4, [s.axes], [1.0])
+
+    def test_factored_terms_count(self):
+        fobs = FactoredObservable(2, [(1.0, [[1, 0, 0, 0]] * 2), (0.5, [[0.5, 0, 0, 0.5]] * 2)])
+        assert len(fobs.terms) == len(fobs.coeffs) == 2
+        assert len(projector_factored([0, 1, 1]).terms) == 1
 
 
 class TestPairCompat:
@@ -132,16 +153,16 @@ class TestPairCompat:
 class TestObservable:
     def test_canonicalization_merges_duplicates(self):
         obs = Observable.from_strings([(0.5, "XI"), (0.25, "XI"), (1.0, "ZZ")])
-        assert len(obs.terms) == 2
+        assert obs.n_terms == 2
         assert term_labels(obs) == {"XI": 0.75, "ZZ": 1.0}
 
     def test_zero_terms_dropped(self):
         obs = Observable.from_strings([(0.5, "XI"), (-0.5, "XI")])
-        assert obs.terms == ()
+        assert obs.n_terms == 0 and obs.rows()[0].shape == (0, 2)
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ValueError):
-            Observable(2, ((1.0, PauliString([1])),))
+            Observable.from_rows(2, [[1]], [1.0])
 
     def test_canonical_order_and_merge(self):
         obs = Observable.from_strings(
@@ -150,17 +171,17 @@ class TestObservable:
         # sorted by support, ((qubit, axis), ...): () < ((0,X),) < ((0,X),(1,Y)) < ((0,Z),) < ((1,X),)
         assert list(term_labels(obs)) == ["II", "XI", "XY", "ZI", "IX"]
         # duplicates are summed in input order, starting from 0.0
-        assert obs.terms[3][0] == 0.0 + 0.1 + 0.7
+        assert obs.rows()[1][3] == 0.0 + 0.1 + 0.7
         assert obs.n_terms == 5
 
     def test_rows_and_strings_agree(self):
         rows = np.array([[3, 0, 1], [0, 0, 0], [3, 0, 1], [0, 2, 0]])
         coeffs = [0.5, -1.0, 0.25, 2.0]
         obs = Observable.from_rows(3, rows, coeffs)
-        strings = Observable(3, tuple((c, PauliString(row)) for c, row in zip(coeffs, rows)))
+        listed = Observable.from_rows(3, rows.tolist(), coeffs)
         labels = Observable.from_strings([(0.5, "ZIX"), (-1.0, "III"), (0.25, "zix"), (2.0, "IYI")])
-        assert obs == strings == labels
-        assert hash(obs) == hash(strings) == hash(labels)
+        assert obs == listed == labels
+        assert hash(obs) == hash(listed) == hash(labels)
         assert obs != Observable.from_rows(3, rows, [0.5, -1.0, 0.25, 2.5])
         assert obs != Observable.from_rows(3, rows[:, [1, 0, 2]], coeffs)
 
@@ -175,8 +196,8 @@ class TestObservable:
     def test_terms_built_on_demand(self):
         obs = Observable.from_strings([(0.5, "XI"), (0.25, "IZ")])
         seminorm(obs)
-        assert "terms" not in vars(obs)
-        assert obs.terms is obs.terms
+        # the seminorm reads the table and caches one number: no term view
+        assert set(vars(obs)) == {"n_qubits", "axes", "coeffs", "offset", "_seminorm"}
 
     def test_immutable(self):
         obs = Observable.from_strings([(1.0, "X")])
@@ -252,11 +273,9 @@ class TestSeminorms:
         rng = np.random.default_rng(23)
         for _ in range(50):
             obs = random_signed_observable(3, 5, rng)
+            axes, coeffs = obs.rows()
             for extra in (1, 4):
-                wide = Observable(
-                    3 + extra,
-                    tuple((c, PauliString(np.pad(p.axes, (0, extra)))) for c, p in obs.terms),
-                )
+                wide = Observable.from_rows(3 + extra, np.pad(axes, ((0, 0), (0, extra))), coeffs)
                 assert seminorm(wide) == pytest.approx(seminorm(obs), rel=1e-14)
                 assert seminorm2(wide) == pytest.approx(seminorm2(obs), rel=1e-14)
                 assert seminorm1(wide) == pytest.approx(seminorm1(obs), rel=1e-14)
@@ -302,18 +321,18 @@ class TestNormalization:
     def test_scalar_rescale(self):
         obs = normalize_to_unit_seminorm(Observable.from_strings([(2.0, "X")]))
         assert seminorm(obs) == pytest.approx(1.0, abs=1e-12)
-        assert obs.terms[0][0] == pytest.approx(2.0 / math.sqrt(12.0))
+        assert obs.coeffs[0] == pytest.approx(2.0 / math.sqrt(12.0))
 
     def test_fixed_point(self):
         obs = normalize_to_unit_seminorm(Observable.from_strings([(0.4, "XZ"), (0.1, "YY")]))
         again = normalize_to_unit_seminorm(obs)
-        for (c1, _), (c2, _) in zip(obs.terms, again.terms):
+        for c1, c2 in zip(obs.rows()[1], again.rows()[1]):
             assert c1 == pytest.approx(c2, rel=1e-12)
 
     def test_example_division(self):
         obs = Observable.from_strings([(0.5, "XI"), (0.5, "XZ")])
         unit = normalize_to_unit_seminorm(obs)
-        for (cu, _), (c, _) in zip(unit.terms, obs.terms):
+        for cu, c in zip(unit.rows()[1], obs.rows()[1]):
             assert cu == pytest.approx(c / math.sqrt(4.5), rel=1e-12)
 
     def test_seminorm2_flag(self):
@@ -351,8 +370,8 @@ class TestProjectors:
 
     def test_expansion_two_qubits_coefficients(self):
         obs = projector_factored([0, 1]).to_observable()
-        assert len(obs.terms) == 4
-        assert all(abs(c) == 0.25 for c, _ in obs.terms)
+        assert obs.n_terms == 4
+        assert all(abs(c) == 0.25 for c in obs.rows()[1])
 
     def test_expansion_matches_factored(self):
         # |x><x| = 2^-N sum over subsets S of (-1)^(sum of x over S) Z_S

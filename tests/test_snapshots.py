@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from aqstate import snapshots, statevector
+from aqstate import estimator, snapshots, statevector
 from aqstate.snapshots import (
     ApproximateState,
     SnapshotFormatError,
@@ -365,6 +365,18 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def read_path_bytes(n, m, n_pauli=0, n_factored=0):
+    """Bytes one snapshot_values call holds at its peak, the larger of two
+    moments.  While the (N, 4, M) float64 weight table, 32*N*M bytes, is
+    filled, each of its two threads holds four (chunk, N) float64
+    temporaries.  Then each observable adds its M values and one M-length
+    product buffer, and a factored term also its (N, M) per-qubit factors."""
+    table = 32 * n * m
+    fill = 2 * 4 * 8 * n * estimator._CHUNK
+    values = 8 * m * (n_pauli + n_factored) + 8 * m + 8 * n * m * (n_factored > 0)
+    return table + max(fill, values)
+
+
 class TestMemoryBudget:
     def test_dense_budget_up_to_max_qubits(self):
         # run_circuit, then the state, its head and one batch at any head
@@ -412,6 +424,21 @@ class TestMemoryBudget:
         assert snapshots._default_batch_size(n - snapshots._head_depth(n, m)) == m
         peak = traced_peak(snapshots_from_state, psi, m, n)
         assert dense_bytes(n, m) <= peak <= 1.03 * dense_bytes(n, m)
+
+    # N = 12, M = 10^4: the table is 3.84 MB; the threads and arrays' Python
+    # objects come on top
+    @pytest.mark.parametrize("n_pauli, n_factored", [(1, 0), (3, 0), (0, 1)])
+    def test_read_path_peak_matches_formula(self, n_pauli, n_factored):
+        n, m = 12, 10_000
+        rng = np.random.default_rng(n_pauli + 10 * n_factored)
+        state = random_state_record(rng, n_snapshots=m, n_qubits=n)
+        observables = [
+            Observable.from_rows(n, rng.integers(0, 4, (20, n)), rng.uniform(-1, 1, 20))
+            for _ in range(n_pauli)
+        ] + [projector_factored([0, 1] * (n // 2))] * n_factored
+        peak = traced_peak(snapshot_values, state, observables)
+        budget = read_path_bytes(n, m, n_pauli, n_factored)
+        assert 32 * n * m <= peak <= budget + (16 << 10)
 
     # default circuits: components of at most 2 qubits, so 1024-row batches;
     # the parts' Python objects come on top
@@ -494,6 +521,41 @@ class TestApproximateState:
             ApproximateState(
                 np.zeros((2, 2), dtype=np.int8), np.zeros((2, 2)), np.zeros((2, 2))
             )
+
+    @pytest.mark.parametrize(
+        "value", [np.int64(257), np.int64(-255), 1.7, "1", True], ids=repr
+    )
+    def test_rejects_outcomes_a_cast_would_change(self, value):
+        # an int8 cast made each of these +1 before the check
+        thetas = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="outcomes"):
+            ApproximateState(np.full((2, 2), value), thetas, thetas)
+
+    @pytest.mark.parametrize("field", ["thetas", "phis"])
+    @pytest.mark.parametrize("value", ["0.5", True])
+    def test_rejects_angles_that_are_not_numbers(self, field, value):
+        arrays = {"thetas": np.full((2, 2), 0.5), "phis": np.full((2, 2), 0.5)}
+        arrays[field] = np.full((2, 2), value)
+        with pytest.raises(ValueError, match=field):
+            ApproximateState(np.ones((2, 2), dtype=np.int8), **arrays)
+
+    @pytest.mark.parametrize("p_err", ["0.1", False, [False]], ids=repr)
+    def test_rejects_rates_that_are_not_numbers(self, p_err):
+        # a float cast read "0.1" as 0.1 and False as 0.0
+        state = random_state_record(np.random.default_rng(28), n_snapshots=2, n_qubits=1)
+        with pytest.raises(ValueError, match="p_err"):
+            snapshots_from_state(Statevector(np.eye(2)[0]), 2, 0, p_err)
+        with pytest.raises(ValueError, match="p_err"):
+            ApproximateState(state.outcomes, state.thetas, state.phis, p_err)
+
+    def test_library_arrays_kept_without_copy(self):
+        # float +-1.0 outcomes stay valid; int8 outcomes and float64 angles
+        # are stored as given
+        state = random_state_record(np.random.default_rng(29), n_snapshots=3, n_qubits=2)
+        floats = ApproximateState(state.outcomes.astype(float), state.thetas, state.phis)
+        assert floats == ApproximateState(state.outcomes, state.thetas, state.phis)
+        assert floats.thetas is state.thetas and floats.phis is state.phis
+        assert ApproximateState(state.outcomes, state.thetas, state.phis).outcomes is state.outcomes
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None])
     def test_rejects_seeds_outside_u64(self, seed):

@@ -101,6 +101,12 @@ class TestStatevector:
         with pytest.raises(ValueError, match="amplitude count 1 "):
             Statevector(np.array([1.0]))
 
+    @pytest.mark.parametrize("amps", [np.array(["1", "0"]), [True, False]])
+    def test_rejects_amplitudes_that_are_not_numbers(self, amps):
+        # a cast to complex made both of these |0>
+        with pytest.raises(ValueError, match="amplitudes"):
+            Statevector(amps)
+
 
 class TestSingleQubitGates:
     def test_h_on_zero(self):
@@ -365,7 +371,10 @@ class TestExactExpectation:
         psi = haar_random_state(3, rng)
         a = Observable.from_strings([(0.7, "XZI")])
         b = Observable.from_strings([(0.2, "IYY"), (0.4, "ZII")])
-        combined = Observable(3, a.terms + b.terms)
+        (axes_a, coeffs_a), (axes_b, coeffs_b) = a.rows(), b.rows()
+        combined = Observable.from_rows(
+            3, np.concatenate([axes_a, axes_b]), np.concatenate([coeffs_a, coeffs_b])
+        )
         assert exact_expectation(psi, combined) == pytest.approx(
             exact_expectation(psi, a) + exact_expectation(psi, b), abs=1e-12
         )

@@ -23,7 +23,6 @@ from aqstate.harness import random_observable
 from aqstate.pauli import (
     FactoredObservable,
     Observable,
-    PauliString,
     projector_factored,
     seminorm,
     seminorm1,
@@ -43,9 +42,9 @@ def reference_weights(state):
     return w
 
 
-def reference_string_values(w, string):
-    (qubits,) = np.nonzero(string.axes)
-    axes = string.axes[qubits].astype(int) - 1
+def reference_string_values(w, row):
+    (qubits,) = np.nonzero(row)
+    axes = row[qubits].astype(int) - 1
     if qubits.size == 1:
         return w[:, qubits[0], axes[0]]
     return np.prod(w[:, qubits, axes], axis=1)
@@ -55,11 +54,12 @@ def reference_mean(values):
     return math.fsum(values.tolist()) / len(values)
 
 
-def reference_estimate(state, obs):
+def reference_estimate(state, axes, coeffs):
+    """Estimate of the term rows ``axes`` (T, N) with ``coeffs`` (T,)."""
     w = reference_weights(state)
     parts = [
-        coeff if string.weight == 0 else coeff * reference_mean(reference_string_values(w, string))
-        for coeff, string in obs.terms
+        coeff if not row.any() else coeff * reference_mean(reference_string_values(w, row))
+        for row, coeff in zip(axes, coeffs.tolist())
     ]
     return math.fsum(parts)
 
@@ -67,19 +67,19 @@ def reference_estimate(state, obs):
 def reference_factored(state, fobs):
     w = reference_weights(state)
     parts = []
-    for coeff, table in fobs.terms:
+    for coeff, table in zip(fobs.coeffs.tolist(), fobs.factors):
         per_qubit = table[None, :, 0] + np.einsum("jka,ka->jk", w, table[:, 1:])
         parts.append(coeff * reference_mean(np.prod(per_qubit, axis=1)))
     return math.fsum(parts)
 
 
-def reference_seminorms(obs):
-    """(seminorm, seminorm2, seminorm1) by the row loop."""
-    rows = [(string, coeff) for coeff, string in obs.terms if string.weight > 0]
-    if not rows:
+def reference_seminorms(axes, coeffs):
+    """(seminorm, seminorm2, seminorm1) of the term rows ``axes`` (T, N)
+    with ``coeffs`` (T,) by the row loop; the identity row adds nothing."""
+    weighted = axes.any(axis=1)
+    axes, signed = axes[weighted], np.asarray(coeffs, dtype=np.float64)[weighted]
+    if not len(axes):
         return 0.0, 0.0, 0.0
-    axes = np.array([string.axes for string, _ in rows])
-    signed = np.array([coeff for _, coeff in rows])
 
     def diag(coeffs):
         r = (axes != 0).sum(axis=1)
@@ -162,13 +162,13 @@ class TestTermTable:
         # rows in the order of terms: the identity first
         axes, coeffs = obs.rows()
         assert axes.tolist() == [[0, 0, 0], [1, 0, 3], [0, 2, 2]]
-        assert coeffs.tolist() == [c for c, _ in obs.terms] == [-0.25, 0.5, 2.0]
+        assert coeffs.tolist() == [obs.offset, *obs.coeffs.tolist()] == [-0.25, 0.5, 2.0]
 
     def test_multi_word_planes(self):
         n = 130
         row = np.zeros(n, dtype=np.uint8)
         row[[0, 64, 129]] = 1, 2, 3  # X, Y, Z
-        obs = Observable(n, ((1.0, PauliString(row)),))
+        obs = Observable.from_rows(n, [row], [1.0])
         x, z = pauli._planes(obs.axes)
         assert x.shape == (1, 3)
         assert x[0].tolist() == [1, 1, 0]
@@ -189,7 +189,7 @@ class TestTermTable:
         obs = Observable.from_strings([(3.0, "II")])
         assert obs.axes.shape == (0, 2) and pauli._planes(obs.axes)[0].shape == (0, 1)
         assert obs.offset == 3.0
-        assert Observable(2).offset == 0.0
+        assert Observable.from_strings([], 2).offset == 0.0
 
 
 class TestEstimatesMatchFsum:
@@ -199,12 +199,10 @@ class TestEstimatesMatchFsum:
             state = noisy_state(n, 400, rng, seed=n)
             w = reference_weights(state)
             obs = signed_observable(n, 30, rng)
-            for _, string in obs.terms:
-                if string.weight == 0:
-                    continue
-                one = Observable(n, ((1.0, string),))
+            for row in obs.axes:
+                one = Observable.from_rows(n, [row], [1.0])
                 (values,) = snapshot_values(state, [one])
-                assert np.array_equal(values, reference_string_values(w, string))
+                assert np.array_equal(values, reference_string_values(w, row))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_pauli_sums(self, n):
@@ -213,12 +211,13 @@ class TestEstimatesMatchFsum:
         w = reference_weights(state)
         for n_terms in (1, 7, 40):
             obs = signed_observable(n, n_terms, rng, identity=float(rng.uniform(-1, 1)))
+            axes, coeffs = obs.rows()
             scale = sum(
-                abs(c) * float(np.mean(np.abs(reference_string_values(w, s)))) if s.weight else abs(c)
-                for c, s in obs.terms
+                abs(c) * float(np.mean(np.abs(reference_string_values(w, s)))) if s.any() else abs(c)
+                for s, c in zip(axes, coeffs.tolist())
             )
             got = estimate_observable(state, obs).value
-            assert abs(got - reference_estimate(state, obs)) <= 1e-12 * scale
+            assert abs(got - reference_estimate(state, axes, coeffs)) <= 1e-12 * scale
 
     def test_factored(self):
         rng = np.random.default_rng(300)
@@ -231,7 +230,7 @@ class TestEstimatesMatchFsum:
             ))
             for fobs in (projector_factored(bits), general):
                 scale = 0.0
-                for coeff, table in fobs.terms:
+                for coeff, table in zip(fobs.coeffs.tolist(), fobs.factors):
                     per_qubit = table[None, :, 0] + np.einsum("jka,ka->jk", w, table[:, 1:])
                     scale += abs(coeff) * float(np.mean(np.abs(np.prod(per_qubit, axis=1))))
                 # values, not estimate_factored: the seminorms of a multi-term
@@ -247,21 +246,22 @@ class TestSeminormsAreBitIdentical:
         rng = np.random.default_rng(400 + n)
         for n_terms in (1, 2, 17, 100, 300) * 8:
             obs = random_observable(n, n_terms, rng, normalization="none")
-            assert (seminorm(obs), seminorm2(obs), seminorm1(obs)) == reference_seminorms(obs)
+            assert (seminorm(obs), seminorm2(obs), seminorm1(obs)) == reference_seminorms(*obs.rows())
 
     def test_sparse_overlapping_terms(self):
         # low weight on a wide register: many compatible and clashing pairs
         rng = np.random.default_rng(499)
         for n in (65, 130):
-            terms = []
+            rows, coeffs = [], []
             for _ in range(200):
                 qubits = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
                 row = np.zeros(n, dtype=np.uint8)
                 for q in qubits:
                     row[q] = rng.integers(1, 4)
-                terms.append((float(rng.uniform(-1, 1)), PauliString(row)))
-            obs = Observable(n, tuple(terms))
-            assert (seminorm(obs), seminorm2(obs), seminorm1(obs)) == reference_seminorms(obs)
+                rows.append(row)
+                coeffs.append(float(rng.uniform(-1, 1)))
+            obs = Observable.from_rows(n, rows, coeffs)
+            assert (seminorm(obs), seminorm2(obs), seminorm1(obs)) == reference_seminorms(*obs.rows())
 
 
 def reference_table(state):
