@@ -32,19 +32,16 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
-def _read_p_err(value_or_path: str) -> float | list[float]:
+def _read_p_err(value_or_path: str) -> float | list:
     """Readout error rates: one number for every qubit, or a path to a JSON
-    list of per-qubit numbers.  Acquisition checks their count and range."""
+    list of per-qubit numbers, whose entries, count and range acquisition checks."""
     try:
         return float(value_or_path)
     except ValueError:
         values = pauli._read_json(value_or_path)
     if not isinstance(values, list):
         raise ValueError("a readout-error file must hold a JSON list of numbers")
-    try:
-        return [float(pauli._number("p_err entry", v)) for v in values]
-    except OverflowError:  # an integer too large for a float
-        raise ValueError("p_err entries must lie in [0, 1)") from None
+    return values
 
 
 def _cmd_snapshot(args) -> int:
@@ -199,7 +196,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError as exc:  # NumPy's names the allocation it could not make
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

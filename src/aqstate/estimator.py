@@ -211,7 +211,7 @@ def predict_attenuated(
     order with the identity first, is attenuated by (1 - 2*p_err)^weight."""
     if len(exact_terms) != obs.n_terms:
         raise ValueError("need one exact expectation per observable term")
-    _flip_probabilities(_number("p_err", p_err), 1)
+    _flip_probabilities(p_err := _number("p_err", p_err), 1)
     damp = 1.0 - 2.0 * p_err
     axes, coeffs = obs.rows()
     weights = np.count_nonzero(axes, axis=1).tolist()

@@ -100,7 +100,8 @@ class ExperimentConfig:
         ):
             # a NumPy integer would not serialize
             object.__setattr__(self, name, _integer(name, getattr(self, name), low, high))
-        _flip_probabilities(_number("p_err", self.p_err), 1)
+        object.__setattr__(self, "p_err", _number("p_err", self.p_err))  # nor a NumPy float
+        _flip_probabilities(self.p_err, 1)
         if self.observable_kind not in OBSERVABLE_KINDS:
             raise ValueError(f"observable_kind must be one of {OBSERVABLE_KINDS}")
         if self.normalization not in NORMALIZATIONS:

@@ -51,7 +51,7 @@ _AXIS_BYTES = np.frombuffer(b"IXYZ", dtype=np.uint8)
 def _integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
     """``value`` as an int if it is a Python or NumPy integer, not a bool,
     and at least ``low`` and at most ``high`` where given; else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if np.dtype(type(value)).kind not in "iu":
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if low is not None and value < low or high is not None and value > high:
@@ -61,22 +61,33 @@ def _integer(name: str, value, low: int | None = None, high: int | None = None) 
     return value
 
 
-def _number(name: str, value):
-    """``value`` unchanged if it is an int or float, not a bool; else
-    ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _number(name: str, value) -> int | float:
+    """``value`` as a Python number if it passes ``_numeric``'s entry test; else ValueError."""
+    if np.dtype(type(value)).kind not in "iuf":
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _numeric(name: str, values, kinds: str = "iuf") -> np.ndarray:
-    """``values`` as an array whose dtype kind is one of ``kinds``: signed
-    or unsigned integers, and floats unless left out.  ValueError for bool,
-    string, object and any other array: one check on the dtype, however many
-    entries."""
-    values = np.asarray(values)
+    """``values`` as an array whose dtype kind is one of ``kinds``: signed or
+    unsigned integers, and floats or complexes where it holds "f" or "c"; else
+    ValueError.  An ndarray costs one dtype check.  Anything else, such as a
+    list, has the dtype kind of each entry's type checked (NumPy reads a bool
+    among floats as 0 or 1) and becomes an int64, float64 or complex128 array."""
+    noun = "numbers" if "f" in kinds else "integers"
+    if not isinstance(values, np.ndarray):
+        try:  # nested as deep as the lists are regular; a list below that is an entry
+            entries = np.array(values, dtype=object)
+        except ValueError:  # arrays of unequal shapes
+            raise ValueError(f"{name} must be {noun}, got a ragged list") from None
+        for kind in dict.fromkeys(map(type, entries.ravel().tolist())):  # in entry order
+            if np.dtype(kind).kind not in kinds:
+                raise ValueError(f"{name} must be {noun}, got a {kind.__name__}")
+        try:  # where floats are allowed, an integer beyond int64 becomes a float
+            values = entries.astype("c16" if "c" in kinds else "f8" if "f" in kinds else "i8")
+        except OverflowError:
+            raise ValueError(f"{name} must be {noun}, got an integer out of range") from None
     if values.dtype.kind not in kinds:
-        noun = "numbers" if "f" in kinds else "integers"
         raise ValueError(f"{name} must be {noun}, got an array of {values.dtype}")
     return values
 
@@ -286,16 +297,11 @@ class FactoredObservable:
         n_qubits = _integer("n_qubits", n_qubits, 1)
         terms = tuple(terms)
         coeffs = _numeric("observable coefficients", [c for c, _ in terms])
-        try:
-            factors = np.array([table for _, table in terms])
-        except ValueError:  # ragged tables
-            factors = np.empty(0)
+        factors = _numeric("factor entries", [table for _, table in terms])
         if terms and factors.shape != (len(terms), n_qubits, 4):
             raise ValueError("each term needs one [a0, ax, ay, az] row per qubit")
         if coeffs.shape != (len(terms),):
             raise ValueError("each term needs one number as its coefficient")
-        coeffs = coeffs.astype(np.float64)
-        factors = _numeric("factor entries", factors).astype(np.float64)
         factors = factors.reshape(len(terms), n_qubits, 4)
         if not (np.isfinite(coeffs).all() and np.isfinite(factors).all()):
             raise ValueError("observable coefficients must be finite")
@@ -501,12 +507,11 @@ def observable_to_dict(obs: Observable) -> dict:
 
 def observable_from_dict(data: dict) -> Observable:
     try:
-        n = data["n_qubits"]
-        coeffs = [float(_number("coeff", t["coeff"])) for t in data["terms"]]
-        labels = [t["pauli"] for t in data["terms"]]
-    except (KeyError, TypeError, OverflowError) as exc:
+        n, terms = data["n_qubits"], data["terms"]
+        axes = _label_axes([t["pauli"] for t in terms], n)
+        return Observable.from_rows(n, axes, [t["coeff"] for t in terms])
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed observable data: {exc}") from exc
-    return Observable.from_rows(n, _label_axes(labels, n), coeffs)
 
 
 def factored_to_dict(fobs: FactoredObservable) -> dict:
@@ -521,13 +526,9 @@ def factored_to_dict(fobs: FactoredObservable) -> dict:
 
 def factored_from_dict(data: dict) -> FactoredObservable:
     try:
-        terms = [
-            (_number("coeff", t["coeff"]),
-             [[_number("factor entry", a) for a in row] for row in t["factors"]])
-            for t in data["terms"]
-        ]
+        terms = [(t["coeff"], t["factors"]) for t in data["terms"]]
         return FactoredObservable(data["n_qubits"], terms)
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed factored observable data: {exc}") from exc
 
 

@@ -65,8 +65,8 @@ GATE_KINDS = SINGLE_QUBIT_KINDS + ("XY",)
 class Statevector:
     """Normalized 2^N complex amplitude vector.
 
-    The amplitude buffer is frozen after construction; gate application
-    returns a new instance.
+    The amplitude buffer is frozen after construction; ``run_circuit``
+    applies its gates in place to its own buffer and wraps it once.
     """
 
     __slots__ = ("n_qubits", "amps")
@@ -78,8 +78,7 @@ class Statevector:
             raise ValueError(f"amplitude count {size} is not 2^n for some n >= 1")
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
-        amps = _numeric("amplitudes", amps, "iufc")
-        amps = np.array(amps, dtype=complex, copy=copy).reshape(-1)
+        amps = np.array(_numeric("amplitudes", amps, "iufc"), dtype=complex, copy=copy).reshape(-1)
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails too
             raise ValueError(f"state is not normalized (norm {norm!r})")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import aqstate
-from aqstate import pauli
+from aqstate import estimator, pauli
 from aqstate.cli import main
 from aqstate.pauli import (
     Observable,
@@ -579,6 +579,45 @@ class TestInputErrors:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 1.00 TiB for an array"])
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch, message):
+        # a table, file or copy that cannot be allocated: one error line
+        def no_memory(state):
+            raise MemoryError(message)
+
+        argv = self.non_finite_argv(tmp_path, [{"coeff": 0.5, "pauli": "XXII"}],
+                                    "estimate --snapshots SNAPS --observable OBS")
+        monkeypatch.setattr(estimator, "_weight_table", no_memory)
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory{': ' * bool(message)}{message}\n"
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["pauli", "factored"])
+    def test_integer_coefficient_beyond_int64(self, tmp_path, capsys, factored):
+        # a JSON 10**20 loads as the float 1e20 does; 10**400 has no float
+        def argv(coeff):
+            term = {"coeff": coeff, "factors": [[0.5, 0, 0, 0.5]] * 4} if factored else {
+                "coeff": coeff, "pauli": "XXII"}
+            return self.non_finite_argv(tmp_path, [term], "estimate --snapshots SNAPS "
+                                        "--observable OBS" + " --factored" * factored)
+
+        outputs = []
+        for coeff in (10**20, 1e20):
+            args = argv(coeff)
+            assert pauli.load_observable(tmp_path / "OBS", factored).coeffs.tolist() == [1e20]
+            capsys.readouterr()
+            assert run_cli(*args) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        args = argv(10**400)
+        capsys.readouterr()
+        assert run_cli(*args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "out of range" in captured.err
 
     # integer fields take only integers, number fields only numbers: none of
     # these is rounded, parsed from a string or read as 0 or 1

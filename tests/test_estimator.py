@@ -29,7 +29,7 @@ from aqstate.statevector import (
     exact_expectation,
     haar_random_state,
 )
-from test_pauli import random_signed_observable
+from test_pauli import NEAR_IDENTITY_FORMS, random_signed_observable
 from test_statevector import dense_observable
 
 # (theta, phi) of the X, Y and Z measurement directions
@@ -233,6 +233,15 @@ class TestEstimateFactored:
         state = snapshots_from_state(Statevector(np.eye(4)[0]), 10, seed=0)
         with pytest.raises(ValueError):
             estimate_factored(state, projector_factored([0]))
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="the closed form's seminorm2 comes out above its seminorm")
+    def test_near_identity_estimate(self):
+        # a valid estimate, refused as "std_approx cannot exceed std_bound"
+        coeff, row = NEAR_IDENTITY_FORMS[1]
+        state = snapshots_from_state(Statevector(np.eye(2)[0]), 100, seed=0)
+        result = estimate_factored(state, FactoredObservable(1, [(coeff, [row])]))
+        assert result.std_approx <= result.std_bound
 
 
 class TestReconstructDensity:

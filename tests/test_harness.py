@@ -1,6 +1,7 @@
 """Experiment harness tests: random observables, coverage reports, Haar
 ensemble checks, and the attenuation study."""
 
+import dataclasses
 import json
 import math
 
@@ -222,6 +223,13 @@ class TestRunExperiment:
             ExperimentConfig.from_dict({"n_qubits": 4})
         with pytest.raises(ValueError, match="n_qubits"):
             ExperimentConfig(n_qubits=MAX_TOTAL_QUBITS + 1, n_snapshots=10, seed=0)
+
+    @pytest.mark.parametrize("p_err", [np.float32(0.25), np.int64(0)], ids=repr)
+    def test_numpy_rate_stored_as_python_number(self, p_err):
+        # the report writes the config as JSON, which takes no NumPy scalar
+        cfg = ExperimentConfig(n_qubits=4, n_snapshots=10, seed=0, p_err=p_err)
+        assert type(cfg.p_err) in (int, float) and cfg.p_err == p_err
+        json.dumps(dataclasses.asdict(cfg))
 
     @pytest.mark.parametrize("kind", ["random_pauli_sum", "basis_projector"])
     def test_beyond_dense_cap(self, kind):
