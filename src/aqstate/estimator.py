@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .pauli import (
     seminorm2,
 )
 from .snapshots import ApproximateState, _flip_probabilities
-from .statevector import _SINGLE_QUBIT_MATRICES
+from .statevector import _SINGLE_QUBIT_MATRICES, _on_two_threads
 
 __all__ = [
     "EstimateResult",
@@ -88,37 +87,17 @@ def _table_rows(table: np.ndarray, state: ApproximateState, rows: slice) -> None
 
 def _weight_table(state: ApproximateState) -> np.ndarray:
     """Single-qubit estimator values, shape (N, 4, M): entry (q, a, j) is 1
-    for a = I and 3*m*n_a for a = X, Y, Z on qubit q of snapshot j.  The caller
-    and a helper thread joined before return take chunks from one iterator, so
-    a helper without a core delays the caller by at most one chunk; a table of
-    one chunk starts no thread.  Entries are elementwise: any split, same bits."""
+    for a = I and 3*m*n_a for a = X, Y, Z on qubit q of snapshot j.  Beyond
+    one chunk, the caller and one helper thread take chunks from one iterator
+    (``statevector._on_two_threads``); a table of one chunk starts no thread.
+    Entries are elementwise: any split, same bits."""
     table = np.empty((state.n_qubits, 4, state.n_snapshots))
     table[:, 0] = 1.0
-    lock, starts, errors = threading.Lock(), iter(range(0, state.n_snapshots, _CHUNK)), []
-
-    def fill():
-        try:
-            while True:
-                with lock:
-                    start = next(starts, None)
-                if start is None:
-                    return
-                _table_rows(table, state, slice(start, start + _CHUNK))
-        except BaseException as exc:  # raised in the caller once both are done
-            with lock:  # the other thread stops after its current chunk
-                for _ in starts:
-                    pass
-            errors.append(exc)
-
-    if state.n_snapshots <= _CHUNK:
-        fill()
-    else:
-        helper = threading.Thread(target=fill)
-        helper.start()
-        fill()
-        helper.join()
-    if errors:
-        raise errors[0]
+    _on_two_threads(
+        range(0, state.n_snapshots, _CHUNK),
+        lambda start, slot: _table_rows(table, state, slice(start, start + _CHUNK)),
+        state.n_snapshots > _CHUNK,
+    )
     return table
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from dataclasses import dataclass
 import numpy as np
 
@@ -113,7 +114,10 @@ class Gate:
                 raise ValueError("XY needs two distinct targets")
             if self.alpha is None:
                 raise ValueError("XY needs an angle")
-            alpha = float(_number("XY angle", self.alpha))
+            try:
+                alpha = float(_number("XY angle", self.alpha))
+            except OverflowError:  # an integer beyond a float's range
+                raise ValueError("XY angle must be finite, got an integer out of range") from None
             if not math.isfinite(alpha):
                 raise ValueError(f"XY angle must be finite, got {alpha!r}")
             object.__setattr__(self, "alpha", alpha % (2.0 * math.pi))
@@ -145,22 +149,70 @@ class Circuit:
 # The kernels walk the two parts of the state a gate reads (a single-qubit
 # gate's halves, XY's odd-parity quarters) in blocks of at most ``_BLOCK``
 # amplitudes each, so every pass over a block stays in cache (2^14 complex
-# doubles, 256 KiB per part).  A block copies what it reads into
-# ``scratch``, a complex buffer of ``_scratch_size`` values, and does its
-# arithmetic there: NumPy runs a ufunc on a strided view through two
-# 128 KiB buffers, a plain copy through none.  Each product keeps the
-# scalar first and each sum its operands, up to order, as in
-# u00*a0 + u01*a1; IEEE addition commutes, so the bits, signed zeros
-# included, are those of that expression whatever the blocking.  That holds
-# for blocks of two or more amplitudes: NumPy's in-place product of a single
-# complex element rounds differently from its loop, so ``_BLOCK`` stays a
-# power of two and only a one-amplitude half is a one-amplitude block.
+# doubles, 256 KiB per part).  A block copies what it reads into its
+# thread's scratch buffer from ``_scratch`` and does its arithmetic there:
+# NumPy runs a ufunc on a strided view through two 128 KiB buffers, a plain
+# copy through none.  Each product keeps the scalar first and each sum its
+# operands, up to order, as in u00*a0 + u01*a1; IEEE addition commutes, so
+# the bits, signed zeros included, are those of that expression whatever
+# the blocking.  That holds for blocks of two or more amplitudes: NumPy's
+# in-place product of a single complex element rounds differently from its
+# loop, so ``_BLOCK`` stays a power of two and only a one-amplitude half is
+# a one-amplitude block.
 _BLOCK = 1 << 14
 
+# From this many amplitudes on, a state's gate blocks and oracle slices are
+# shared between the calling thread and one helper (``_on_two_threads``).
+# On a 2-core VM both kernels ran slower on two threads below 2^21
+# amplitudes (x0.2-1.0 at N = 16-20); from 2^21 on the gates ran x1.2-1.7
+# as fast and the oracle x0.9-2.2.
+_TWO_THREAD_AMPS = 1 << 21
 
-def _scratch_size(size: int) -> int:
-    """Complex values of scratch that any gate on ``size`` amplitudes needs."""
-    return min(size, 4 * _BLOCK)
+
+def _on_two_threads(items, work, threaded: bool) -> None:
+    """Call ``work(item, slot)`` for each of ``items``.  Threaded, the
+    calling thread (slot 0) and one helper thread (slot 1), joined before
+    return, take items from one locked iterator, so each writes only the
+    buffers of its own slot and a helper without a core delays the caller by
+    at most the item it holds.  An error in either thread empties the
+    iterator, so the other stops after its current item, and is raised in
+    the caller after the join.  Unthreaded, the caller runs every item in
+    slot 0."""
+    if not threaded:
+        for item in items:
+            work(item, 0)
+        return
+    lock, items, errors = threading.Lock(), iter(items), []
+
+    def run(slot):
+        try:
+            while True:
+                with lock:
+                    item = next(items, None)
+                if item is None:
+                    return
+                work(item, slot)
+        except BaseException as exc:  # raised in the caller once both are done
+            with lock:
+                for _ in items:
+                    pass
+            errors.append(exc)
+
+    helper = threading.Thread(target=run, args=(1,))
+    helper.start()
+    run(0)
+    helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _scratch(size: int) -> tuple[np.ndarray, ...]:
+    """Scratch buffers for gates on up to ``size`` amplitudes, one per slot
+    of ``_on_two_threads``: two from ``_TWO_THREAD_AMPS`` on, else one.
+    Each holds the four blocks of complex values an XY gate needs, or
+    ``size`` values if fewer."""
+    scratch = np.empty(min(size, 4 * _BLOCK), dtype=complex)
+    return (scratch, np.empty_like(scratch)) if size >= _TWO_THREAD_AMPS else (scratch,)
 
 
 def _blocks(*views: np.ndarray):
@@ -184,11 +236,13 @@ def _blocks(*views: np.ndarray):
 
 
 def _apply_single_inplace(
-    amps: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndarray
+    amps: np.ndarray, qubit: int, u: np.ndarray, scratch: tuple[np.ndarray, ...]
 ) -> None:
     view = amps.reshape(-1, 2, 1 << qubit)
-    for a0, a1 in _blocks(view[:, 0, :], view[:, 1, :]):
-        new, term = scratch[: 2 * a0.size].reshape(2, *a0.shape)
+
+    def block(halves, slot):
+        a0, a1 = halves
+        new, term = scratch[slot][: 2 * a0.size].reshape(2, *a0.shape)
         new[...] = a0
         np.multiply(u[0, 0], new, out=new)
         term[...] = a1
@@ -202,9 +256,11 @@ def _apply_single_inplace(
         new += term
         a1[...] = new
 
+    _on_two_threads(_blocks(view[:, 0, :], view[:, 1, :]), block, amps.size >= _TWO_THREAD_AMPS)
+
 
 def _apply_xy_inplace(
-    amps: np.ndarray, q1: int, q2: int, alpha: float, scratch: np.ndarray
+    amps: np.ndarray, q1: int, q2: int, alpha: float, scratch: tuple[np.ndarray, ...]
 ) -> None:
     # identity on the even-parity block; rotation by 2*alpha on {|01>,|10>}
     lo, hi = min(q1, q2), max(q1, q2)
@@ -213,8 +269,10 @@ def _apply_xy_inplace(
     # sel: bit q1 set and bit q2 clear; swapped: the reverse
     pair = (hi_only, lo_only) if q1 == hi else (lo_only, hi_only)
     c, s = math.cos(2.0 * alpha), math.sin(2.0 * alpha)
-    for sel, swapped in _blocks(*pair):
-        va, vb, new, term = scratch[: 4 * sel.size].reshape(4, *sel.shape)
+
+    def block(quarters, slot):
+        sel, swapped = quarters
+        va, vb, new, term = scratch[slot][: 4 * sel.size].reshape(4, *sel.shape)
         va[...] = sel
         vb[...] = swapped
         np.multiply(c, va, out=new)
@@ -226,8 +284,10 @@ def _apply_xy_inplace(
         new += term
         swapped[...] = new
 
+    _on_two_threads(_blocks(*pair), block, amps.size >= _TWO_THREAD_AMPS)
 
-def _apply_gate_inplace(amps: np.ndarray, gate: Gate, scratch: np.ndarray) -> None:
+
+def _apply_gate_inplace(amps: np.ndarray, gate: Gate, scratch: tuple[np.ndarray, ...]) -> None:
     if gate.kind == "XY":
         _apply_xy_inplace(amps, gate.qubits[0], gate.qubits[1], gate.alpha, scratch)
     else:
@@ -237,10 +297,11 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, scratch: np.ndarray) -> No
 def run_circuit(circuit: Circuit) -> Statevector:
     """Apply all gates in order to the dense state, starting from |0...0>.
     Holds the state and one scratch buffer of at most 4 * 2^14 complex
-    values (1 MiB) that every gate reuses."""
+    values (1 MiB) that every gate reuses, and from ``_TWO_THREAD_AMPS``
+    amplitudes on a second one for the helper thread."""
     amps = np.zeros(1 << _integer("n_qubits", circuit.n_qubits, 1, MAX_QUBITS), dtype=complex)
     amps[0] = 1.0
-    scratch = np.empty(_scratch_size(amps.size), dtype=complex)
+    scratch = _scratch(amps.size)
     for gate in circuit.gates:
         _apply_gate_inplace(amps, gate, scratch)
     return Statevector(amps, copy=False)
@@ -360,12 +421,15 @@ def _term_values(amps: np.ndarray, axes: np.ndarray) -> np.ndarray:
     Each distinct row is evaluated once, and the identity gives exactly 1.
     With the bit masks x and z of ``_planes`` (one word, as n <= MAX_QUBITS),
     P acts on basis states as P|b> = c(b)|b ^ x> with
-    c(b) = i^{#Y} * (-1)^{popcount(b & z)}.  Rows are summed over slices of
-    ``_ORACLE_SLICE`` basis states in ascending order.  The partners of the
-    slice at ``start`` are the slice at ``start ^ (x & ~(size - 1))`` with
-    the bits of ``x & (size - 1)`` flipped, a reversed view of its axes that
-    is conjugated into one reused buffer; c(b) over a slice is one of two
-    phase arrays per row, as popcount(start & z) is even or odd.
+    c(b) = i^{#Y} * (-1)^{popcount(b & z)}.  Each slice of ``_ORACLE_SLICE``
+    basis states gives a row its own total, and the totals are added in
+    ascending slice order.  The partners of the slice at ``start`` are the
+    slice at ``start ^ (x & ~(size - 1))`` with the bits of ``x & (size - 1)``
+    flipped, a reversed view of its axes that is conjugated into one reused
+    buffer per thread; c(b) over a slice is one of two phase arrays per row,
+    as popcount(start & z) is even or odd.  From ``_TWO_THREAD_AMPS``
+    amplitudes per state on, a row's slices are shared between the caller
+    and one helper thread.
     """
     x, z = (plane[:, 0] for plane in _planes(axes))
     # one key per distinct row: n <= MAX_QUBITS < 32 bits per mask
@@ -373,11 +437,13 @@ def _term_values(amps: np.ndarray, axes: np.ndarray) -> np.ndarray:
     values = np.ones((len(keys), len(amps)))
     size = min(amps.shape[-1], _ORACLE_SLICE)
     bits = size.bit_length() - 1
+    threaded = amps.shape[-1] >= _TWO_THREAD_AMPS
     idx = np.arange(size, dtype=np.uint32)
     # axis 2 + j of ``slices`` (batch, slice, 2, ..., 2) holds bit bits - 1 - j
     slices = amps.reshape((len(amps), -1) + (2,) * bits)
-    buf = np.empty((len(amps), size), dtype=complex)
-    flipped = buf.reshape(slices.shape[:1] + slices.shape[2:])
+    bufs = np.empty((1 + threaded, len(amps), size), dtype=complex)  # one per thread
+    flipped = bufs.reshape(bufs.shape[:2] + slices.shape[2:])
+    totals = [None] * slices.shape[1]  # each slice's (batch,) total of a row
     sign = np.empty(size)
     phases = np.empty((2, size), dtype=complex)
     for k, key in enumerate(keys.tolist()):
@@ -396,12 +462,19 @@ def _term_values(amps: np.ndarray, axes: np.ndarray) -> np.ndarray:
         np.multiply(i_y, sign, out=phases[0])
         if z >> bits:
             np.multiply(i_y, np.negative(sign, out=sign), out=phases[1])
-        for start in range(0, amps.shape[-1], size):
-            np.conjugate(slices[(slice(None), (start ^ x) >> bits) + flips], out=flipped)
+
+        def slice_total(index, slot):
+            start = index * size
+            np.conjugate(slices[(slice(None), (start ^ x) >> bits) + flips], out=flipped[slot])
             block = amps[:, start : start + size]
             phase = phases[(start & z).bit_count() & 1]
-            total = np.einsum("sb,b,sb->s", buf, phase, block).real
-            values[k] = values[k] + total if start else total
+            totals[index] = np.einsum("sb,b,sb->s", bufs[slot], phase, block).real
+
+        _on_two_threads(range(len(totals)), slice_total, threaded)
+        total = totals[0]
+        for later in totals[1:]:
+            total = total + later
+        values[k] = total
     return values[inverse.reshape(-1)]
 
 
@@ -440,9 +513,7 @@ def exact_expectation_factored(
     Each term's value is the product of its values on the parts of the state."""
     if fobs.n_qubits != psi.n_qubits:
         raise ValueError("observable and state qubit counts differ")
-    scratch = np.empty(
-        _scratch_size(max(part.amps.size for _, part in psi.parts)), dtype=complex
-    )
+    scratch = _scratch(max(part.amps.size for _, part in psi.parts))
     total = 0.0
     for coeff, table in zip(fobs.coeffs.tolist(), fobs.factors):
         value = 1.0
@@ -489,7 +560,7 @@ def circuit_from_dict(data: dict) -> Circuit:
             for entry in data["gates"]
         ]
         return Circuit(data["n_qubits"], tuple(gates))
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit data: {exc}") from exc
 
 

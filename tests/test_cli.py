@@ -511,6 +511,15 @@ class TestInputErrors:
         assert self.snapshot(tmp_path, '{"n_qubits": 3, "gates": [%s]}' % gates, path) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_xy_angle_beyond_a_float(self, tmp_path, capsys):
+        # a 401-digit integer angle has no float: exit 2, one error line
+        capsys.readouterr()
+        gate = '{"kind": "XY", "q1": 0, "q2": 1, "alpha": 1%s}' % ("0" * 400)
+        assert self.snapshot(tmp_path, '{"n_qubits": 2, "gates": [%s]}' % gate) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "XY angle" in captured.err
+
     @pytest.mark.parametrize("argv", [
         "snapshot --circuit DEEP --shots 10 --out OUT",
         "snapshot --circuit CIRC --shots 10 --readout-error DEEP --out OUT",

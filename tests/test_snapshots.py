@@ -301,8 +301,10 @@ class TestBuildApproximateState:
 def run_circuit_bytes(n):
     """Bytes run_circuit holds: the 16*2^N-byte state and one scratch
     buffer, which every gate reuses, of four blocks of complex values or the
-    state's length if that is less (1 MiB from N = 16)."""
-    return (16 << n) + 16 * min(2**n, 4 * statevector._BLOCK)
+    state's length if that is less (1 MiB from N = 16), per thread: from
+    _TWO_THREAD_AMPS amplitudes on, the helper thread has a second one."""
+    threads = 1 + (2**n >= statevector._TWO_THREAD_AMPS)
+    return (16 << n) + threads * 16 * min(2**n, 4 * statevector._BLOCK)
 
 
 def gram_bytes(depth):
@@ -394,10 +396,10 @@ class TestMemoryBudget:
         assert max(peaks.values()) <= budget
         # the largest is acquisition at N = 26, head depth 1, one row: the
         # 1 GiB state and 768 MiB of branch buffers; run_circuit holds the
-        # state and 1 MiB
+        # state and two 1 MiB scratch buffers
         assert max(peaks, key=peaks.get) == (MAX_QUBITS, 1)
         assert batch_bytes(MAX_QUBITS, 1, 1, MAX_QUBITS) >> 20 == 768
-        assert peaks[MAX_QUBITS, "run_circuit"] >> 20 == 1025
+        assert peaks[MAX_QUBITS, "run_circuit"] >> 20 == 1026
         assert snapshots._head_depth(MAX_QUBITS, 2**62) == 10
 
     # no gate allocates, so only small objects come on top

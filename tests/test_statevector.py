@@ -1,6 +1,8 @@
 """Statevector engine tests, including independent matrix oracles."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -56,7 +58,7 @@ def dense_observable(obs):
 def apply_gate(psi, gate):
     Circuit(psi.n_qubits, (gate,))  # checks the targets
     amps = psi.amps.copy()
-    _apply_gate_inplace(amps, gate, np.empty_like(amps))
+    _apply_gate_inplace(amps, gate, (np.empty_like(amps),))
     return Statevector(amps, copy=False)
 
 
@@ -187,6 +189,15 @@ class TestXYGate:
         with pytest.raises(ValueError, match="finite"):
             Gate("XY", (0, 1), alpha)
 
+    def test_angle_beyond_a_float_rejected(self):
+        # a float() of this integer overflows: refused as a bad angle, from
+        # the library and from circuit data alike
+        with pytest.raises(ValueError, match="XY angle"):
+            Gate("XY", (0, 1), 10**400)
+        data = {"n_qubits": 2, "gates": [{"kind": "XY", "q1": 0, "q2": 1, "alpha": 10**400}]}
+        with pytest.raises(ValueError, match="XY angle"):
+            circuit_from_dict(data)
+
     def test_equal_targets_rejected(self):
         with pytest.raises(ValueError):
             Gate("XY", (1, 1), 0.5)
@@ -224,7 +235,7 @@ class TestBlocking:
                   for a in range(n) for b in range(n) if a != b]
 
         def run():
-            scratch = np.empty(statevector._scratch_size(amps.size), dtype=complex)
+            scratch = statevector._scratch(amps.size)
             out = {}
             for gate in gates:
                 work = amps.copy()
@@ -475,6 +486,158 @@ class TestOracleBytes:
                 monkeypatch.setattr(statevector, "_ORACLE_SLICE", slice_states)
                 got = _term_values(amps, rows)
                 assert got.tobytes() == gathered_term_values(amps, rows).tobytes()
+
+
+class TestTwoThreads:
+    # From _TWO_THREAD_AMPS amplitudes on, the caller and one helper thread
+    # share a state's gate blocks and oracle slices: every block's arithmetic
+    # is unchanged and the slice totals are added in ascending order, so the
+    # amplitudes and oracle values keep their bits.
+
+    @staticmethod
+    def slots_used(monkeypatch):
+        """Record the slot of every item run through ``_on_two_threads``."""
+        used, run = [], statevector._on_two_threads
+
+        def recorded(items, work, threaded):
+            def tagged(item, slot):
+                used.append(slot)
+                work(item, slot)
+
+            run(items, tagged, threaded)
+
+        monkeypatch.setattr(statevector, "_on_two_threads", recorded)
+        return used
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_bytes_match_one_thread(self, monkeypatch, n):
+        # every gate kind on every qubit and XY on every ordered pair (q1 > q2
+        # and q1 < q2), in blocks of four amplitudes, with the oracles' rows
+        # summed over slices of eight basis states.  Blocks this small run
+        # with the interpreter lock held, so the threads switch every
+        # microsecond to share them.
+        rng = np.random.default_rng(700 + n)
+        gates = [Gate(kind, (q,)) for q in range(n) for kind in statevector.SINGLE_QUBIT_KINDS]
+        gates += [Gate("XY", (a, b), float(rng.uniform(0, 2 * math.pi)))
+                  for a in range(n) for b in range(n) if a != b]
+        circuit = Circuit(n, tuple(gates))
+        rows = oracle_rows(n, rng)
+        obs = Observable.from_rows(n, rows, rng.uniform(-1, 1, len(rows)))
+        fobs = FactoredObservable(n, [(0.7, rng.uniform(-1, 1, (n, 4))),
+                                      (-0.4, rng.uniform(-1, 1, (n, 4)))])
+        monkeypatch.setattr(statevector, "_ORACLE_SLICE", 8)
+
+        def run():
+            psi = run_circuit(circuit)
+            values = _term_values(psi.amps[None], rows)
+            return (psi.amps.tobytes(), values.tobytes(),
+                    exact_expectation(psi, obs), exact_expectation_factored(psi, fobs))
+
+        expected = run()
+        used = self.slots_used(monkeypatch)
+        monkeypatch.setattr(statevector, "_TWO_THREAD_AMPS", 0)
+        monkeypatch.setattr(statevector, "_BLOCK", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0] == expected[0]
+        assert got[1] == expected[1]
+        assert got[2:] == expected[2:]
+        assert set(used) == {0, 1}
+
+    def test_n21_matches_one_thread(self, monkeypatch):
+        # a default circuit at the smallest threaded size, after H on every
+        # qubit so that every slice holds amplitude, and two rows whose X and
+        # Y reach across slices, against the same run on one thread
+        n = 21
+        default = random_prep_circuit(n, np.random.default_rng(21))
+        circuit = Circuit(n, tuple(Gate("H", (q,)) for q in range(n)) + default.gates)
+        a, b = next(gate.qubits for gate in circuit.gates if gate.kind == "XY")
+        rows = np.zeros((2, n), dtype=np.uint8)
+        rows[0, [a, b, n - 1]] = 1, 2, 3
+        rows[1, [0, n - 1]] = 1, 1
+
+        def run():
+            psi = run_circuit(circuit)
+            return psi.amps.tobytes(), _term_values(psi.amps[None], rows).tobytes()
+
+        used = self.slots_used(monkeypatch)
+        threaded = run()
+        assert set(used) == {0, 1}
+        monkeypatch.setattr(statevector, "_TWO_THREAD_AMPS", 1 << 62)
+        assert run() == threaded
+
+    def test_concurrent_calls_keep_their_bits(self, monkeypatch):
+        # three callers and their helpers on two cores, switching threads
+        # every microsecond: a block run twice, lost or given another
+        # thread's scratch shows in the amplitudes
+        circuits = [random_prep_circuit(8, np.random.default_rng(730 + k),
+                                        allow_overlapping_pairs=True) for k in range(3)]
+        expected = [run_circuit(circuit).amps.tobytes() for circuit in circuits]
+        monkeypatch.setattr(statevector, "_TWO_THREAD_AMPS", 0)
+        monkeypatch.setattr(statevector, "_BLOCK", 4)
+        got = [None] * 3
+
+        def build(k):
+            got[k] = run_circuit(circuits[k]).amps.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=build, args=(k,)) for k in range(3)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        # the helper's block raises; the caller's first block waits until it has
+        caller, helper_failed = threading.current_thread(), threading.Event()
+        blocks = statevector._blocks
+
+        class Handoff:
+            def __init__(self, views):
+                self.views = views
+
+            def __iter__(self):
+                if threading.current_thread() is not caller:
+                    helper_failed.set()
+                    raise RuntimeError("block failed on the helper")
+                assert helper_failed.wait(10)
+                return iter(self.views)
+
+        monkeypatch.setattr(statevector, "_TWO_THREAD_AMPS", 0)
+        monkeypatch.setattr(statevector, "_BLOCK", 4)
+        monkeypatch.setattr(statevector, "_blocks", lambda *views: map(Handoff, blocks(*views)))
+        before = threading.active_count()
+        for gate in (Gate("H", (3,)), Gate("XY", (5, 2), 0.4)):
+            helper_failed.clear()
+            with pytest.raises(RuntimeError, match="failed on the helper"):
+                run_circuit(Circuit(8, (gate,)))
+            assert threading.active_count() == before
+
+    def test_below_the_constant_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise RuntimeError("thread started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        rng = np.random.default_rng(720)
+        for n, state_of in ((20, run_circuit), (40, ProductState.from_circuit)):
+            circuit = random_prep_circuit(n, rng)
+            psi = state_of(circuit)
+            obs = Observable.from_rows(n, rng.integers(0, 4, (3, n)), [0.5, -0.25, 1.0])
+            assert math.isfinite(exact_expectation(psi, obs))
+            assert math.isfinite(exact_expectation_factored(psi, projector_factored([0] * n)))
+        monkeypatch.setattr(statevector, "_TWO_THREAD_AMPS", 1 << 20)
+        with pytest.raises(RuntimeError, match="thread started"):
+            run_circuit(Circuit(20, (Gate("H", (0,)),)))
 
 
 class TestFactoredExpectation:
