@@ -3,10 +3,10 @@
 For each qubit count N it builds the default preparation circuit
 (`random_prep_circuit`), times `run_circuit` on it and then
 `exact_expectation` of six weight-2 Pauli strings, one call per string,
-on the state it gives.  Each point is the median of k runs, with the
-quartiles beside it, and the tracemalloc peak of one further run.  The
-machine record holds the CPU count, the NumPy version and NumPy's SIMD
-baseline and found targets.
+on the state it gives.  Each point is the median of 9 runs (3 with
+``--smoke``), with the quartiles beside it, and the tracemalloc peak of
+one further run.  The machine record holds the CPU count, the NumPy
+version and NumPy's SIMD baseline and found targets.
 
 Run from the repository root with the package importable:
 
@@ -33,8 +33,8 @@ import numpy as np
 from aqstate.pauli import Observable
 from aqstate.statevector import exact_expectation, random_prep_circuit, run_circuit
 
-FULL_QUBITS = (16, 18, 20, 21, 22)
-SMOKE_QUBITS = (6, 8, 10)
+FULL_QUBITS, REPEATS = (16, 18, 20, 21, 22), 9
+SMOKE_QUBITS, SMOKE_REPEATS = (6, 8, 10), 3
 N_ROWS = 6
 
 
@@ -75,7 +75,7 @@ def timed(fn, repeats: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    q1, median, q3 = statistics.quantiles(times, n=4) if repeats > 1 else times * 3
+    q1, median, q3 = statistics.quantiles(times, n=4)
     return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "peak_mib": peak / 2**20}
 
 
@@ -95,12 +95,9 @@ def measure(n: int, repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--smoke", action="store_true", help="N <= 10, three repeats")
-    parser.add_argument("--repeats", type=int, default=9, help="runs per point (default 9)")
     parser.add_argument("--out", default="BENCH_dense.json", help="output JSON path")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    qubits, repeats = (SMOKE_QUBITS, 3) if args.smoke else (FULL_QUBITS, args.repeats)
+    qubits, repeats = (SMOKE_QUBITS, SMOKE_REPEATS) if args.smoke else (FULL_QUBITS, REPEATS)
     points = []
     for n in qubits:
         point = measure(n, repeats)

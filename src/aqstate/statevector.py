@@ -206,13 +206,18 @@ def _on_two_threads(items, work, threaded: bool) -> None:
         raise errors[0]
 
 
+def _slots(size: int) -> int:
+    """Threads that share the work on a state of ``size`` amplitudes: two
+    from ``_TWO_THREAD_AMPS`` on, else one.  Callers hold one buffer per
+    slot of ``_on_two_threads`` and thread exactly when they hold two."""
+    return 2 if size >= _TWO_THREAD_AMPS else 1
+
+
 def _scratch(size: int) -> tuple[np.ndarray, ...]:
     """Scratch buffers for gates on up to ``size`` amplitudes, one per slot
-    of ``_on_two_threads``: two from ``_TWO_THREAD_AMPS`` on, else one.
-    Each holds the four blocks of complex values an XY gate needs, or
-    ``size`` values if fewer."""
-    scratch = np.empty(min(size, 4 * _BLOCK), dtype=complex)
-    return (scratch, np.empty_like(scratch)) if size >= _TWO_THREAD_AMPS else (scratch,)
+    (``_slots``).  Each holds the four blocks of complex values an XY gate
+    needs, or ``size`` values if fewer."""
+    return tuple(np.empty(min(size, 4 * _BLOCK), dtype=complex) for _ in range(_slots(size)))
 
 
 def _blocks(*views: np.ndarray):
@@ -256,7 +261,7 @@ def _apply_single_inplace(
         new += term
         a1[...] = new
 
-    _on_two_threads(_blocks(view[:, 0, :], view[:, 1, :]), block, amps.size >= _TWO_THREAD_AMPS)
+    _on_two_threads(_blocks(view[:, 0, :], view[:, 1, :]), block, len(scratch) > 1)
 
 
 def _apply_xy_inplace(
@@ -284,7 +289,7 @@ def _apply_xy_inplace(
         new += term
         swapped[...] = new
 
-    _on_two_threads(_blocks(*pair), block, amps.size >= _TWO_THREAD_AMPS)
+    _on_two_threads(_blocks(*pair), block, len(scratch) > 1)
 
 
 def _apply_gate_inplace(amps: np.ndarray, gate: Gate, scratch: tuple[np.ndarray, ...]) -> None:
@@ -437,11 +442,10 @@ def _term_values(amps: np.ndarray, axes: np.ndarray) -> np.ndarray:
     values = np.ones((len(keys), len(amps)))
     size = min(amps.shape[-1], _ORACLE_SLICE)
     bits = size.bit_length() - 1
-    threaded = amps.shape[-1] >= _TWO_THREAD_AMPS
     idx = np.arange(size, dtype=np.uint32)
     # axis 2 + j of ``slices`` (batch, slice, 2, ..., 2) holds bit bits - 1 - j
     slices = amps.reshape((len(amps), -1) + (2,) * bits)
-    bufs = np.empty((1 + threaded, len(amps), size), dtype=complex)  # one per thread
+    bufs = np.empty((_slots(amps.shape[-1]), len(amps), size), dtype=complex)  # one per thread
     flipped = bufs.reshape(bufs.shape[:2] + slices.shape[2:])
     totals = [None] * slices.shape[1]  # each slice's (batch,) total of a row
     sign = np.empty(size)
@@ -470,7 +474,7 @@ def _term_values(amps: np.ndarray, axes: np.ndarray) -> np.ndarray:
             phase = phases[(start & z).bit_count() & 1]
             totals[index] = np.einsum("sb,b,sb->s", bufs[slot], phase, block).real
 
-        _on_two_threads(range(len(totals)), slice_total, threaded)
+        _on_two_threads(range(len(totals)), slice_total, len(bufs) > 1)
         total = totals[0]
         for later in totals[1:]:
             total = total + later
@@ -519,9 +523,10 @@ def exact_expectation_factored(
         value = 1.0
         for qubits, part in psi.parts:
             work = part.amps.copy()
+            part_scratch = scratch[: _slots(work.size)]  # a smaller part may run unthreaded
             for qubit, (a0, ax, ay, az) in enumerate(table[list(qubits)].tolist()):
                 block = np.array([[a0 + az, ax - 1j * ay], [ax + 1j * ay, a0 - az]])
-                _apply_single_inplace(work, qubit, block, scratch)
+                _apply_single_inplace(work, qubit, block, part_scratch)
             value *= float(np.vdot(part.amps, work).real)
         total += coeff * value
     return total
