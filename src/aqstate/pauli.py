@@ -237,28 +237,55 @@ class Observable:
     @functools.cached_property
     def _seminorm(self) -> float:
         """See :func:`seminorm`; computed once per observable."""
-        t = len(self.axes)
-        coeffs = np.abs(self.coeffs)
-        # word-major planes: the blocks below are (words, rows, later terms)
-        x, z = (plane.T for plane in _planes(self.axes))
-        nonzero = x | z
+        (t, n), coeffs = self.axes.shape, np.abs(self.coeffs)
+        x, z = _planes(self.axes)
+        if 2 * n <= 64:
+            # one key word per term, x in the low n bits and z above, in the
+            # smallest type that holds 2n bits; the support mask covers both
+            # halves, so its popcount counts each shared qubit twice
+            word, up, halve = f"u{max(8, 1 << (2 * n - 1).bit_length()) // 8}", np.uint64(n), 1
+            keys = (x | z << up).astype(word).T[:, None]
+            masks = (x | z | (x | z) << up).astype(word).T
+        else:  # the x and z words of each 64 qubits share one support mask
+            keys, masks, halve = np.stack([x.T, z.T], axis=1), (x | z).T.copy(), 0
         # r is at most the largest term weight, which unlike n bounds the table
         pow3 = 3.0 ** np.arange(np.count_nonzero(self.axes, axis=1).max(initial=0) + 1)
-        rows = max(1, _PAIR_BLOCK // max(t, 1))
-        off = 0.0
+        rows = max(1, min(t, _PAIR_BLOCK // max(t, 1)))
+        size, (later, rises, steps) = rows * t, _pair_layout(rows)
+        both, diff = np.empty((len(masks), size), masks.dtype), np.empty(size, masks.dtype)
+        count = np.empty(size, np.uint8 if n < 256 else np.intp)  # r <= n
+        rank, values, sums = np.empty(size, np.intp), np.empty(size), []
         for start in range(0, t - 1, rows):
+            # rows start..stop-1 against terms start..t-1; row i's segment is
+            # its diagonal, left 0.0 as if incompatible, then its pairs j > i
             stop = min(start + rows, t - 1)
-            block, later = slice(start, stop), slice(start + 1, t)
-            both = nonzero[:, block, None] & nonzero[:, None, later]
-            clash = x[:, block, None] ^ x[:, None, later]
-            clash |= z[:, block, None] ^ z[:, None, later]
-            compat = ~(clash & both).any(axis=0)
-            r = np.bitwise_count(both).sum(axis=0, dtype=np.intp)
-            values = compat * pow3[r] * coeffs[later]
-            # row i's later terms j > i start at column i - start
-            for i in range(start, stop):
-                off += coeffs[i] * float(values[i - start, i - start :].sum())
-        return math.sqrt(float(np.sum(_diag_sum(self))) + 2.0 * off)
+            (k, w), lo, hi = (stop - start, t - start), slice(start, stop), slice(start, t)
+            compat, d = True, diff[: k * w].reshape(k, w)
+            for mask, word_keys, b in zip(masks, keys, both):
+                b = np.bitwise_and(mask[lo, None], mask[None, hi], out=b[: k * w].reshape(k, w))
+                for key in word_keys:
+                    np.bitwise_xor(key[lo, None], key[None, hi], out=d)
+                    d &= b
+                    compat = compat & (d == 0)
+            compat[:, :k] &= later[:k, :k]
+            r = np.bitwise_count(both[0, : k * w], out=count[: k * w])
+            for b in both[1:, : k * w]:
+                r += np.bitwise_count(b)
+            r >>= halve
+            block = values[: k * w]
+            if 4 * np.count_nonzero(compat) < k * w:  # look 3^r up at the compatible pairs
+                pairs = np.flatnonzero(compat)
+                block.fill(0.0)
+                block[pairs] = pow3[r.take(pairs).astype(np.intp)]
+            else:  # mostly compatible: one lookup over the block, then the mask
+                rank[: k * w] = r
+                np.multiply(np.take(pow3, rank[: k * w], out=block), compat.reshape(-1), out=block)
+            np.multiply(block.reshape(k, w), coeffs[hi], out=block.reshape(k, w))
+            bounds = rises[: 2 * k - 1] * w + steps[: 2 * k - 1]
+            sums.append(np.add.reduceat(block, bounds)[::2])
+        # the rows' sums times a_i, added one after another in row order
+        off = np.add.accumulate(coeffs[: t - 1] * np.concatenate(sums))[-1] if sums else 0.0
+        return math.sqrt(float(np.sum(_diag_sum(self))) + 2.0 * float(off))
 
     def scaled(self, factor: float) -> "Observable":
         axes, coeffs = self.rows()
@@ -354,6 +381,19 @@ def _diag_sum(obs: Observable) -> np.ndarray:
 
 # pair compatibility is built for blocks of about this many term pairs
 _PAIR_BLOCK = 1 << 15
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_layout(rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For blocks of up to ``rows`` rows: which of the first ``rows`` columns
+    lie right of each row's diagonal, and a, b whose ``a * w + b`` for w
+    columns are the reduceat bounds i (w + 1), (i + 1) w, ...: each row from
+    its diagonal to its end, then the gap to the next row's diagonal."""
+    step = np.arange(2 * rows - 1)
+    layout = ~np.tri(rows, dtype=bool), (step + 1) // 2, np.where(step % 2, 0, step // 2)
+    for array in layout:  # shared by every caller
+        array.setflags(write=False)
+    return layout
 
 
 def _canonical_rows(

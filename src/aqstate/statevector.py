@@ -87,6 +87,14 @@ class Statevector:
         self.n_qubits = n
         self.amps = amps
 
+    @classmethod
+    def _made(cls, amps: np.ndarray) -> "Statevector":
+        """Wrap unchecked a unit-norm complex 2^n buffer (1 <= n <= MAX_QUBITS) made here."""
+        psi = cls.__new__(cls)
+        amps.setflags(write=False)
+        psi.n_qubits, psi.amps = amps.size.bit_length() - 1, amps
+        return psi
+
     @property
     def parts(self) -> tuple[tuple[tuple[int, ...], "Statevector"], ...]:
         """The state as the one part of a product state over all its qubits."""
@@ -309,7 +317,7 @@ def run_circuit(circuit: Circuit) -> Statevector:
     scratch = _scratch(amps.size)
     for gate in circuit.gates:
         _apply_gate_inplace(amps, gate, scratch)
-    return Statevector(amps, copy=False)
+    return Statevector._made(amps)
 
 
 class ProductState:
@@ -536,7 +544,7 @@ def haar_random_state(n_qubits: int, rng: np.random.Generator) -> Statevector:
     """Pure state drawn from the unitarily invariant distribution."""
     dim = 1 << _integer("n_qubits", n_qubits, 1, MAX_QUBITS)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return Statevector(amps / np.linalg.norm(amps), copy=False)
+    return Statevector._made(amps / np.linalg.norm(amps))
 
 
 # --- file format ------------------------------------------------------------

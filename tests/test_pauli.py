@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from aqstate import pauli
 from aqstate.harness import check_seminorm_hierarchy
 from aqstate.pauli import (
     FactoredObservable,
@@ -285,6 +286,115 @@ class TestListEntries:
             Observable.from_rows(1, [[1]], [10**400])
         with pytest.raises(ValueError, match="axes must be integers, got an integer out"):
             Observable.from_rows(1, [[2**64]], [1.0])
+
+
+def reference_seminorm(obs):
+    """The pair sum as it was before each block was summed with one reduceat:
+    one ``ndarray.sum`` per row over that row's later terms.  Frozen here as
+    the bit-for-bit reference for ``seminorm``."""
+    axes, t = obs.axes, len(obs.axes)
+    coeffs = np.abs(obs.coeffs)
+    bits = np.zeros((2, t, 64 * -(-obs.n_qubits // 64)), dtype=bool)
+    bits[0, :, : obs.n_qubits] = (axes == 1) | (axes == 2)
+    bits[1, :, : obs.n_qubits] = axes >= 2
+    x, z = (p.T for p in np.packbits(bits, axis=2, bitorder="little").view(np.uint64))
+    nonzero = x | z
+    pow3 = 3.0 ** np.arange(np.count_nonzero(axes, axis=1).max(initial=0) + 1)
+    rows = max(1, (1 << 15) // max(t, 1))
+    off = 0.0
+    for start in range(0, t - 1, rows):
+        stop = min(start + rows, t - 1)
+        block, later = slice(start, stop), slice(start + 1, t)
+        both = nonzero[:, block, None] & nonzero[:, None, later]
+        clash = x[:, block, None] ^ x[:, None, later]
+        clash |= z[:, block, None] ^ z[:, None, later]
+        compat = ~(clash & both).any(axis=0)
+        r = np.bitwise_count(both).sum(axis=0, dtype=np.intp)
+        values = compat * pow3[r] * coeffs[later]
+        for i in range(start, stop):
+            off += coeffs[i] * float(values[i - start, i - start :].sum())
+    diag = (3.0 ** (axes != 0).sum(axis=1)) * obs.coeffs * obs.coeffs
+    return math.sqrt(float(np.sum(diag)) + 2.0 * off)
+
+
+def mixed_rows(mix, n, t, rng):
+    """(t, n) axes: uniform IXYZ, about two X/Y/Z per term, all I/Z, or one
+    axis per term; repeats merge and an all-I row becomes the offset."""
+    if mix == "uniform":
+        return rng.integers(0, 4, size=(t, n))
+    if mix == "sparse":
+        return rng.integers(1, 4, size=(t, n)) * (rng.random((t, n)) < 2 / n)
+    if mix == "z":
+        return 3 * rng.integers(0, 2, size=(t, n))
+    return rng.integers(1, 4, size=(t, 1)) * rng.integers(0, 2, size=(t, n))
+
+
+MIXES = ("uniform", "sparse", "z", "axis")
+
+
+class TestPairSumBits:
+    # seminorm against the frozen per-row sum, bit for bit.  At the default
+    # block size T = 181 is one block of 181 rows and T = 182 two of 180; the
+    # uniform mix at N >= 12 leaves few compatible pairs per block and the z
+    # mix all of them, so both ways of looking up 3^r run.
+    @pytest.mark.parametrize("n", [1, 2, 12, 26, 32, 33, 64, 65, 130])
+    def test_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        for t, mix in itertools.product([1, 2, 3, 181, 182], MIXES):
+            obs = Observable.from_rows(n, mixed_rows(mix, n, t, rng), rng.standard_normal(t))
+            assert seminorm(obs) == reference_seminorm(obs), (t, mix)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_block_size_changes_no_bit(self, monkeypatch, block):
+        rng = np.random.default_rng(block)
+        cases = [(n, mix) for n in (5, 12, 40, 65) for mix in MIXES]
+        observables = [
+            Observable.from_rows(n, mixed_rows(mix, n, 50, rng), rng.standard_normal(50))
+            for n, mix in cases
+        ]
+        monkeypatch.setattr(pauli, "_PAIR_BLOCK", block)
+        for obs in observables:
+            assert seminorm(obs) == reference_seminorm(obs)
+
+    def test_duplicates_and_offset(self):
+        rng = np.random.default_rng(5)
+        for n, mix in itertools.product([3, 12, 33], MIXES):
+            axes = mixed_rows(mix, n, 60, rng)
+            axes = np.concatenate([axes, axes[:30], np.zeros((2, n), dtype=int)])
+            obs = Observable.from_rows(n, axes, rng.standard_normal(92))
+            assert obs.offset != 0.0
+            assert seminorm(obs) == reference_seminorm(obs)
+
+    def test_coefficients_across_the_float_range(self):
+        rng = np.random.default_rng(6)
+        values = []
+        for n, mix in itertools.product([4, 12, 40, 65], MIXES):
+            for scale in ("wide", "huge"):
+                # wide: 1e-300 up to squares near the float limit; huge: the
+                # diagonal alone overflows to inf
+                exponents = rng.uniform(-300, 130, 70) if scale == "wide" else np.full(70, 300)
+                coeffs = rng.choice([-1.0, 1.0], 70) * 10.0**exponents
+                obs = Observable.from_rows(n, mixed_rows(mix, n, 70, rng), coeffs)
+                with np.errstate(over="ignore"):
+                    value, reference = seminorm(obs), reference_seminorm(obs)
+                assert value == reference
+                values.append(value)
+        assert math.inf in values and any(0.0 < v < math.inf for v in values)
+
+    @pytest.mark.parametrize("density", [0.01, 1.0])
+    def test_reduceat_after_a_zero_is_the_pairwise_sum(self, density):
+        # the identity the pair sum rests on: NumPy's reduceat adds a
+        # segment's first entry to the pairwise sum of the rest, and so with
+        # 0.0 in front it gives the segment's ndarray.sum, bit for bit
+        rng = np.random.default_rng(7)
+        lengths = np.arange(1, 4097)
+        segments = [
+            (rng.random(m) < density) * 10.0 ** rng.uniform(-5, 5, m) for m in lengths.tolist()
+        ]
+        flat = np.concatenate([np.concatenate([[0.0], s]) for s in segments])
+        starts = np.concatenate([[0], np.cumsum(lengths + 1)[:-1]])
+        sums = np.add.reduceat(flat, starts)
+        assert sums.tolist() == [float(s.sum()) for s in segments]
 
 
 class TestSeminorms:

@@ -109,6 +109,21 @@ class TestStatevector:
         with pytest.raises(ValueError, match="amplitudes"):
             Statevector(amps)
 
+    def test_engine_states_pass_every_check(self):
+        # run_circuit and haar_random_state wrap their own buffers without the
+        # checks above, which still hold for amplitudes a caller supplies: the
+        # same amplitudes pass them and give the same state
+        rng = np.random.default_rng(4)
+        for psi in (
+            run_circuit(Circuit(1, ())),
+            run_circuit(random_prep_circuit(5, rng)),
+            haar_random_state(6, rng),
+        ):
+            checked = Statevector(psi.amps)
+            assert psi.n_qubits == checked.n_qubits
+            assert psi.amps.tobytes() == checked.amps.tobytes()
+            assert psi.amps.dtype == complex and not psi.amps.flags.writeable
+
 
 class TestSingleQubitGates:
     def test_h_on_zero(self):
